@@ -32,12 +32,12 @@ from .spectral import (
     FrequencyGrid,
     Region,
     RootConfig,
+    _stability_report,
     criterion_profile,
     decay_rate,
     find_roots,
     miyadera_estimate,
     random_compatible_state,
-    stability_criterion,
 )
 
 
@@ -83,7 +83,7 @@ def cmd_spectrum(args) -> int:
 def cmd_stability(args) -> int:
     scenario = load_scenario(args.scenario)
     grid = FrequencyGrid(args.omega_max, args.count)
-    report = stability_criterion(
+    report, profile = _stability_report(
         scenario.model,
         args.alpha,
         grid,
@@ -92,7 +92,6 @@ def cmd_stability(args) -> int:
         state_m=scenario.run.m,
         dt=scenario.run.dt,
     )
-    profile = criterion_profile(scenario.model, args.alpha, grid)
     out = _out_dir(args)
     write_json(out / "stability.json", report.to_dict())
     write_stability_csv(out / "stability.csv", profile)

@@ -2,7 +2,10 @@
 
 The first route is the method of steps: a classical 4-stage explicit
 Runge-Kutta sweep where delayed values come from piecewise-linear
-interpolation of the already-computed trajectory.  The second route is
+interpolation of the already-computed trajectory.  On the uniform grid
+that interpolation is a fixed stencil of lags and weights, so one step is
+a constant-coefficient linear recurrence, assembled once and applied in
+blocks.  The second route is
 the semigroup construction: the unperturbed block action (flowed head,
 injected head plus shifted history) composed with the iterated Volterra
 terms whose sum is the perturbation series of the full evolution.  Both
@@ -118,17 +121,21 @@ class SpatialOperator:
             return np.real((np.exp(np.outer(times, w)) * coeff) @ v.T)
         return np.array([scipy.linalg.expm(t * self.matrix) @ x for t in times])
 
-    def expm(self, t: float) -> np.ndarray:
+    def expm(self, t) -> np.ndarray:
+        """exp(t A); an array of times gives the stack of exponentials,
+        shape t.shape + (n, n), from the same cached factorisation."""
+        t = np.asarray(t, dtype=float)
         fact = self._factorization()
         if fact[0] == "scalar":
-            return np.array([[np.exp(fact[1] * t)]])
+            return np.exp(fact[1] * t)[..., None, None]
         if fact[0] == "sym":
             w, q = fact[1], fact[2]
-            return (q * np.exp(t * w)) @ q.T
+            return (q * np.exp(t[..., None] * w)[..., None, :]) @ q.T
         if fact[0] == "diag":
             w, v, vinv = fact[1], fact[2], fact[3]
-            return np.real((v * np.exp(t * w)) @ vinv)
-        return scipy.linalg.expm(t * self.matrix)
+            return np.real((v * np.exp(t[..., None] * w)[..., None, :]) @ vinv)
+        stack = [scipy.linalg.expm(s * self.matrix) for s in t.ravel()]
+        return np.array(stack).reshape(t.shape + (self.n, self.n))
 
     def min_singular(self, lam: complex) -> float:
         """Smallest singular value of (lam - A); 1/norm of the resolvent."""
@@ -252,43 +259,96 @@ def _fold_instantaneous(model: SystemModel):
     return a_eff, phi
 
 
-def _delay_term(phi: DelayFunctional, m: int):
-    """Lookup offsets in [-1, 0) and a reducer turning the delayed values
-    into the functional's contribution; avoids building grid objects in
-    the integrator's inner loop."""
+def _delay_atoms(phi: DelayFunctional, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets in [-1, 0] and n x n weights W_k of the quadrature
+    Phi(u_t) ~= sum_k W_k u(t + offset_k) used by the time-domain routes:
+    the delays themselves, the Cantor grid weights on the m-node history
+    grid, or trapezoid weights on the density kernel's own grid."""
     if isinstance(phi, DiscreteDelays):
         if phi.dim is None:
-
-            def reduce_empty(vals):
-                return np.zeros(vals.shape[1])
-
-            return np.array([-1.0]), reduce_empty
-        mats = phi.matrices
-
-        def reduce_discrete(vals):
-            return np.einsum("kij,kj->i", mats, vals)
-
-        return phi.delays, reduce_discrete
+            return np.zeros(0), np.zeros((0, n, n))
+        return phi.delays, phi.matrices
     if isinstance(phi, CantorKernel):
-        offsets = -1.0 + np.arange(m + 1) / m
         w = phi.c * cantor_grid_weights(m, phi.depth)
-
-        def reduce_cantor(vals):
-            return w @ vals
-
-        return offsets, reduce_cantor
+        return -1.0 + np.arange(m + 1) / m, w[:, None, None] * np.eye(n)
     if isinstance(phi, DensityKernel):
-        offsets = phi.nodes
         w = np.full(phi.m + 1, 1.0 / phi.m)
         w[0] *= 0.5
         w[-1] *= 0.5
-        weighted = w[:, None, None] * phi.samples
-
-        def reduce_density(vals):
-            return np.einsum("lij,lj->i", weighted, vals)
-
-        return offsets, reduce_density
+        return phi.nodes, w[:, None, None] * phi.samples
     raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+
+
+def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole part and fraction of positions measured in grid steps.
+
+    Positions within 1e-9 of an integer snap to it, so a grid-aligned
+    delay reads exactly one node whatever the rounding of offset/dt.
+    """
+    rho = np.asarray(rho, dtype=float)
+    nearest = np.rint(rho)
+    rho = np.where(np.abs(rho - nearest) <= 1e-9, nearest, rho)
+    whole = np.floor(rho)
+    return whole.astype(int), rho - whole
+
+
+#: Offsets of the RK4 stages inside a step, in steps: k1 at 0, k2 and k3
+#: at 1/2, k4 at 1.
+_RK4_STAGES = (0.0, 0.5, 1.0)
+
+
+def _delay_stencil(
+    phi: DelayFunctional, m: int, steps_per_unit: int, n: int, stages: tuple[float, ...] = _RK4_STAGES
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lags and weights with which the delay term reads a uniform trajectory.
+
+    With ``steps_per_unit`` nodes per unit time, the delay term at stage
+    offset c of the step leaving node j is sum_l weights[s, l] @ u_{j - lags[l]}
+    for c = stages[s]: the piecewise-linear interpolant at position
+    j + c + offset * steps_per_unit.  Positions past node j - 1 read the
+    interval (j - 1, j) with a fraction above 1, which extrapolates from
+    it, so a stage never reads a node that is not yet computed.  Only lags
+    that carry a nonzero weight in some stage are kept, in ascending order.
+    """
+    offsets, mats = _delay_atoms(phi, m, n)
+    count = len(offsets)
+    lag, coef, atom, stage = [], [], [], []
+    for s, c in enumerate(stages):
+        whole, frac = _grid_position(c + offsets * steps_per_unit)
+        capped = np.minimum(whole, -1)
+        frac = frac + (whole - capped)
+        lag += [-capped, -capped - 1]
+        coef += [1.0 - frac, frac]
+        atom += [np.arange(count)] * 2
+        stage.append(np.full(2 * count, s))
+    lag, coef, atom, stage = (np.concatenate(v) for v in (lag, coef, atom, stage))
+    keep = coef != 0.0
+    lags, where = np.unique(lag[keep], return_inverse=True)
+    weights = np.zeros((len(stages), len(lags), n, n))
+    np.add.at(weights, (stage[keep], where), coef[keep, None, None] * mats[atom[keep]])
+    return lags, weights
+
+
+def _step_recurrence(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
+    """Lags and matrices C_l of one RK4 step, u_{j+1} = sum_l C_l u_{j-l}.
+
+    The stages are composed as maps of the stored nodes: the current node
+    u_j is the identity at lag 0 and the delay stencil supplies each
+    stage's delayed values, so the formulas are those of the stage-by-stage
+    step.  Lag 0 is always present and comes first.
+    """
+    n = a_eff.shape[0]
+    all_lags = np.union1d(lags, [0])
+    delay = np.zeros((len(_RK4_STAGES), len(all_lags), n, n))
+    delay[:, np.searchsorted(all_lags, lags)] = weights
+    node = np.zeros((len(all_lags), n, n))
+    node[0] = np.eye(n)
+    half = 0.5 * dt
+    k1 = a_eff @ node + delay[0]
+    k2 = a_eff @ (node + half * k1) + delay[1]
+    k3 = a_eff @ (node + half * k2) + delay[1]
+    k4 = a_eff @ (node + dt * k3) + delay[2]
+    return all_lags, node + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None = None) -> Trajectory:
@@ -300,7 +360,16 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     already-computed nodes (queries past the frontier extrapolate from
     the last interval).  Any point mass of Phi at delay 0 is folded into
     A before stepping.  Aborts with BlowUpError when the solution norm
-    exceeds 1e12.
+    exceeds 1e12, reporting the first node past the guard.
+
+    On the uniform grid every stage reads the same lags with the same
+    weights at every step, so one step is the fixed linear map
+    u_{j+1} = sum_l C_l u_{j-l}, assembled once from the delay stencil.
+    Lags 0 and 1 are applied step by step; the other lags, all at least
+    as long as a block, are applied to a whole block of steps with one
+    gather and one product, and the guard is checked once per block.  The
+    frontier extrapolation is part of the assembled map, so the result is
+    that of the stage-by-stage sweep up to rounding.
     """
     if T <= 0:
         raise PreconditionError("horizon T must be positive")
@@ -325,44 +394,37 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     vals[hist_steps] = init.head
 
     a_eff, phi_red = _fold_instantaneous(model)
-    term = _delay_term(phi_red, init.history.m) if phi_red is not None else None
+    if phi_red is None:
+        lags, weights = np.zeros(0, dtype=int), np.zeros((len(_RK4_STAGES), 0, n, n))
+    else:
+        lags, weights = _delay_stencil(phi_red, init.history.m, hist_steps, n)
+    lags, mats = _step_recurrence(a_eff, lags, weights, dt)
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    if term is not None:
-        offsets, reduce_fn = term
+    near = lags <= 1
+    width = int(lags[near][-1]) + 1
+    # [C_{width-1} ... C_0] against the rows u_{j-width+1} ... u_j
+    coupled = np.zeros((n, width * n))
+    for lag, mat in zip(lags[near], mats[near]):
+        coupled[:, (width - 1 - lag) * n : (width - lag) * n] = mat
+    far_lags = lags[~near]
+    far = mats[~near].transpose(0, 2, 1).reshape(-1, n)
+    block = int(far_lags[0]) if far_lags.size else steps
 
-        def rhs(s, y, cap):
-            # delayed values from nodes computed so far; queries past the
-            # frontier extrapolate from the last interval
-            pos = (s + offsets + 1.0) * inv
-            idx = np.minimum(pos.astype(int), cap)
-            frac = (pos - idx)[:, None]
-            delayed = vals[idx] * (1.0 - frac) + vals[idx + 1] * frac
-            return a_eff @ y + reduce_fn(delayed)
-
-    for j in range(hist_steps, total - 1):
-        t = -1.0 + j * dt
-        u = vals[j]
-
-        if term is None:
-            k1 = a_eff @ u
-            k2 = a_eff @ (u + half * k1)
-            k3 = a_eff @ (u + half * k2)
-            k4 = a_eff @ (u + dt * k3)
-        else:
-            cap = j - 1
-            k1 = rhs(t, u, cap)
-            k2 = rhs(t + half, u + half * k1, cap)
-            k3 = rhs(t + half, u + half * k2, cap)
-            k4 = rhs(t + dt, u + dt * k3, cap)
-
-        new = u + sixth * (k1 + 2.0 * (k2 + k3) + k4)
-        if not np.all(np.isfinite(new)) or np.linalg.norm(new) > BLOWUP_GUARD:
-            raise BlowUpError(
-                f"solution norm exceeded {BLOWUP_GUARD:.0e} at t = {t + dt:.6g}; aborting"
-            )
-        vals[j + 1] = new
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j0 in range(hist_steps, total - 1, block):
+            j1 = min(j0 + block, total - 1)
+            # far lags only read nodes before the block
+            gathered = vals[np.arange(j0, j1)[:, None] - far_lags]
+            forcing = gathered.reshape(j1 - j0, len(far)) @ far
+            for j in range(j0, j1):
+                vals[j + 1] = coupled @ vals[j + 1 - width : j + 1].ravel() + forcing[j - j0]
+            rows = vals[j0 + 1 : j1 + 1]
+            bad = ~np.isfinite(rows).all(axis=1) | (np.linalg.norm(rows, axis=1) > BLOWUP_GUARD)
+            if bad.any():
+                t = -1.0 + (j0 + int(np.argmax(bad))) * dt
+                raise BlowUpError(
+                    f"solution norm exceeded {BLOWUP_GUARD:.0e} at t = {t + dt:.6g}; aborting"
+                )
 
     return Trajectory(vals, dt, m=init.history.m, p=model.p)
 
@@ -390,13 +452,22 @@ def mild_residual(model: SystemModel, traj: Trajectory, t: float) -> float:
     w = np.full(count, traj.dt)
     w[0] *= 0.5
     w[-1] *= 0.5
-    rows = traj.values[hist_rows : jt + 1]
-    int_u = w @ rows
-    s_nodes = traj.times[hist_rows : jt + 1]
-    sigma = -1.0 + np.arange(traj.m + 1) / traj.m
-    seg_integral = np.empty((traj.m + 1, traj.n))
-    for l, s_off in enumerate(sigma):
-        seg_integral[l] = w @ traj.value_at(s_nodes + s_off)
+    vals = traj.values
+    int_u = w @ vals[hist_rows : jt + 1]
+    # Node l of the segment integral, sum_J w_J u(s_J + sigma_l), reads
+    # every s_J at the same whole lag and fraction, so it blends two
+    # trapezoid sums over windows of the rows; prefix sums give them all.
+    whole, frac = _grid_position((-1.0 + np.arange(traj.m + 1) / traj.m) * hist_rows)
+    prefix = np.concatenate((np.zeros((1, traj.n)), np.cumsum(vals, axis=0)))
+
+    def window(start):
+        inner = prefix[start + count] - prefix[start]
+        return traj.dt * inner - 0.5 * traj.dt * (vals[start] + vals[start + count - 1])
+
+    start = hist_rows + whole
+    # the clamp only acts on the node at sigma = 0, whose fraction is 0
+    upper = np.minimum(start + 1, len(vals) - count)
+    seg_integral = (1.0 - frac)[:, None] * window(start) + frac[:, None] * window(upper)
     g = HistoryGrid(seg_integral, traj.p)
     resid = u_t - x - model.A.matrix @ int_u - apply(model.phi, g)
     return float(np.linalg.norm(resid))
@@ -446,6 +517,11 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     by composite trapezoid with the trajectory step.  The integrals are
     accumulated through the exact one-step propagator exp(dt A), which
     evaluates the same quadrature sums without re-nesting them.
+
+    The delay term of every quadrature node reads the previous term's
+    rows through the stage-0 delay stencil of ``solve_steps`` (the
+    piecewise-linear interpolant at each node plus offset), assembled once;
+    each term gathers the delayed values of all nodes in one product.
     """
     if t < 0:
         raise PreconditionError("time must be nonnegative")
@@ -479,15 +555,13 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     if N == 0:
         return terms
 
-    offsets, reduce_fn = _delay_term(model.phi, m)
+    lags, weights = _delay_stencil(model.phi, m, hist_steps, n, stages=(0.0,))
+    reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
+    stencil = weights[0].transpose(0, 2, 1).reshape(-1, n)
     e1 = model.A.expm(dt)
-    theta = tgrid[hist_steps:]
 
     for _ in range(1, N + 1):
-        v = np.empty((r_steps + 1, n))
-        for j in range(r_steps + 1):
-            delayed = interp_uniform(rows, -1.0, dt, theta[j] + offsets)
-            v[j] = reduce_fn(delayed)
+        v = rows[reads].reshape(r_steps + 1, len(stencil)) @ stencil
         new_rows = np.zeros((total, n))
         acc = np.zeros(n)
         for j in range(1, r_steps + 1):

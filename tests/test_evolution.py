@@ -4,6 +4,7 @@ import scipy.linalg
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
+from reference_loops import reference_solve_steps, reference_volterra_terms
 
 
 def empty_functional():
@@ -45,6 +46,8 @@ class TestSpatialOperator:
         a = rng.standard_normal((5, 5)) * 0.7
         op = dl.SpatialOperator(a)
         np.testing.assert_allclose(op.expm(0.9), scipy.linalg.expm(0.9 * a), atol=1e-10)
+        stack = op.expm(np.array([0.0, 0.9]))
+        np.testing.assert_allclose(stack, [np.eye(5), scipy.linalg.expm(0.9 * a)], atol=1e-10)
 
 
 class TestSystemModel:
@@ -107,6 +110,60 @@ class TestSolveSteps:
     def test_blowup_guard(self):
         with pytest.raises(dl.BlowUpError):
             dl.solve_steps(ode_model(40.0), constant_state(1.0), 1.0, 1e-3)
+
+
+def _coupled_operator():
+    return dl.SpatialOperator(np.array([[-0.5, 0.3], [0.2, -0.8]]))
+
+
+def _coupling():
+    return np.array([[0.4, -0.6], [0.3, 0.2]])
+
+
+def _density_kernel():
+    # K(sigma) commutes neither with A nor with K at other nodes
+    sigma = -1.0 + np.arange(41) / 40
+    return dl.DensityKernel(
+        np.array([[[0.5 * np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3 * np.sin(2.0 * s)]] for s in sigma])
+    )
+
+
+RECURRENCE_CASES = {
+    "aligned_delay": lambda: (dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -0.3)), 1e-3),
+    "off_grid_delay": lambda: (dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -0.3337)), 1e-3),
+    "sub_step_delay": lambda: (dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -1e-3 / 3)), 1e-3),
+    "folded_atom": lambda: (
+        dl.SystemModel(
+            _coupled_operator(), dl.DiscreteDelays(np.stack([_coupling(), 0.5 * _coupling().T]), np.array([0.0, -1.0]))
+        ),
+        1e-3,
+    ),
+    "density_kernel": lambda: (dl.SystemModel(_coupled_operator(), _density_kernel()), 1e-3),
+    "cantor_n15": lambda: (dl.reaction_diffusion_scenario(15, 4.9), None),
+}
+
+
+class TestStepRecurrence:
+    """The assembled recurrence against the stage-by-stage sweep."""
+
+    @pytest.mark.parametrize("case", sorted(RECURRENCE_CASES))
+    def test_matches_stage_by_stage_sweep(self, case):
+        model, dt = RECURRENCE_CASES[case]()
+        dt = dt or model.default_dt()
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(5))
+        got = dl.solve_steps(model, init, 2.0, dt).values
+        want = reference_solve_steps(model, init, 2.0, dt).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("model", [ode_model(40.0), dl.scalar_dde(30.0, 2.0)])
+    def test_blowup_guard_reports_the_reference_time(self, model):
+        init = constant_state(1.0)
+        with pytest.raises(dl.BlowUpError) as got:
+            dl.solve_steps(model, init, 3.0, 1e-3)
+        with pytest.raises(dl.BlowUpError) as want:
+            reference_solve_steps(model, init, 3.0, 1e-3)
+        assert str(got.value) == str(want.value)
 
 
 def ode_model_2d():
@@ -261,6 +318,22 @@ class TestVolterraTerms:
         model = dl.scalar_dde(-1.0, 0.5)
         with pytest.raises(dl.BudgetError):
             dl.volterra_terms(model, 4000, 2.0, constant_state(1.0), 1e-3)
+
+    @pytest.mark.parametrize(
+        "model,dt",
+        [
+            (dl.scalar_dde(0.0, -1.0), 1e-3),
+            (dl.SystemModel(dl.scalar_operator(-1.0), dl.CantorKernel(0.8), 2.0), 1e-2),
+        ],
+    )
+    def test_matches_node_by_node_delay_term(self, model, dt):
+        init = dl.random_compatible_state(1, 64, 2.0, np.random.default_rng(4))
+        got = dl.volterra_terms(model, 6, 1.5, init, dt)
+        want = reference_volterra_terms(model, 6, 1.5, init, dt)
+        for g, w in zip(got, want, strict=True):
+            scale = max(np.abs(w.head).max(), np.abs(w.history.samples).max(), 1e-300)
+            np.testing.assert_allclose(g.head, w.head, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(g.history.samples, w.history.samples, rtol=0, atol=1e-12 * scale)
 
     def test_rejects_nonpositive_index(self):
         model = dl.scalar_dde(-1.0, 0.5)

@@ -3,6 +3,7 @@ import pytest
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
+from reference_loops import reference_miyadera_estimate
 
 
 def empty_functional():
@@ -94,6 +95,12 @@ class TestFindRoots:
         for region in (dl.Region(-1.0, 1.0, 4.0), dl.Region(-1.0, 1.0, 7.5), dl.Region(-3.0, 1.0, 9.0)):
             report = dl.find_roots(model, region)
             assert len(report.roots) == dl.count_roots_argument_principle(model, region)
+
+    def test_overflowing_determinant_is_reported(self):
+        # at n = 100 det(lam - A - c g(lam)) overflows on this contour
+        model = dl.reaction_diffusion_scenario(100, 0.5 * abs(dl.dirichlet_lambda1(100)))
+        with pytest.raises(dl.NoResultError, match="overflows"):
+            dl.count_roots_argument_principle(model, dl.Region(-3.0, 1.0, 2.0), samples_per_edge=10)
 
     def test_roots_come_in_conjugate_pairs(self):
         rng = np.random.default_rng(12)
@@ -293,6 +300,32 @@ class TestMiyaderaEstimate:
             bounds[t0] = q_bound
         # the bound scales like t0^(1/p'); for p = 1 it is t0-independent
         assert bounds[0.5] / bounds[0.25] == pytest.approx(2.0 ** (1.0 - 1.0 / p), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "phi,p",
+        [
+            (
+                dl.DiscreteDelays(
+                    np.array([[[0.4, -0.6], [0.3, 0.2]], [[0.2, 0.15], [-0.3, 0.1]]]), np.array([-0.31, -1.0])
+                ),
+                2.0,
+            ),
+            (dl.CantorKernel(0.9), 3.0),
+            (
+                dl.DensityKernel(
+                    np.array([[[np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3]] for s in -1.0 + np.arange(41) / 40])
+                ),
+                1.0,
+            ),
+        ],
+        ids=["discrete", "cantor", "density"],
+    )
+    def test_matches_per_state_loop(self, phi, p):
+        model = dl.SystemModel(dl.SpatialOperator(np.array([[-0.5, 0.3], [0.2, -0.8]])), phi, p)
+        got = dl.miyadera_estimate(model, 0.25, samples=20, seed=3)
+        want = reference_miyadera_estimate(model, 0.25, samples=20, seed=3)
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        assert got[1] == pytest.approx(want[1], rel=1e-12)
 
     def test_rejects_bad_window(self):
         model = dl.scalar_dde(-1.0, 0.1)
