@@ -23,18 +23,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowUpError, BudgetError, PreconditionError
-from .functional import (
-    CantorKernel,
-    DelayFunctional,
-    DensityKernel,
-    DiscreteDelays,
-    apply,
-    cantor_grid_weights,
-)
+from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, apply, char_matrix
 from .history import (
     COMPAT_TOL,
     DelayState,
     HistoryGrid,
+    _trapezoid_weights,
     history_injection,
     interp_uniform,
     nilpotent_shift,
@@ -173,8 +167,6 @@ class SystemModel:
         return self.A.n
 
     def char_matrix(self, lam: complex) -> np.ndarray:
-        from .functional import char_matrix
-
         return char_matrix(self.phi, lam, dim=self.n)
 
     def default_dt(self) -> float:
@@ -237,46 +229,23 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _fold_instantaneous(model: SystemModel):
+def _fold_instantaneous(model: SystemModel, m: int) -> tuple[np.ndarray, _Atoms]:
     """Move any point mass of Phi at delay 0 into the matrix term.
 
-    Returns (A_eff, reduced functional or None); kernels have no atoms so
-    only discrete delays are affected.
+    Returns A_eff and the atoms left to the delay term on the m-node
+    history grid, none when their weights all vanish.  Quadrature nodes at
+    sigma = 0 stay atoms: they read the frontier like any other node.
     """
     a_eff = model.A.matrix.copy()
-    phi = model.phi
-    if isinstance(phi, DiscreteDelays) and phi.dim is not None:
-        at_zero = phi.delays >= -1e-12
+    atoms = _atoms(model.phi, m)
+    if atoms.point_masses:
+        at_zero = atoms.offsets >= -1e-12
         if at_zero.any():
-            a_eff = a_eff + phi.matrices[at_zero].sum(axis=0)
-            if at_zero.all():
-                return a_eff, None
-            phi = DiscreteDelays(phi.matrices[~at_zero], phi.delays[~at_zero])
-    if isinstance(phi, DiscreteDelays) and phi.dim is None:
-        return a_eff, None
-    if isinstance(phi, CantorKernel) and phi.c == 0.0:
-        return a_eff, None
-    return a_eff, phi
-
-
-def _delay_atoms(phi: DelayFunctional, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets in [-1, 0] and n x n weights W_k of the quadrature
-    Phi(u_t) ~= sum_k W_k u(t + offset_k) used by the time-domain routes:
-    the delays themselves, the Cantor grid weights on the m-node history
-    grid, or trapezoid weights on the density kernel's own grid."""
-    if isinstance(phi, DiscreteDelays):
-        if phi.dim is None:
-            return np.zeros(0), np.zeros((0, n, n))
-        return phi.delays, phi.matrices
-    if isinstance(phi, CantorKernel):
-        w = phi.c * cantor_grid_weights(m, phi.depth)
-        return -1.0 + np.arange(m + 1) / m, w[:, None, None] * np.eye(n)
-    if isinstance(phi, DensityKernel):
-        w = np.full(phi.m + 1, 1.0 / phi.m)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return phi.nodes, w[:, None, None] * phi.samples
-    raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+            a_eff = a_eff + atoms.weights[at_zero].sum(axis=0)
+            atoms = atoms._replace(offsets=atoms.offsets[~at_zero], weights=atoms.weights[~at_zero])
+    if not np.any(atoms.weights):
+        atoms = atoms._replace(offsets=atoms.offsets[:0], weights=atoms.weights[:0])
+    return a_eff, atoms
 
 
 def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +267,10 @@ _RK4_STAGES = (0.0, 0.5, 1.0)
 
 
 def _delay_stencil(
-    phi: DelayFunctional, m: int, steps_per_unit: int, n: int, stages: tuple[float, ...] = _RK4_STAGES
+    atoms: _Atoms, steps_per_unit: int, n: int, stages: tuple[float, ...] = _RK4_STAGES
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lags and weights with which the delay term reads a uniform trajectory.
+    """Lags and n x n weights with which the atoms of the delay term read a
+    uniform trajectory.
 
     With ``steps_per_unit`` nodes per unit time, the delay term at stage
     offset c of the step leaving node j is sum_l weights[s, l] @ u_{j - lags[l]}
@@ -310,7 +280,7 @@ def _delay_stencil(
     it, so a stage never reads a node that is not yet computed.  Only lags
     that carry a nonzero weight in some stage are kept, in ascending order.
     """
-    offsets, mats = _delay_atoms(phi, m, n)
+    offsets, mats = atoms.offsets, _as_matrices(atoms.weights, n)
     count = len(offsets)
     lag, coef, atom, stage = [], [], [], []
     for s, c in enumerate(stages):
@@ -393,11 +363,8 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     vals[: hist_steps + 1] = init.history.value_at(tgrid)
     vals[hist_steps] = init.head
 
-    a_eff, phi_red = _fold_instantaneous(model)
-    if phi_red is None:
-        lags, weights = np.zeros(0, dtype=int), np.zeros((len(_RK4_STAGES), 0, n, n))
-    else:
-        lags, weights = _delay_stencil(phi_red, init.history.m, hist_steps, n)
+    a_eff, atoms = _fold_instantaneous(model, init.history.m)
+    lags, weights = _delay_stencil(atoms, hist_steps, n)
     lags, mats = _step_recurrence(a_eff, lags, weights, dt)
 
     near = lags <= 1
@@ -449,9 +416,7 @@ def mild_residual(model: SystemModel, traj: Trajectory, t: float) -> float:
     count = jt - hist_rows + 1
     if count < 2:
         return float(np.linalg.norm(u_t - x))
-    w = np.full(count, traj.dt)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _trapezoid_weights(count, traj.dt)
     vals = traj.values
     int_u = w @ vals[hist_rows : jt + 1]
     # Node l of the segment integral, sum_J w_J u(s_J + sigma_l), reads
@@ -555,7 +520,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     if N == 0:
         return terms
 
-    lags, weights = _delay_stencil(model.phi, m, hist_steps, n, stages=(0.0,))
+    lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, n, stages=(0.0,))
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
     stencil = weights[0].transpose(0, 2, 1).reshape(-1, n)
     e1 = model.A.expm(dt)

@@ -9,6 +9,19 @@ Three variants are supported:
 * ``DensityKernel`` -- an absolutely continuous kernel given by matrix
   samples K(sigma), Phi(f) = integral of K(sigma) f(sigma).
 
+Every variant is a Stieltjes measure on [-1, 0] and is read through one
+representation, its atoms: offsets sigma_i in [-1, 0] and weights W_i with
+Phi(f) ~= sum_i W_i f(sigma_i), where a weight is an n x n matrix or a
+scalar standing for a multiple of Id.  The atoms are the delays with their
+matrices, the trapezoid nodes of a density kernel's own grid, and the
+Cantor grid weights on the history grid.  ``apply``, ``total_variation``
+and the characteristic matrices of this module, and the delay stencils of
+the time-domain routes, all read the atoms; this is the only module that
+tells the variants apart.  The Cantor kernel keeps three exact overrides:
+``apply`` contracts the history samples with its grid weights directly,
+its total variation is |c|, and its characteristic matrices use the
+product form of the transform.
+
 The Cantor measure is realised two independent ways that serve as mutual
 oracles: the infinite-product form of its exponential transform, and
 recursive self-similar subdivision mu -> (mu o S1^-1 + mu o S2^-1)/2 with
@@ -22,7 +35,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .history import HistoryGrid
+from .history import HistoryGrid, _trapezoid_weights, interp_uniform
 
 _MAX_DEPTH = 40
 # Subdivision stops refining once successive levels agree to this relative
@@ -52,7 +65,9 @@ class DiscreteDelays:
             raise ValueError("delay matrices must be a stack of square matrices")
         if len(self.delays) != len(self.matrices):
             raise ValueError("one delay per matrix required")
-        if np.any(self.delays < -1.0) or np.any(self.delays > 0.0):
+        if not np.all(np.isfinite(self.matrices)):
+            raise ValueError("delay matrices have non-finite entries")
+        if not np.all((self.delays >= -1.0) & (self.delays <= 0.0)):
             raise ValueError("delays must lie in [-1, 0]")
 
     @property
@@ -74,6 +89,8 @@ class CantorKernel:
     def __post_init__(self):
         self.c = float(self.c)
         self.depth = int(self.depth)
+        if not np.isfinite(self.c):
+            raise ValueError("Cantor kernel coefficient must be finite")
         if self.depth < 1:
             raise ValueError("Cantor kernel depth must be >= 1")
         if self.depth > _MAX_DEPTH:
@@ -100,6 +117,8 @@ class DensityKernel:
             raise ValueError("density kernel samples must be a (m+1, n, n) stack")
         if len(self.samples) < 3:
             raise ValueError("density kernel needs m >= 2 (at least 3 nodes)")
+        if not np.all(np.isfinite(self.samples)):
+            raise ValueError("density kernel samples have non-finite entries")
 
     @property
     def m(self) -> int:
@@ -232,63 +251,91 @@ def cantor_transform_recursive(lam: complex, depth: int = 30) -> complex:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_weights(count: int, h: float) -> np.ndarray:
-    w = np.full(count, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
+class _Atoms(NamedTuple):
+    """Phi(f) ~= sum_i W_i f(sigma_i): offsets sigma_i in [-1, 0] and weights
+    W_i, a (k, n, n) stack of matrices or k scalars standing for multiples
+    of Id.  ``point_masses`` is true when the atoms are the measure itself
+    rather than quadrature nodes of it."""
+
+    offsets: np.ndarray
+    weights: np.ndarray
+    point_masses: bool
+
+
+def _atoms(phi: DelayFunctional, m: int | None = None) -> _Atoms:
+    """Atoms of phi; those of the Cantor kernel sit on the m-node history
+    grid, the others do not depend on m."""
+    if isinstance(phi, DiscreteDelays):
+        if phi.dim is None:
+            return _Atoms(np.zeros(0), np.zeros(0), True)
+        return _Atoms(phi.delays, phi.matrices, True)
+    if isinstance(phi, CantorKernel):
+        return _Atoms(-1.0 + np.arange(m + 1) / m, phi.c * cantor_grid_weights(m, phi.depth), False)
+    if isinstance(phi, DensityKernel):
+        w = _trapezoid_weights(phi.m + 1, 1.0 / phi.m)
+        return _Atoms(phi.nodes, w[:, None, None] * phi.samples, False)
+    raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+
+
+def _as_matrices(weights: np.ndarray, n: int | None) -> np.ndarray:
+    """A stack of weights as n x n matrices; scalars become multiples of
+    Id, for which n is required.  Matrices must be n x n when n is given."""
+    if weights.ndim == 3:
+        if n is not None and n != weights.shape[1]:
+            raise ValueError(f"dimension {n} does not match functional dimension {weights.shape[1]}")
+        return weights
+    if n is None:
+        raise ValueError("dimension required for a dimension-free functional")
+    return weights[:, None, None] * np.eye(n, dtype=weights.dtype)
+
+
+def _norms(weights: np.ndarray) -> np.ndarray:
+    """Spectral norm of every weight in a stack."""
+    if weights.ndim == 1:
+        return np.abs(weights)
+    return np.linalg.svd(weights, compute_uv=False)[:, 0]
+
+
+def _transform(phi: DelayFunctional, lams, m: int | None = None) -> np.ndarray:
+    """sum_i W_i e^(lam sigma_i) for every lam of a flat array: a stack of
+    matrices, or scalars standing for multiples of Id.
+
+    With m the exponential is read through its samples on the m-node grid,
+    as ``apply`` reads a sampled history; without m the Cantor kernel uses
+    the product form of its transform.
+    """
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if m is None and isinstance(phi, CantorKernel):
+        return phi.c * cantor_transform_grid(lams)
+    offsets, weights, _ = _atoms(phi, m)
+    if m is None:
+        profile = np.exp(np.outer(lams, offsets))
+    else:
+        nodes = -1.0 + np.arange(m + 1) / m
+        profile = interp_uniform(np.exp(np.outer(nodes, lams)), -1.0, 1.0 / m, offsets).T
+    if weights.ndim == 1:
+        return profile @ weights
+    return np.einsum("wk,kij->wij", profile, weights.astype(complex))
 
 
 def apply(phi: DelayFunctional, f: HistoryGrid) -> np.ndarray:
     """Evaluate Phi(f) for a sampled history.
 
-    Discrete delays interpolate f at the delay points; the Cantor kernel
-    contracts the samples with the precomputed measure weights; density
-    kernels use trapezoid quadrature on the kernel's own grid.
+    The atoms read f by piecewise-linear interpolation; the Cantor kernel
+    contracts the samples with its grid weights directly.
     """
-    if isinstance(phi, DiscreteDelays):
-        if phi.dim is None:
-            return np.zeros(f.n, dtype=f.samples.dtype)
-        if phi.dim != f.n:
-            raise ValueError(f"functional dimension {phi.dim} does not match history dimension {f.n}")
-        vals = f.value_at(phi.delays)
-        return np.einsum("kij,kj->i", phi.matrices, vals)
     if isinstance(phi, CantorKernel):
-        w = cantor_grid_weights(f.m, phi.depth)
-        return phi.c * (w @ f.samples)
-    if isinstance(phi, DensityKernel):
-        if phi.dim != f.n:
-            raise ValueError(f"kernel dimension {phi.dim} does not match history dimension {f.n}")
-        vals = f.value_at(phi.nodes)
-        w = _trapezoid_weights(phi.m + 1, 1.0 / phi.m)
-        return np.einsum("l,lij,lj->i", w, phi.samples, vals)
-    raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+        return phi.c * (cantor_grid_weights(f.m, phi.depth) @ f.samples)
+    offsets, weights, _ = _atoms(phi)
+    return np.einsum("kij,kj->i", _as_matrices(weights, f.n), f.value_at(offsets))
 
 
 def total_variation(phi: DelayFunctional) -> float:
-    """Mass of the kernel measure on [-1, 0] in the spectral norm."""
-    if isinstance(phi, DiscreteDelays):
-        if phi.dim is None:
-            return 0.0
-        return float(sum(np.linalg.norm(b, 2) for b in phi.matrices))
+    """Mass of the kernel measure on [-1, 0] in the spectral norm: the sum
+    of the atom norms, and |c| for the Cantor kernel."""
     if isinstance(phi, CantorKernel):
         return abs(phi.c)
-    if isinstance(phi, DensityKernel):
-        w = _trapezoid_weights(phi.m + 1, 1.0 / phi.m)
-        norms = np.linalg.svd(phi.samples, compute_uv=False)[:, 0]
-        return float(w @ norms)
-    raise TypeError(f"unknown functional variant: {type(phi).__name__}")
-
-
-def _require_dim(phi: DelayFunctional, dim: int | None) -> int:
-    own = phi.dim
-    if own is not None:
-        if dim is not None and dim != own:
-            raise ValueError(f"requested dimension {dim} conflicts with functional dimension {own}")
-        return own
-    if dim is None:
-        raise ValueError("dimension required for a dimension-free functional")
-    return dim
+    return float(sum(_norms(_atoms(phi).weights)))
 
 
 def char_matrix(phi: DelayFunctional, lam: complex, dim: int | None = None) -> np.ndarray:
@@ -299,18 +346,7 @@ def char_matrix(phi: DelayFunctional, lam: complex, dim: int | None = None) -> n
     c * g^(lam) * Id for the Cantor kernel, and the quadrature of
     K(sigma) e^(lam * sigma) for density kernels.
     """
-    n = _require_dim(phi, dim)
-    lam = complex(lam)
-    if isinstance(phi, DiscreteDelays):
-        if phi.dim is None:
-            return np.zeros((n, n), dtype=complex)
-        return np.einsum("k,kij->ij", np.exp(lam * phi.delays), phi.matrices.astype(complex))
-    if isinstance(phi, CantorKernel):
-        return phi.c * cantor_transform(lam) * np.eye(n, dtype=complex)
-    if isinstance(phi, DensityKernel):
-        w = _trapezoid_weights(phi.m + 1, 1.0 / phi.m)
-        return np.einsum("l,lij->ij", w * np.exp(lam * phi.nodes), phi.samples.astype(complex))
-    raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+    return _as_matrices(_transform(phi, [lam]), dim)[0]
 
 
 class SupResult(NamedTuple):
@@ -328,20 +364,10 @@ class SupResult(NamedTuple):
 
 def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Spectral norms of char_matrix(alpha + i omega) over the samples."""
-    omegas = np.asarray(omegas, dtype=float)
-    lams = alpha + 1j * omegas
+    lams = alpha + 1j * np.asarray(omegas, dtype=float)
     if isinstance(phi, CantorKernel):
         return abs(phi.c) * np.abs(cantor_transform_grid(lams))
-    if isinstance(phi, DiscreteDelays):
-        if phi.dim is None:
-            return np.zeros(omegas.shape)
-        stack = np.einsum("wk,kij->wij", np.exp(np.outer(lams, phi.delays)), phi.matrices.astype(complex))
-    elif isinstance(phi, DensityKernel):
-        w = _trapezoid_weights(phi.m + 1, 1.0 / phi.m)
-        stack = np.einsum("wl,lij->wij", np.exp(np.outer(lams, phi.nodes)) * w, phi.samples.astype(complex))
-    else:
-        raise TypeError(f"unknown functional variant: {type(phi).__name__}")
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    return _norms(_transform(phi, lams))
 
 
 def sup_char_norm(phi: DelayFunctional, alpha: float, grid, dim: int | None = None) -> SupResult:

@@ -52,6 +52,14 @@ def interp_uniform(values: np.ndarray, left: float, dx: float, queries: np.ndarr
     return values[idx] * (1.0 - frac)[:, None] + values[idx + 1] * frac[:, None]
 
 
+def _trapezoid_weights(count: int, h: float) -> np.ndarray:
+    """Composite trapezoid weights for ``count`` nodes with spacing h."""
+    w = np.full(count, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
 @dataclass
 class HistoryGrid:
     """Sampled history on [-1, 0] with integrability exponent p.

@@ -24,6 +24,7 @@ formatting and no locale, so fixed inputs give byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,16 +53,24 @@ def _check_keys(obj, required: set[str], optional: set[str], path: str) -> dict:
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ScenarioError(f"{path}: expected a number")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}: expected a finite number, got {value}")
+    return value
 
 
 def _array(obj, path: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{path}: not a numeric array ({exc})") from None
     if arr.ndim != ndim:
         raise ScenarioError(f"{path}: expected a {ndim}-dimensional array, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ScenarioError(f"{path}: non-finite entries")
     return arr
 
 
@@ -107,7 +116,8 @@ def functional_from_dict(doc: dict, path: str = "phi") -> DelayFunctional:
         _check_keys(payload, {"c"}, {"depth"}, f"{path}.payload")
         try:
             return CantorKernel(
-                _number(payload["c"], f"{path}.payload.c"), int(payload.get("depth", 24))
+                _number(payload["c"], f"{path}.payload.c"),
+                int(_number(payload.get("depth", 24), f"{path}.payload.depth")),
             )
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None

@@ -17,18 +17,17 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, NearSpectrumError, NoResultError, PreconditionError
-from .evolution import SystemModel, Trajectory, solve_steps
+from .evolution import SystemModel, Trajectory, _delay_stencil, solve_steps
 from .functional import (
-    CantorKernel,
     DelayFunctional,
-    DensityKernel,
-    DiscreteDelays,
+    _as_matrices,
+    _atoms,
+    _transform,
     apply,
-    cantor_transform_grid,
     char_norm_profile,
     total_variation,
 )
-from .history import DelayState, HistoryGrid, lp_norm, nilpotent_shift, segment, state_norm
+from .history import DelayState, HistoryGrid, _trapezoid_weights, lp_norm, nilpotent_shift, segment, state_norm
 
 logger = logging.getLogger(__name__)
 
@@ -42,10 +41,10 @@ class FrequencyGrid:
     count: int = 4001
 
     def __post_init__(self):
-        if self.omega_max <= 0:
-            raise ValueError("omega_max must be positive")
+        if not 0 < self.omega_max < np.inf:
+            raise PreconditionError(f"omega_max must be positive and finite, got {self.omega_max}")
         if self.count < 1 or self.count % 2 == 0:
-            raise ValueError("count must be a positive odd integer")
+            raise PreconditionError(f"count must be a positive odd integer, got {self.count}")
 
     @property
     def samples(self) -> np.ndarray:
@@ -61,10 +60,10 @@ class Region:
     im_max: float
 
     def __post_init__(self):
-        if not (self.re_min < self.re_max):
-            raise ValueError("need re_min < re_max")
-        if self.im_max <= 0:
-            raise ValueError("im_max must be positive")
+        if not -np.inf < self.re_min < self.re_max < np.inf:
+            raise PreconditionError(f"need finite re_min < re_max, got {self.re_min}, {self.re_max}")
+        if not 0 < self.im_max < np.inf:
+            raise PreconditionError(f"im_max must be positive and finite, got {self.im_max}")
 
     def contains(self, lam: complex, margin: float = 1e-8) -> bool:
         return (
@@ -172,22 +171,8 @@ def char_apply(model: SystemModel, lam: complex, x: np.ndarray) -> np.ndarray:
 def _char_matrix_stack(model: SystemModel, lams: np.ndarray) -> np.ndarray:
     """Stack of lam - A - char_matrix(lam) over a flat array of lam."""
     lams = np.asarray(lams, dtype=complex).ravel()
-    n = model.n
-    eye = np.eye(n, dtype=complex)
-    base = lams[:, None, None] * eye - model.A.matrix
-    phi = model.phi
-    if isinstance(phi, CantorKernel):
-        base -= (phi.c * cantor_transform_grid(lams))[:, None, None] * eye
-    elif isinstance(phi, DiscreteDelays):
-        if phi.dim is not None:
-            base -= np.einsum("wk,kij->wij", np.exp(np.outer(lams, phi.delays)), phi.matrices.astype(complex))
-    elif isinstance(phi, DensityKernel):
-        w = np.full(phi.m + 1, 1.0 / phi.m)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        base -= np.einsum("wl,lij->wij", np.exp(np.outer(lams, phi.nodes)) * w, phi.samples.astype(complex))
-    else:
-        raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+    base = lams[:, None, None] * np.eye(model.n, dtype=complex) - model.A.matrix
+    base -= _as_matrices(_transform(model.phi, lams), model.n)
     return base
 
 
@@ -266,6 +251,8 @@ def find_roots(model: SystemModel, region: Region, cfg: RootConfig | None = None
     Roots are sorted by descending real part.
     """
     cfg = cfg or RootConfig()
+    if not cfg.spacing > 0:
+        raise PreconditionError(f"seed-grid spacing must be positive, got {cfg.spacing}")
     re_count = max(4, int(np.ceil((region.re_max - region.re_min) / cfg.spacing)) + 1)
     im_count = max(4, int(np.ceil(2.0 * region.im_max / cfg.spacing)) + 1)
     if re_count * im_count > cfg.budget:
@@ -426,25 +413,6 @@ def shift_resolvent_history(lam: complex, g: HistoryGrid) -> np.ndarray:
     return out
 
 
-def _grid_char_matrix(model: SystemModel, lam: complex, m: int) -> np.ndarray:
-    """Characteristic matrix evaluated through the grid functional.
-
-    Columns are Phi applied to the sampled exponential profile times each
-    basis vector, so it is consistent to machine precision with ``apply``
-    on the same grid (the analytic ``char_matrix`` differs by the O(1/m^2)
-    interpolation error of the profile).
-    """
-    sigma = -1.0 + np.arange(m + 1) / m
-    eps = np.exp(lam * sigma)
-    n = model.n
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        col = np.zeros((m + 1, n), dtype=complex)
-        col[:, i] = eps
-        out[:, i] = apply(model.phi, HistoryGrid(col, model.p))
-    return out
-
-
 def resolvent_apply(
     model: SystemModel,
     lam: complex,
@@ -456,7 +424,9 @@ def resolvent_apply(
 
     First forms q = R(lam, A_0) g on the history grid, then solves the
     head equation (lam - A - char)(x) = y + Phi(q) with the
-    grid-consistent characteristic matrix, and finally assembles
+    characteristic matrix read through the grid, as ``apply`` reads
+    e^(lam .) x sampled on it (the analytic ``char_matrix`` differs by the
+    O(1/m^2) interpolation error of the profile), and finally assembles
     f = e^(lam .) x + q.  Raises NearSpectrumError when the head matrix
     has condition number above ``cond_limit``.
     """
@@ -464,7 +434,8 @@ def resolvent_apply(
     if y.shape[0] != model.n or g.n != model.n:
         raise ValueError("right-hand side dimensions do not match the model")
     q = shift_resolvent_history(lam, g)
-    head_matrix = lam * np.eye(model.n) - model.A.matrix - _grid_char_matrix(model, lam, g.m)
+    grid_char = _as_matrices(_transform(model.phi, [lam], g.m), model.n)[0]
+    head_matrix = lam * np.eye(model.n) - model.A.matrix - grid_char
     svals = np.linalg.svd(head_matrix, compute_uv=False)
     # scale floor keeps the estimate meaningful for 1 x 1 systems, where
     # the plain condition number is identically 1
@@ -684,23 +655,13 @@ def perturbed_resolvent_bound_check(model: SystemModel, lam: complex, delta: flo
 # ---------------------------------------------------------------------------
 
 
-def _grid_node_matrices(phi: DelayFunctional, m: int, n: int, p: float) -> np.ndarray:
+def _grid_node_matrices(phi: DelayFunctional, m: int, n: int) -> np.ndarray:
     """Matrices Q[l] with apply(phi, f) = sum_l Q[l] @ f(sigma_l) for every
-    history f sampled on m + 1 nodes, read off ``apply`` on unit grids.
-
-    A dimension-free functional treats every component alike, so one grid
-    whose columns are the m + 1 unit histories gives its node weights.
-    """
-    if phi.dim is None:
-        weights = apply(phi, HistoryGrid(np.eye(m + 1), p))
-        return weights[:, None, None] * np.eye(n)
-    out = np.empty((m + 1, n, n))
-    unit = np.zeros((m + 1, n))
-    for l in range(m + 1):
-        for j in range(n):
-            unit[l, j] = 1.0
-            out[l, :, j] = apply(phi, HistoryGrid(unit, p))
-            unit[l, j] = 0.0
+    history f sampled on m + 1 nodes: the stage-0 delay stencil with one
+    step per grid node, whose lag l reads node m - l."""
+    lags, weights = _delay_stencil(_atoms(phi, m), m, n, stages=(0.0,))
+    out = np.zeros((m + 1, n, n))
+    out[m - lags] = weights[0]
     return out
 
 
@@ -723,8 +684,8 @@ def miyadera_estimate(
 
     The map (x, f) -> Phi(S_r x + T_0(r) f) is linear, so it is assembled
     once per quadrature node r: an n x n head map from the injected flow
-    exp((r + sigma) A) and a history map from ``nilpotent_shift`` and
-    ``apply`` on unit grids.  The states are drawn in the same order from
+    exp((r + sigma) A) and a history map from ``nilpotent_shift`` and the
+    node matrices of Phi on the history grid.  The states are drawn in the same order from
     the same ``rng`` as one at a time, and all of them are evaluated with
     one product per node.  M comes from the cached factorisation of A,
     batched over the 1000 nodes.
@@ -733,9 +694,7 @@ def miyadera_estimate(
         raise PreconditionError("t0 must lie in (0, 1)")
     rng = np.random.default_rng(seed)
     rs = np.linspace(0.0, t0, r_nodes)
-    w = np.full(r_nodes, rs[1] - rs[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    w = _trapezoid_weights(r_nodes, rs[1] - rs[0])
     n, m = model.n, state_m
     states = [random_compatible_state(n, m, model.p, rng) for _ in range(samples)]
     heads = np.array([s.head for s in states]).reshape(samples, n)
@@ -743,7 +702,7 @@ def miyadera_estimate(
     histories = np.array([s.history.samples for s in states]).reshape(samples, (m + 1) * n)
 
     nodes = -1.0 + np.arange(m + 1) / m
-    node_mats = _grid_node_matrices(model.phi, m, n, model.p)
+    node_mats = _grid_node_matrices(model.phi, m, n)
     unit_histories = HistoryGrid(np.eye(m + 1), model.p)
     vals = np.empty((r_nodes, samples))
     for i, r in enumerate(rs):

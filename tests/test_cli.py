@@ -55,6 +55,14 @@ def write_scenario(tmp_path, doc, name="scenario.json"):
     return str(path)
 
 
+def edited(doc, keys, value):
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return doc
+
+
 def read_csv(path):
     lines = path.read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -105,6 +113,31 @@ class TestSolveCommand:
         assert main(["solve", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
 
 
+DELAY = ["model", "phi", "payload", "terms", 0, "delay"]
+MATRIX = ["model", "phi", "payload", "terms", 0, "matrix"]
+
+
+class TestNonFiniteScenario:
+    @pytest.mark.parametrize(
+        "command,doc,field",
+        [
+            ("solve", edited(scalar_scenario(-1.0, 0.5), DELAY, float("nan")), "model.phi.payload.terms[0].delay"),
+            ("spectrum", edited(scalar_scenario(-1.0, 0.5), DELAY, float("nan")), "model.phi.payload.terms[0].delay"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), MATRIX, [[float("inf")]]), "model.phi.payload.terms[0].matrix"),
+            ("solve", edited(cantor_scenario(), ["model", "phi", "payload", "c"], float("nan")), "model.phi.payload.c"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["run", "T"], float("nan")), "run.T"),
+        ],
+        ids=["nan_delay_solve", "nan_delay_spectrum", "inf_matrix", "nan_cantor_c", "nan_T"],
+    )
+    def test_non_finite_value_exits_1(self, tmp_path, capsys, command, doc, field):
+        path = write_scenario(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main([command, "--scenario", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error:") and field in err
+        assert not out.exists()
+
+
 class TestSpectrumCommand:
     def test_finds_imaginary_pair(self, tmp_path):
         path = write_scenario(tmp_path, scalar_scenario(0.0, -np.pi / 2.0))
@@ -126,6 +159,36 @@ class TestSpectrumCommand:
             ["spectrum", "--scenario", path, "--out", str(tmp_path / "o"), "--re-min", "4", "--re-max", "6", "--im-max", "2"]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "options",
+        [["--re-min", "1", "--re-max", "-1"], ["--im-max", "0"], ["--spacing", "0"], ["--re-max", "inf"]],
+        ids=["reversed_re", "zero_im", "zero_spacing", "infinite_re"],
+    )
+    def test_bad_range_exits_4(self, tmp_path, capsys, options):
+        path = write_scenario(tmp_path, scalar_scenario(0.0, -np.pi / 2.0))
+        assert main(["spectrum", "--scenario", path, "--out", str(tmp_path / "o")] + options) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
+
+
+# Per subcommand: scenario (None for the presets of reproduce-rd), options
+# and the report files that must be byte-identical across runs.
+DETERMINISTIC = {
+    "stability": (
+        cantor_scenario(0.4),
+        ["--alpha", "-0.1", "--omega-max", "50", "--count", "501", "--horizon", "6.0"],
+        ["stability.json", "stability.csv"],
+    ),
+    "solve": (cantor_scenario(0.4), [], ["trajectory.csv", "summary.json"]),
+    "spectrum": (
+        scalar_scenario(0.0, -np.pi / 2.0),
+        ["--re-min", "-1", "--re-max", "1", "--im-max", "4"],
+        ["roots.json", "roots.csv"],
+    ),
+    "miyadera": (cantor_scenario(0.4), ["--samples", "25"], ["miyadera.csv"]),
+    "dyson": (scalar_scenario(0.0, -1.0, T=2.0), ["--t", "1.5", "--n-max", "8"], ["dyson.csv"]),
+    "reproduce-rd": (None, ["--n", "7", "--decay-horizon", "4"], ["scan.csv", "reproduce_rd.json"]),
+}
 
 
 class TestStabilityCommand:
@@ -151,14 +214,27 @@ class TestStabilityCommand:
         )
         assert code == 4
 
-    def test_deterministic_outputs(self, tmp_path):
-        path = write_scenario(tmp_path, cantor_scenario(0.4))
+    @pytest.mark.parametrize(
+        "options",
+        [["--count", "4000"], ["--omega-max", "-1"], ["--omega-max", "inf"]],
+        ids=["even_count", "negative_omega_max", "infinite_omega_max"],
+    )
+    def test_bad_frequency_grid_exits_4(self, tmp_path, capsys, options):
+        path = write_scenario(tmp_path, rd_scenario(n=5, c=0.0))
+        assert main(["stability", "--scenario", path, "--out", str(tmp_path / "o")] + options) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
+
+    @pytest.mark.parametrize("command", list(DETERMINISTIC))
+    def test_deterministic_outputs(self, tmp_path, command):
+        doc, options, files = DETERMINISTIC[command]
+        args = [command] + options + ["--seed", "7"]
+        if doc is not None:
+            args += ["--scenario", write_scenario(tmp_path, doc)]
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        args = ["stability", "--scenario", path, "--alpha", "-0.1", "--omega-max", "50", "--count", "501", "--horizon", "6.0", "--seed", "7"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        assert (out1 / "stability.json").read_bytes() == (out2 / "stability.json").read_bytes()
-        assert (out1 / "stability.csv").read_bytes() == (out2 / "stability.csv").read_bytes()
+        for name in files:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestMiyaderaCommand:

@@ -28,6 +28,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DiscreteDelays(np.eye(2)[None], np.array([0.1]))
 
+    def test_rejects_non_finite_entries(self):
+        nodes = -1.0 + np.arange(17) / 16
+        with pytest.raises(ValueError):
+            DiscreteDelays(np.eye(2)[None], np.array([np.nan]))
+        with pytest.raises(ValueError):
+            DiscreteDelays(np.array([[[np.inf]]]), np.array([-1.0]))
+        with pytest.raises(ValueError):
+            CantorKernel(np.nan)
+        with pytest.raises(ValueError):
+            DensityKernel(np.where(nodes > -0.5, np.inf, nodes)[:, None, None] * np.ones((1, 1)))
+
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             CantorKernel(1.0, 0)

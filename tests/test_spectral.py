@@ -169,6 +169,49 @@ class TestResolvent:
             dl.resolvent_apply(model, 1.0, np.array([1.0, 2.0]), HistoryGrid.constant([0.0], 16, 2.0))
 
 
+GRID_FUNCTIONALS = {
+    "discrete": dl.DiscreteDelays(
+        np.array([[[0.4, -0.6], [0.3, 0.2]], [[0.2, 0.15], [-0.3, 0.1]]]), np.array([-0.3337, 0.0])
+    ),
+    "cantor": dl.CantorKernel(0.7),
+    # a kernel on its own m = 40 grid, read from m = 64 histories
+    "density": dl.DensityKernel(
+        np.array([[[np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3]] for s in -1.0 + np.arange(41) / 40])
+    ),
+    "empty": empty_functional(),
+}
+
+
+class TestGridPaths:
+    """The grid characteristic matrix of ``resolvent_apply`` and the node
+    matrices of ``miyadera_estimate`` are assembled from the atoms, apart
+    from ``apply``; both must reproduce it on the history grid."""
+
+    @pytest.mark.parametrize("name", list(GRID_FUNCTIONALS))
+    def test_grid_char_matrix_matches_apply(self, name):
+        from delaylab.functional import _as_matrices, _transform
+
+        phi, m = GRID_FUNCTIONALS[name], 64
+        x = np.array([0.8, -1.3])
+        nodes = -1.0 + np.arange(m + 1) / m
+        for lam in (0.3 + 1.7j, -1.2 - 0.4j, 2.0):
+            got = _as_matrices(_transform(phi, [lam], m), 2)[0] @ x
+            want = dl.apply(phi, HistoryGrid(np.exp(lam * nodes)[:, None] * x, 2.0))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(GRID_FUNCTIONALS))
+    def test_node_matrices_match_apply(self, name):
+        from delaylab.spectral import _grid_node_matrices
+
+        phi, m = GRID_FUNCTIONALS[name], 64
+        node_mats = _grid_node_matrices(phi, m, 2)
+        rng = np.random.default_rng(8)
+        for _ in range(5):
+            f = HistoryGrid(rng.standard_normal((m + 1, 2)), 2.0)
+            got = np.einsum("lij,lj->i", node_mats, f.samples)
+            np.testing.assert_allclose(got, dl.apply(phi, f), rtol=0.0, atol=1e-12)
+
+
 class TestStabilityCriterion:
     def test_no_delay_certificate_and_root_estimate(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
