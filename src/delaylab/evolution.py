@@ -72,15 +72,17 @@ class SpatialOperator:
             if len(got) != len(tagged) or np.abs(got - tagged).max() > 1e-8 * scale:
                 raise ValueError("tagged eigenvalues do not match the matrix spectrum")
         self._fact = None
+        self._eigs = self.eigenvalues
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
     def spectrum(self) -> np.ndarray:
-        if self.eigenvalues is not None:
-            return self.eigenvalues
-        return np.linalg.eigvals(self.matrix)
+        """Eigenvalues of A: the tagged ones, or eigvals of the matrix once."""
+        if self._eigs is None:
+            self._eigs = np.linalg.eigvals(self.matrix)
+        return self._eigs
 
     def _factorization(self):
         if self._fact is None:
@@ -341,7 +343,7 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     frontier extrapolation is part of the assembled map, so the result is
     that of the stage-by-stage sweep up to rounding.
     """
-    if T <= 0:
+    if not T > 0:
         raise PreconditionError("horizon T must be positive")
     if dt is None:
         dt = model.default_dt()
@@ -488,7 +490,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     piecewise-linear interpolant at each node plus offset), assembled once;
     each term gathers the delayed values of all nodes in one product.
     """
-    if t < 0:
+    if not t >= 0:
         raise PreconditionError("time must be nonnegative")
     if N < 0:
         raise ValueError("term count must be nonnegative")

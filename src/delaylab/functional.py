@@ -20,7 +20,10 @@ the time-domain routes, all read the atoms; this is the only module that
 tells the variants apart.  The Cantor kernel keeps three exact overrides:
 ``apply`` contracts the history samples with its grid weights directly,
 its total variation is |c|, and its characteristic matrices use the
-product form of the transform.
+product form of the transform.  The lam-derivative of the characteristic
+stack, which the root search reads, comes from the same atoms (weights
+sigma_i W_i) and, for the Cantor kernel, from the logarithmic derivative
+of the product form.
 
 The Cantor measure is realised two independent ways that serve as mutual
 oracles: the infinite-product form of its exponential transform, and
@@ -219,6 +222,20 @@ def cantor_transform_grid(lams: np.ndarray) -> np.ndarray:
     return np.exp(-lams / 2.0) * prod
 
 
+def _cantor_log_derivative(lams: np.ndarray) -> np.ndarray:
+    """d/dlam log g^(lam) = -1/2 + sum_k tanh(lam / 3^k) / 3^k, the
+    logarithmic derivative of the product form, vectorised; terms are
+    summed until they fall below 1e-17."""
+    lams = np.asarray(lams, dtype=complex)
+    total = np.full_like(lams, -0.5)
+    for k in range(1, 200):
+        term = np.tanh(lams / 3.0**k) / 3.0**k
+        total += term
+        if np.max(np.abs(term), initial=0.0) < 1e-17:
+            break
+    return total
+
+
 def cantor_transform_recursive(lam: complex, depth: int = 30) -> complex:
     """Transform computed purely by self-similar measure subdivision.
 
@@ -313,6 +330,24 @@ def _transform(phi: DelayFunctional, lams, m: int | None = None) -> np.ndarray:
     else:
         nodes = -1.0 + np.arange(m + 1) / m
         profile = interp_uniform(np.exp(np.outer(nodes, lams)), -1.0, 1.0 / m, offsets).T
+    return _contract(profile, weights)
+
+
+def _transform_and_derivative(phi: DelayFunctional, lams) -> tuple[np.ndarray, np.ndarray]:
+    """``_transform(phi, lams)`` and its lam-derivative sum_i sigma_i W_i
+    e^(lam sigma_i); for the Cantor kernel the derivative is the transform
+    times ``_cantor_log_derivative``."""
+    lams = np.asarray(lams, dtype=complex).ravel()
+    if isinstance(phi, CantorKernel):
+        value = phi.c * cantor_transform_grid(lams)
+        return value, value * _cantor_log_derivative(lams)
+    offsets, weights, _ = _atoms(phi)
+    profile = np.exp(np.outer(lams, offsets))
+    return _contract(profile, weights), _contract(profile * offsets, weights)
+
+
+def _contract(profile: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_i profile[w, i] W_i for every row w of a profile."""
     if weights.ndim == 1:
         return profile @ weights
     return np.einsum("wk,kij->wij", profile, weights.astype(complex))
@@ -362,7 +397,7 @@ class SupResult(NamedTuple):
     analytic_bound: float
 
 
-def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray, dim: int | None = None) -> np.ndarray:
+def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray) -> np.ndarray:
     """Spectral norms of char_matrix(alpha + i omega) over the samples."""
     lams = alpha + 1j * np.asarray(omegas, dtype=float)
     if isinstance(phi, CantorKernel):
@@ -370,7 +405,7 @@ def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray, di
     return _norms(_transform(phi, lams))
 
 
-def sup_char_norm(phi: DelayFunctional, alpha: float, grid, dim: int | None = None) -> SupResult:
+def sup_char_norm(phi: DelayFunctional, alpha: float, grid) -> SupResult:
     """Supremum of ||char_matrix(alpha + i omega)|| over a frequency grid.
 
     ``grid`` may be a FrequencyGrid or any array of omega samples.  The
@@ -381,5 +416,5 @@ def sup_char_norm(phi: DelayFunctional, alpha: float, grid, dim: int | None = No
     if omegas.size == 0:
         raise ValueError("frequency grid is empty")
     bound = float(np.exp(-min(alpha, 0.0)) * total_variation(phi))
-    profile = char_norm_profile(phi, alpha, omegas, dim)
+    profile = char_norm_profile(phi, alpha, omegas)
     return SupResult(float(profile.max()), bound)

@@ -299,10 +299,13 @@ def write_json(path, obj) -> None:
 
 
 def write_trajectory_csv(path, traj: Trajectory) -> None:
-    header = ["t"] + [f"component_{i}" for i in range(traj.n)]
-    times = traj.times
-    rows = ([times[j]] + list(traj.values[j]) for j in range(len(times)))
-    write_csv(path, header, rows)
+    # repr of a Python float is the text _fmt writes for a float entry;
+    # rows go out in blocks so that the text never sits in memory whole
+    table = np.column_stack((traj.times, traj.values))
+    with open(path, "w") as fh:
+        fh.write(",".join(["t"] + [f"component_{i}" for i in range(traj.n)]) + "\n")
+        for start in range(0, len(table), 1024):
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in table[start : start + 1024].tolist()))
 
 
 def write_roots_csv(path, report) -> None:

@@ -1,11 +1,14 @@
 """Frequency-domain analysis of the delay equation.
 
-Covers the characteristic matrix lam - A - Phi(e^(lam .)), root location
-by grid-seeded Newton iteration on its determinant (audited by an
-argument-principle count), the explicit resolvent of the block delay
-operator, the integral smallness estimate for the perturbation, and the
-frequency-domain stability certificate that compares the delay term's
-norm along a vertical line with the reciprocal resolvent norm of A.
+Covers the characteristic matrix M(lam) = lam - A - Phi(e^(lam .)), root
+location by grid-seeded Newton iteration on log det M, audited by an
+argument-principle count of the same log-derivative tr(M^-1 M') (Jacobi's
+formula; with a scalar delay symbol s(lam) both factor over the
+eigenvalues mu_k of A into sums of log(lam - s(lam) - mu_k)), the explicit
+resolvent of the block delay operator, the integral smallness estimate
+for the perturbation, and the frequency-domain stability certificate
+that compares the delay term's norm along a vertical line with the
+reciprocal resolvent norm of A.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .functional import (
     _as_matrices,
     _atoms,
     _transform,
+    _transform_and_derivative,
     apply,
     char_norm_profile,
     total_variation,
@@ -89,8 +93,10 @@ class RootReport:
 
     ``residuals`` are Newton residuals |det| / |det'| at each root (the
     determinant normalised by its local gradient, a distance-like
-    quantity); every listed root satisfies residual <= root_tol and
-    ``rightmost`` maximises the real part.
+    quantity), computed as 1/|d/dlam log det| from the analytic
+    derivative and 0 at an exact zero of det; every listed root
+    satisfies residual <= root_tol and ``rightmost`` maximises the real
+    part.
     """
 
     roots: list[complex]
@@ -181,16 +187,47 @@ def char_det(model: SystemModel, lam: complex) -> complex:
     return complex(np.linalg.det(_char_matrix_stack(model, np.array([lam]))[0]))
 
 
-def _char_dets(model: SystemModel, lams: np.ndarray, chunk: int | None = None) -> np.ndarray:
+def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+    """L = log|det M(lam)| = Re log det M(lam) and D = d/dlam log det M(lam)
+    = tr(M^-1 M') for every lam of a flat array, M(lam) = lam - A - T(lam);
+    D is None unless ``derivative``.
+
+    With a scalar symbol s(lam) (a dimension-free functional, or n = 1)
+    det M = prod_k (z - mu_k) with z = lam - s(lam) over the eigenvalues
+    mu_k of A, exactly for any A, so L = sum_k log|z - mu_k| and D =
+    (1 - s'(lam)) sum_k 1/(z - mu_k): O(n) per lam, without overflow.
+    Otherwise L comes from ``slogdet`` of the matrix stack and D from one
+    solve with M' = I - T'(lam); D is NaN where M is singular or not
+    finite.  Batches hold about 4M matrix entries.
+    """
     lams = np.asarray(lams, dtype=complex).ravel()
-    if chunk is None:
-        # keep each stacked-matrix batch around 60 MB
-        chunk = max(256, 4_000_000 // (model.n * model.n))
-    out = np.empty(lams.shape, dtype=complex)
-    for start in range(0, len(lams), chunk):
-        sl = slice(start, start + chunk)
-        out[sl] = np.linalg.det(_char_matrix_stack(model, lams[sl]))
-    return out
+    n = model.n
+    eye = np.eye(n)
+    L = np.empty(lams.shape)
+    D = np.empty(lams.shape, dtype=complex) if derivative else None
+    chunk = max(256, 4_000_000 // (n * n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(lams), chunk):
+            sl = slice(start, start + chunk)
+            lam = lams[sl]
+            if derivative:
+                t, tp = _transform_and_derivative(model.phi, lam)
+            else:
+                t = _transform(model.phi, lam)
+            if t.ndim == 1 or n == 1:
+                gaps = (lam - t.reshape(len(lam), -1)[:, 0])[:, None] - model.A.spectrum()
+                L[sl] = np.log(np.abs(gaps)).sum(axis=1)
+                if derivative:
+                    D[sl] = (1.0 - tp.reshape(len(lam), -1)[:, 0]) * (1.0 / gaps).sum(axis=1)
+                continue
+            stack = lam[:, None, None] * eye - model.A.matrix - t
+            L[sl] = np.linalg.slogdet(stack)[1]
+            if derivative:
+                ok = np.isfinite(L[sl])
+                d = np.full(len(lam), np.nan, dtype=complex)
+                d[ok] = np.trace(np.linalg.solve(stack[ok], eye - tp[ok]), axis1=1, axis2=2)
+                D[sl] = d
+    return L, D
 
 
 # ---------------------------------------------------------------------------
@@ -198,55 +235,49 @@ def _char_dets(model: SystemModel, lams: np.ndarray, chunk: int | None = None) -
 # ---------------------------------------------------------------------------
 
 
-def _worse(value: complex, reference: complex) -> bool:
-    # non-finite determinant values (overflow far from the region) count
-    # as a failed step and get damped away
-    return (
-        not np.isfinite(value.real)
-        or not np.isfinite(value.imag)
-        or abs(value) > abs(reference)
-    )
-
-
-def _newton_polish(model: SystemModel, seed: complex, cfg: RootConfig) -> tuple[complex, float] | None:
-    """Damped Newton on the characteristic determinant with a
-    central-difference derivative; returns (root, normalised residual)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _newton_loop(model, complex(seed), cfg)
-
-
-def _newton_loop(model: SystemModel, lam: complex, cfg: RootConfig) -> tuple[complex, float] | None:
-    f = char_det(model, lam)
+def _newton_polish(model: SystemModel, seeds: np.ndarray, cfg: RootConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on det from every seed at once, through its
+    logarithmic derivative: each step 1/D = det/det' is halved (up to 8
+    times) while L = log|det| grows.  Returns the iterates and their
+    residuals 1/|D| = |det|/|det'|, which are 0 at an exact zero of det
+    and NaN where the iteration failed."""
+    lam = np.array(seeds, dtype=complex)
+    L, D = _log_det(model, lam)
+    failed = np.zeros(lam.shape, dtype=bool)
+    live = np.ones(lam.shape, dtype=bool)
     for _ in range(cfg.newton_max_iter):
-        h = 1e-6 * (1.0 + abs(lam))
-        fp = (char_det(model, lam + h) - char_det(model, lam - h)) / (2.0 * h)
-        if fp == 0 or not np.isfinite(fp.real) or not np.isfinite(fp.imag):
-            return None
-        step = f / fp
-        lam_new = lam - step
-        f_new = char_det(model, lam_new)
-        halvings = 0
-        while _worse(f_new, f) and halvings < 8:
-            step *= 0.5
-            lam_new = lam - step
-            f_new = char_det(model, lam_new)
-            halvings += 1
-        if _worse(f_new, f):
-            return None
-        lam, f = lam_new, f_new
-        if abs(step) <= 1e-13 * (1.0 + abs(lam)):
+        live &= (L != -np.inf) & np.isfinite(D) & (D != 0)
+        idx = np.flatnonzero(live)
+        if not idx.size:
             break
-    h = 1e-6 * (1.0 + abs(lam))
-    fp = (char_det(model, lam + h) - char_det(model, lam - h)) / (2.0 * h)
-    denom = max(abs(fp), 1e-300)
-    return lam, abs(f) / denom
+        step = 1.0 / D[idx]
+        todo = np.arange(idx.size)
+        for _ in range(9):
+            trial_L, trial_D = _log_det(model, lam[idx[todo]] - step[todo])
+            better = trial_L <= L[idx[todo]]
+            done = idx[todo[better]]
+            lam[done] -= step[todo[better]]
+            L[done], D[done] = trial_L[better], trial_D[better]
+            todo = todo[~better]
+            if not todo.size:
+                break
+            step[todo] *= 0.5
+        failed[idx[todo]] = True
+        live[idx[todo]] = False
+        live[idx[np.abs(step) <= 1e-13 * (1.0 + np.abs(lam[idx]))]] = False
+    exact = L == -np.inf
+    failed |= ~exact & ~(np.isfinite(D) & (D != 0))
+    with np.errstate(divide="ignore"):
+        residuals = np.where(exact, 0.0, 1.0 / np.abs(D))
+    residuals[failed] = np.nan
+    return lam, residuals
 
 
 def find_roots(model: SystemModel, region: Region, cfg: RootConfig | None = None) -> RootReport:
     """Characteristic roots inside a rectangle.
 
-    Scans |det| on a coarse grid, polishes every local minimum by damped
-    Newton, discards iterates that leave the rectangle or fail the
+    Scans log|det| on a coarse grid, polishes every local minimum by
+    damped Newton, discards iterates that leave the rectangle or fail the
     residual tolerance, and merges duplicates within ``merge_tol``.
     Roots are sorted by descending real part.
     """
@@ -263,12 +294,11 @@ def find_roots(model: SystemModel, region: Region, cfg: RootConfig | None = None
     res = np.linspace(region.re_min, region.re_max, re_count)
     ims = np.linspace(-region.im_max, region.im_max, im_count)
     lams = res[:, None] + 1j * ims[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        absdet = np.abs(_char_dets(model, lams)).reshape(re_count, im_count)
-    absdet[~np.isfinite(absdet)] = np.inf
+    level = _log_det(model, lams, derivative=False)[0].reshape(re_count, im_count)
+    level[np.isnan(level)] = np.inf
 
     padded = np.full((re_count + 2, im_count + 2), np.inf)
-    padded[1:-1, 1:-1] = absdet
+    padded[1:-1, 1:-1] = level
     center = padded[1:-1, 1:-1]
     is_min = np.ones_like(center, dtype=bool)
     for di in (-1, 0, 1):
@@ -279,17 +309,15 @@ def find_roots(model: SystemModel, region: Region, cfg: RootConfig | None = None
     seeds = lams[is_min]
 
     candidates: list[tuple[complex, float]] = []
-    for seed in seeds:
-        polished = _newton_polish(model, seed, cfg)
-        if polished is None:
+    for seed, root, residual in zip(seeds, *_newton_polish(model, seeds, cfg)):
+        if np.isnan(residual):
             logger.debug("Newton iteration failed at seed %s; seed dropped", seed)
             continue
-        root, residual = polished
         if residual > cfg.root_tol:
             logger.debug("seed %s did not converge (residual %.3e); dropped", seed, residual)
             continue
         if region.contains(root):
-            candidates.append((root, residual))
+            candidates.append((complex(root), float(residual)))
 
     candidates.sort(key=lambda pair: pair[1])
     roots: list[complex] = []
@@ -309,11 +337,12 @@ def find_roots(model: SystemModel, region: Region, cfg: RootConfig | None = None
 
 def count_roots_argument_principle(model: SystemModel, region: Region, samples_per_edge: int = 2000) -> int:
     """Number of characteristic roots inside the rectangle, counted with
-    multiplicity by the winding of det along the boundary (trapezoid
-    quadrature of det'/det); an oracle independent of the Newton search.
+    multiplicity by the winding of det along the boundary: trapezoid
+    quadrature of the log-derivative D = det'/det = tr(M^-1 M'); an oracle
+    independent of the Newton search.
 
-    Raises NoResultError when the boundary integral is not finite, which
-    happens once the determinant overflows on the contour.
+    Raises NoResultError when the boundary integral is not finite, for
+    example because a root lies on the contour.
     """
     corners = [
         complex(region.re_min, -region.im_max),
@@ -322,20 +351,15 @@ def count_roots_argument_principle(model: SystemModel, region: Region, samples_p
         complex(region.re_min, region.im_max),
     ]
     total = 0.0 + 0.0j
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(invalid="ignore"):
         for a, b in zip(corners, corners[1:] + corners[:1]):
-            ts = np.linspace(0.0, 1.0, samples_per_edge + 1)
-            zs = a + (b - a) * ts
-            h = 1e-7 * (1.0 + np.abs(zs))
-            f = _char_dets(model, zs)
-            fp = (_char_dets(model, zs + h) - _char_dets(model, zs - h)) / (2.0 * h)
-            integrand = fp / f
+            _, integrand = _log_det(model, a + (b - a) * np.linspace(0.0, 1.0, samples_per_edge + 1))
             dz = (b - a) / samples_per_edge
             total += dz * (0.5 * (integrand[0] + integrand[-1]) + integrand[1:-1].sum())
     if not np.isfinite(total):
         raise NoResultError(
-            "argument-principle integral is not finite: the characteristic determinant "
-            "overflows on the contour"
+            "argument-principle integral is not finite: the integrand d/dlambda log det "
+            "is not finite on the contour, for example because a root lies on it"
         )
     return int(np.rint((total / (2j * np.pi)).real))
 
@@ -514,12 +538,12 @@ def criterion_profile(model: SystemModel, alpha: float, grid: FrequencyGrid) -> 
     computed from the smallest singular value of (alpha + i omega - A).
     Requires alpha <= 0 and the line to stay clear of the spectrum of A.
     """
-    if alpha > 0:
+    if not alpha <= 0:
         raise PreconditionError("the certificate line must satisfy alpha <= 0")
     if _line_clearance(model, alpha) < 1e-9:
         raise PreconditionError(f"the line Re = {alpha} intersects the spectrum of A")
     omegas = grid.samples
-    char_norms = char_norm_profile(model.phi, alpha, omegas, dim=model.n)
+    char_norms = char_norm_profile(model.phi, alpha, omegas)
     lams = alpha + 1j * omegas
     eye = np.eye(model.n)
     min_sv = np.empty(len(lams))

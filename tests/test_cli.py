@@ -224,6 +224,12 @@ class TestStabilityCommand:
         assert main(["stability", "--scenario", path, "--out", str(tmp_path / "o")] + options) == 4
         assert capsys.readouterr().err.startswith("precondition violated:")
 
+    @pytest.mark.parametrize("option", ["--horizon", "--alpha"])
+    def test_nan_option_exits_4(self, tmp_path, capsys, option):
+        path = write_scenario(tmp_path, scalar_scenario(-2.0, 0.5))
+        assert main(["stability", "--scenario", path, "--out", str(tmp_path / "o"), option, "nan"]) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
+
     @pytest.mark.parametrize("command", list(DETERMINISTIC))
     def test_deterministic_outputs(self, tmp_path, command):
         doc, options, files = DETERMINISTIC[command]
@@ -270,6 +276,11 @@ class TestDysonCommand:
         assert header == ["N", "head_discrepancy", "last_term_norm"]
         assert len(rows) == 9
         assert float(rows[-1][1]) <= 1e-4
+
+    def test_nan_time_exits_4(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, scalar_scenario(0.0, -1.0, T=2.0))
+        assert main(["dyson", "--scenario", path, "--out", str(tmp_path / "o"), "--t", "nan"]) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
 
 
 class TestReproduceRdCommand:

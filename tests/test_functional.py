@@ -174,12 +174,12 @@ class TestCharMatrix:
 class TestSupCharNorm:
     def test_zero_functional(self):
         grid = dl.FrequencyGrid(10.0, 101)
-        assert dl.sup_char_norm(empty_functional(), 0.0, grid, dim=2).value == 0.0
+        assert dl.sup_char_norm(empty_functional(), 0.0, grid).value == 0.0
         assert dl.sup_char_norm(CantorKernel(0.0), 0.0, grid).value == 0.0
 
     def test_single_delay_modulus_is_frequency_independent(self):
         phi = dl.single_delay(0.7 * np.eye(2), -1.0)
-        got = dl.sup_char_norm(phi, 0.0, dl.FrequencyGrid(30.0, 301), dim=2)
+        got = dl.sup_char_norm(phi, 0.0, dl.FrequencyGrid(30.0, 301))
         assert got.value == pytest.approx(0.7, abs=1e-12)
 
     def test_cantor_attains_maximum_at_zero_frequency(self):
@@ -193,7 +193,7 @@ class TestSupCharNorm:
     def test_nonincreasing_in_alpha(self):
         grid = dl.FrequencyGrid(50.0, 501)
         for phi in (CantorKernel(0.85), dl.single_delay(np.array([[0.7]]), -1.0)):
-            values = [dl.sup_char_norm(phi, a, grid, dim=1).value for a in (-2.0, -1.0, -0.5, 0.0)]
+            values = [dl.sup_char_norm(phi, a, grid).value for a in (-2.0, -1.0, -0.5, 0.0)]
             assert all(v1 >= v2 - 1e-12 for v1, v2 in zip(values, values[1:]))
 
     def test_analytic_bound_dominates(self):

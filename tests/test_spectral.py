@@ -3,6 +3,7 @@ import pytest
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
+from delaylab.spectral import _char_matrix_stack, _log_det
 from reference_loops import reference_miyadera_estimate
 
 
@@ -73,6 +74,32 @@ class TestCharacteristicOperator:
         )
 
 
+def log_det_models():
+    """Scalar symbols (Cantor kernel at n = 15, a non-normal triangular A)
+    and a matrix symbol (non-commuting 2 x 2 delays)."""
+    yield dl.reaction_diffusion_scenario(15, 0.5 * abs(dl.dirichlet_lambda1(15)))
+    a = np.array([[-1.0, 2.0, -0.5], [0.0, -2.0, 3.0], [0.0, 0.0, -0.5]])
+    yield dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(0.7), 2.0)
+    b = np.array([[[0.0, 0.6], [0.0, 0.0]], [[0.0, 0.0], [-0.4, 0.3]]])
+    a = np.array([[-1.0, 0.5], [0.2, -2.0]])
+    yield dl.SystemModel(dl.SpatialOperator(a), dl.DiscreteDelays(b, np.array([-1.0, -0.3337])), 2.0)
+
+
+class TestLogDet:
+    LAMS = np.array([0.3 + 0.5j, -0.7 + 2.1j, 1.2 - 0.4j, -2.5 + 0.1j])
+
+    @pytest.mark.parametrize("model", list(log_det_models()), ids=["cantor_n15", "triangular", "delays"])
+    def test_matches_slogdet_and_difference_of_char_det(self, model):
+        L, D = _log_det(model, self.LAMS)
+        np.testing.assert_allclose(L, np.linalg.slogdet(_char_matrix_stack(model, self.LAMS))[1], rtol=1e-10)
+        # fourth-order central difference of the LU determinant; h balances
+        # the O(h^4) truncation against the LU rounding divided by h
+        h = 2e-3
+        det = np.vectorize(lambda z: dl.char_det(model, z))
+        diff = (det(self.LAMS - 2 * h) - 8 * det(self.LAMS - h) + 8 * det(self.LAMS + h) - det(self.LAMS + 2 * h)) / (12 * h)
+        np.testing.assert_allclose(D, diff / det(self.LAMS), rtol=1e-10)
+
+
 class TestFindRoots:
     def test_recovers_eigenvalues_without_delay(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
@@ -96,11 +123,34 @@ class TestFindRoots:
             report = dl.find_roots(model, region)
             assert len(report.roots) == dl.count_roots_argument_principle(model, region)
 
-    def test_overflowing_determinant_is_reported(self):
-        # at n = 100 det(lam - A - c g(lam)) overflows on this contour
+    def test_count_where_det_overflows(self):
+        # at n = 100 det(lam - A - c g(lam)) overflows on this contour; the
+        # one root inside is -1.0337, the second mode's real root -3.0059
+        # lies just left of it
         model = dl.reaction_diffusion_scenario(100, 0.5 * abs(dl.dirichlet_lambda1(100)))
-        with pytest.raises(dl.NoResultError, match="overflows"):
-            dl.count_roots_argument_principle(model, dl.Region(-3.0, 1.0, 2.0), samples_per_edge=10)
+        assert dl.count_roots_argument_principle(model, dl.Region(-3.0, 1.0, 2.0)) == 1
+
+    def test_root_on_contour_is_reported(self):
+        # the left edge samples lam = -1, an eigenvalue of A, exactly
+        model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
+        with pytest.raises(dl.NoResultError, match="not finite"):
+            dl.count_roots_argument_principle(model, dl.Region(-1.0, 0.5, 2.0))
+
+    @pytest.mark.parametrize("n", [120, 300])
+    def test_large_n_matches_per_mode_root(self, n):
+        c = 0.5 * abs(dl.dirichlet_lambda1(n))
+        model = dl.reaction_diffusion_scenario(n, c)
+        region = dl.Region(-3.0, 1.0, 2.0)
+        report = dl.find_roots(model, region)
+        assert abs(report.rightmost - dl.rd_rightmost_root(n, c)) <= 1e-9
+        assert len(report.roots) == dl.count_roots_argument_principle(model, region)
+
+    def test_exact_zero_on_seed_grid(self):
+        # the seed grid holds lam = -1 and lam = -3 exactly: residual 0
+        model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
+        report = dl.find_roots(model, dl.Region(-4.0, 0.5, 2.0))
+        assert report.roots == [-1.0, -3.0]
+        assert report.residuals == [0.0, 0.0]
 
     def test_roots_come_in_conjugate_pairs(self):
         rng = np.random.default_rng(12)
