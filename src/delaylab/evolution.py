@@ -4,9 +4,12 @@ The first route is the method of steps: a classical 4-stage explicit
 Runge-Kutta sweep where delayed values come from piecewise-linear
 interpolation of the already-computed trajectory.  On the uniform grid
 that interpolation is a fixed stencil of lags and weights, so one step is
-a constant-coefficient linear recurrence, assembled once and applied in
-blocks.  The second route is
-the semigroup construction: the unperturbed block action (flowed head,
+a constant-coefficient linear recurrence, assembled once and solved a
+block of steps at a time.  When A has an orthonormal eigenbasis and the
+delay weights are multiples of Id, the recurrence runs in the modal
+coordinates of A, one scalar equation per mode; the eigendecomposition
+has one home, cached on ``SpatialOperator``.  The second route is the
+semigroup construction: the unperturbed block action (flowed head,
 injected head plus shifted history) composed with the iterated Volterra
 terms whose sum is the perturbation series of the full evolution.  Both
 produce the same states up to discretisation error, which the test suite
@@ -16,6 +19,7 @@ directly on a trajectory.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,6 +40,8 @@ from .history import (
     state_norm,
 )
 
+logger = logging.getLogger(__name__)
+
 #: Abort threshold for the explicit integrator.
 BLOWUP_GUARD = 1e12
 
@@ -49,9 +55,10 @@ class SpatialOperator:
 
     ``kind`` tags matrices with analytic structure ("scalar", "diagonal",
     "laplacian1d", or plain "matrix"); when ``eigenvalues`` are supplied
-    they must match the matrix spectrum to 1e-8.  Exponentials use the
-    symmetric or diagonalisable eigendecomposition when well conditioned
-    and scaling-and-squaring otherwise.
+    they must match the matrix spectrum to 1e-8.  One eigendecomposition
+    of A is computed on first use and cached; the spectrum, the
+    exponentials, the smallest singular values of lam - A and the modal
+    coordinates of ``solve_steps`` all read it.
     """
 
     matrix: np.ndarray
@@ -71,72 +78,87 @@ class SpatialOperator:
             scale = 1.0 + np.abs(tagged).max() if tagged.size else 1.0
             if len(got) != len(tagged) or np.abs(got - tagged).max() > 1e-8 * scale:
                 raise ValueError("tagged eigenvalues do not match the matrix spectrum")
-        self._fact = None
-        self._eigs = self.eigenvalues
+        self._eig = None
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues of A: the tagged ones, or eigvals of the matrix once."""
-        if self._eigs is None:
-            self._eigs = np.linalg.eigvals(self.matrix)
-        return self._eigs
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, bool]:
+        """A = V diag(mu) V^-1 as (mu, V, V^-1, orthonormal), computed once.
 
-    def _factorization(self):
-        if self._fact is None:
+        V is orthonormal for the 1 x 1 case, for a symmetric A (``eigh``)
+        and for a normal A whose ``eig`` basis satisfies ||V^H V - I|| <=
+        1e-12; then V^-1 = V^H.  A basis with condition number above 1e8
+        is dropped (V = V^-1 = None) and exponentials fall back to
+        scaling and squaring.
+        """
+        if self._eig is None:
             a = self.matrix
             if self.n == 1:
-                self._fact = ("scalar", float(a[0, 0]))
+                self._eig = (a[0].copy(), np.ones((1, 1)), np.ones((1, 1)), True)
             elif np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max())):
                 w, q = np.linalg.eigh(a)
-                self._fact = ("sym", w, q)
+                self._eig = (w, q, q.T, True)
             else:
                 w, v = np.linalg.eig(a)
-                if np.linalg.cond(v) < 1e8:
-                    self._fact = ("diag", w, v, np.linalg.inv(v))
+                if np.linalg.norm(v.conj().T @ v - np.eye(self.n), 2) <= 1e-12:
+                    self._eig = (w, v, v.conj().T, True)
+                elif np.linalg.cond(v) < 1e8:
+                    self._eig = (w, v, np.linalg.inv(v), False)
                 else:
-                    self._fact = ("dense",)
-        return self._fact
+                    self._eig = (w, None, None, False)
+        return self._eig
+
+    def modes(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(mu, Q) with A = Q diag(mu) Q^H and Q orthonormal, or None when
+        A has no such basis (see ``_eigen``)."""
+        mu, q, _, orthonormal = self._eigen()
+        return (mu, q) if orthonormal else None
+
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of A: the tagged ones, or those of the cached
+        decomposition."""
+        return self.eigenvalues if self.eigenvalues is not None else self._eigen()[0]
 
     def propagate(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Rows of exp(t A) x for each requested t."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        fact = self._factorization()
-        if fact[0] == "scalar":
-            return np.exp(fact[1] * times)[:, None] * x
-        if fact[0] == "sym":
-            w, q = fact[1], fact[2]
-            coeff = q.T @ x
-            return (np.exp(np.outer(times, w)) * coeff) @ q.T
-        if fact[0] == "diag":
-            w, v, vinv = fact[1], fact[2], fact[3]
-            coeff = vinv @ x
-            return np.real((np.exp(np.outer(times, w)) * coeff) @ v.T)
-        return np.array([scipy.linalg.expm(t * self.matrix) @ x for t in times])
+        w, v, vinv, _ = self._eigen()
+        if v is None:
+            return np.array([scipy.linalg.expm(t * self.matrix) @ x for t in times])
+        return np.real((np.exp(np.outer(times, w)) * (vinv @ x)) @ v.T)
 
     def expm(self, t) -> np.ndarray:
         """exp(t A); an array of times gives the stack of exponentials,
-        shape t.shape + (n, n), from the same cached factorisation."""
+        shape t.shape + (n, n), from the same cached decomposition."""
         t = np.asarray(t, dtype=float)
-        fact = self._factorization()
-        if fact[0] == "scalar":
-            return np.exp(fact[1] * t)[..., None, None]
-        if fact[0] == "sym":
-            w, q = fact[1], fact[2]
-            return (q * np.exp(t[..., None] * w)[..., None, :]) @ q.T
-        if fact[0] == "diag":
-            w, v, vinv = fact[1], fact[2], fact[3]
-            return np.real((v * np.exp(t[..., None] * w)[..., None, :]) @ vinv)
-        stack = [scipy.linalg.expm(s * self.matrix) for s in t.ravel()]
-        return np.array(stack).reshape(t.shape + (self.n, self.n))
+        w, v, vinv, _ = self._eigen()
+        if v is None:
+            stack = [scipy.linalg.expm(s * self.matrix) for s in t.ravel()]
+            return np.array(stack).reshape(t.shape + (self.n, self.n))
+        return np.real((v * np.exp(t[..., None] * w)[..., None, :]) @ vinv)
 
-    def min_singular(self, lam: complex) -> float:
-        """Smallest singular value of (lam - A); 1/norm of the resolvent."""
-        shifted = lam * np.eye(self.n) - self.matrix
-        return float(np.linalg.svd(shifted, compute_uv=False)[-1])
+    def min_singular(self, lam):
+        """Smallest singular value of (lam - A), 1/||R(lam, A)||, for a
+        scalar lam or every entry of an array.
+
+        With orthonormal modes it is the distance from lam to the
+        spectrum, min_k |lam - mu_k|; otherwise one SVD per lam, in
+        batches of about 4M matrix entries.
+        """
+        lams = np.asarray(lam, dtype=complex)
+        flat = lams.ravel()
+        if self.modes() is not None:
+            out = np.abs(flat[:, None] - self.spectrum()).min(axis=1)
+        else:
+            out = np.empty(len(flat))
+            chunk = max(256, 4_000_000 // (self.n * self.n))
+            for start in range(0, len(flat), chunk):
+                shifted = flat[start : start + chunk, None, None] * np.eye(self.n) - self.matrix
+                out[start : start + chunk] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+        return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
 
 
 def scalar_operator(a: float) -> SpatialOperator:
@@ -231,23 +253,23 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 
-def _fold_instantaneous(model: SystemModel, m: int) -> tuple[np.ndarray, _Atoms]:
-    """Move any point mass of Phi at delay 0 into the matrix term.
+def _fold_instantaneous(atoms: _Atoms) -> tuple[np.ndarray | float, _Atoms]:
+    """Split the point masses of Phi at delay 0 off the delay term.
 
-    Returns A_eff and the atoms left to the delay term on the m-node
-    history grid, none when their weights all vanish.  Quadrature nodes at
-    sigma = 0 stay atoms: they read the frontier like any other node.
+    Returns their summed weight, which joins the instantaneous term (0.0
+    when there is none), and the atoms left to the delay term, none when
+    their weights all vanish.  Quadrature nodes at sigma = 0 stay atoms:
+    they read the frontier like any other node.
     """
-    a_eff = model.A.matrix.copy()
-    atoms = _atoms(model.phi, m)
+    folded = 0.0
     if atoms.point_masses:
         at_zero = atoms.offsets >= -1e-12
         if at_zero.any():
-            a_eff = a_eff + atoms.weights[at_zero].sum(axis=0)
+            folded = atoms.weights[at_zero].sum(axis=0)
             atoms = atoms._replace(offsets=atoms.offsets[~at_zero], weights=atoms.weights[~at_zero])
     if not np.any(atoms.weights):
         atoms = atoms._replace(offsets=atoms.offsets[:0], weights=atoms.weights[:0])
-    return a_eff, atoms
+    return folded, atoms
 
 
 def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,22 +289,28 @@ def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: at 1/2, k4 at 1.
 _RK4_STAGES = (0.0, 0.5, 1.0)
 
+#: Entries of the block response in ``solve_steps``; the block length is
+#: capped so that the response stays about this size.
+_BLOCK_ENTRIES = 100_000
+
 
 def _delay_stencil(
-    atoms: _Atoms, steps_per_unit: int, n: int, stages: tuple[float, ...] = _RK4_STAGES
+    atoms: _Atoms, steps_per_unit: int, stages: tuple[float, ...] = _RK4_STAGES
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lags and n x n weights with which the atoms of the delay term read a
+    """Lags and weights with which the atoms of the delay term read a
     uniform trajectory.
 
     With ``steps_per_unit`` nodes per unit time, the delay term at stage
-    offset c of the step leaving node j is sum_l weights[s, l] @ u_{j - lags[l]}
+    offset c of the step leaving node j is sum_l weights[s, l] u_{j - lags[l]}
     for c = stages[s]: the piecewise-linear interpolant at position
     j + c + offset * steps_per_unit.  Positions past node j - 1 read the
     interval (j - 1, j) with a fraction above 1, which extrapolates from
     it, so a stage never reads a node that is not yet computed.  Only lags
     that carry a nonzero weight in some stage are kept, in ascending order.
+    The weights follow the atoms: n x n matrices, or scalars standing for
+    multiples of Id.
     """
-    offsets, mats = atoms.offsets, _as_matrices(atoms.weights, n)
+    offsets, values = atoms.offsets, atoms.weights
     count = len(offsets)
     lag, coef, atom, stage = [], [], [], []
     for s, c in enumerate(stages):
@@ -296,31 +324,59 @@ def _delay_stencil(
     lag, coef, atom, stage = (np.concatenate(v) for v in (lag, coef, atom, stage))
     keep = coef != 0.0
     lags, where = np.unique(lag[keep], return_inverse=True)
-    weights = np.zeros((len(stages), len(lags), n, n))
-    np.add.at(weights, (stage[keep], where), coef[keep, None, None] * mats[atom[keep]])
+    weights = np.zeros((len(stages), len(lags)) + values.shape[1:])
+    scale = coef[keep].reshape((-1,) + (1,) * (values.ndim - 1))
+    np.add.at(weights, (stage[keep], where), scale * values[atom[keep]])
     return lags, weights
 
 
 def _step_recurrence(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
-    """Lags and matrices C_l of one RK4 step, u_{j+1} = sum_l C_l u_{j-l}.
+    """Lags and coefficients C_l of one RK4 step, u_{j+1} = sum_l C_l u_{j-l}.
 
+    ``a_eff`` is the n x n instantaneous matrix, with n x n stage weights;
+    in modal coordinates it is the vector of the n decoupled rates, with
+    scalar stage weights, and every C_l is then the vector of its diagonal.
     The stages are composed as maps of the stored nodes: the current node
     u_j is the identity at lag 0 and the delay stencil supplies each
     stage's delayed values, so the formulas are those of the stage-by-stage
     step.  Lag 0 is always present and comes first.
     """
-    n = a_eff.shape[0]
+    if a_eff.ndim == 1:
+        one, act, weights = np.ones_like(a_eff), np.multiply, weights[..., None]
+    else:
+        one, act = np.eye(len(a_eff)), np.matmul
     all_lags = np.union1d(lags, [0])
-    delay = np.zeros((len(_RK4_STAGES), len(all_lags), n, n))
+    delay = np.zeros((len(_RK4_STAGES), len(all_lags)) + one.shape, dtype=np.result_type(a_eff, weights))
     delay[:, np.searchsorted(all_lags, lags)] = weights
-    node = np.zeros((len(all_lags), n, n))
-    node[0] = np.eye(n)
+    node = np.zeros_like(delay[0])
+    node[0] = one
     half = 0.5 * dt
-    k1 = a_eff @ node + delay[0]
-    k2 = a_eff @ (node + half * k1) + delay[1]
-    k3 = a_eff @ (node + half * k2) + delay[1]
-    k4 = a_eff @ (node + dt * k3) + delay[2]
+    k1 = act(a_eff, node) + delay[0]
+    k2 = act(a_eff, node + half * k1) + delay[1]
+    k3 = act(a_eff, node + half * k2) + delay[1]
+    k4 = act(a_eff, node + dt * k3) + delay[2]
     return all_lags, node + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
+def _block_response(c0: np.ndarray, c1: np.ndarray, block: int) -> np.ndarray:
+    """Response of s_{k+1} = C_0 s_k + C_1 s_{k-1} + f_k over a block.
+
+    Row k holds the coefficients with which s_{k+1} reads the inputs
+    (s_0, s_{-1}, f_0, ..., f_{block-1}), shape (block, block + 2) + C.shape;
+    the forcing part is the lower-triangular impulse-response Toeplitz.
+    The coefficients are diagonals (modal coordinates) or n x n matrices.
+    """
+    act = np.multiply if c0.ndim == 1 else np.matmul
+    one = np.ones_like(c0) if c0.ndim == 1 else np.eye(len(c0))
+    out = np.empty((block, block + 2) + c0.shape, dtype=c0.dtype)
+    cur = np.zeros(out.shape[1:], dtype=c0.dtype)
+    prev = np.zeros_like(cur)
+    cur[0] = prev[1] = one
+    for k in range(block):
+        cur, prev = act(c0, cur) + act(c1, prev), cur
+        cur[2 + k] += one
+        out[k] = cur
+    return out
 
 
 def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None = None) -> Trajectory:
@@ -337,11 +393,18 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     On the uniform grid every stage reads the same lags with the same
     weights at every step, so one step is the fixed linear map
     u_{j+1} = sum_l C_l u_{j-l}, assembled once from the delay stencil.
-    Lags 0 and 1 are applied step by step; the other lags, all at least
-    as long as a block, are applied to a whole block of steps with one
-    gather and one product, and the guard is checked once per block.  The
-    frontier extrapolation is part of the assembled map, so the result is
-    that of the stage-by-stage sweep up to rounding.
+    When A has orthonormal modes, A = Q diag(mu) Q^H, and every weight of
+    Phi is a multiple of Id (or n = 1), the equation decouples: the map
+    steps z = Q^H u with diagonal C_l, and the trajectory holds Re(Q z).
+    Otherwise it steps u with n x n matrices C_l.  Either way the steps
+    are taken in blocks no longer than the shortest lag above 1: the
+    lags above 1 only read nodes before the block, so their forcing comes
+    from one gather and one product, and the block's response to its
+    first two nodes and to that forcing, precomputed once, gives all of
+    its nodes in one more product.  The guard is checked once per block
+    on ||z|| = ||u||.  The frontier extrapolation is part of the
+    assembled map, so the result is that of the stage-by-stage sweep up
+    to rounding.
     """
     if not T > 0:
         raise PreconditionError("horizon T must be positive")
@@ -360,42 +423,75 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     steps = int(np.ceil(T / dt - 1e-9))
     total = hist_steps + steps + 1
     n = model.n
-    vals = np.empty((total, n))
-    tgrid = -1.0 + np.arange(hist_steps + 1) * dt
-    vals[: hist_steps + 1] = init.history.value_at(tgrid)
-    vals[hist_steps] = init.head
+    history = init.history.value_at(-1.0 + np.arange(hist_steps + 1) * dt)
+    history[-1] = init.head
 
-    a_eff, atoms = _fold_instantaneous(model, init.history.m)
-    lags, weights = _delay_stencil(atoms, hist_steps, n)
-    lags, mats = _step_recurrence(a_eff, lags, weights, dt)
+    atoms = _atoms(model.phi, init.history.m)
+    if n == 1:
+        atoms = atoms._replace(weights=atoms.weights.reshape(len(atoms.offsets)))
+    modes = model.A.modes()
+    modal = modes is not None and atoms.weights.ndim == 1
+    if modal:
+        rates, q = modes
+    else:
+        rates = model.A.matrix
+        atoms = atoms._replace(weights=_as_matrices(atoms.weights, n))
+    folded, atoms = _fold_instantaneous(atoms)
+    lags, weights = _delay_stencil(atoms, hist_steps)
+    lags, coefs = _step_recurrence(rates + folded, lags, weights, dt)
 
-    near = lags <= 1
-    width = int(lags[near][-1]) + 1
-    # [C_{width-1} ... C_0] against the rows u_{j-width+1} ... u_j
-    coupled = np.zeros((n, width * n))
-    for lag, mat in zip(lags[near], mats[near]):
-        coupled[:, (width - 1 - lag) * n : (width - lag) * n] = mat
-    far_lags = lags[~near]
-    far = mats[~near].transpose(0, 2, 1).reshape(-1, n)
-    block = int(far_lags[0]) if far_lags.size else steps
+    far = lags > 1
+    far_lags, far_coefs = lags[far], coefs[far]
+    c1 = coefs[lags == 1].sum(axis=0)  # zero when no stage reads lag 1
+    per_node = n if modal else n * n
+    cap = max(1, int(np.sqrt(1.0 + _BLOCK_ENTRIES / per_node) - 1.0))
+    block = min(int(far_lags[0]) if far_lags.size else steps, steps, cap)
+    response = _block_response(coefs[0], c1, block)
+    logger.debug(
+        "solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
+        "modal" if modal else "matrix", n, dt, steps, block, len(lags),
+    )
+    if modal:
+        # one (block, block + 2) response per mode, applied as a batch
+        response = np.ascontiguousarray(response.transpose(2, 0, 1))
 
+        def far_term(gathered, out):
+            np.einsum("bln,ln->bn", gathered, far_coefs, out=out)
+
+        def near_term(inputs, out):
+            np.matmul(response, inputs.T[:, :, None], out=out.T[:, :, None])
+    else:
+        far_coefs = far_coefs.transpose(0, 2, 1).reshape(-1, n)
+        response = response.transpose(0, 2, 1, 3).reshape(block * n, -1)
+
+        def far_term(gathered, out):
+            np.matmul(gathered.reshape(block, -1), far_coefs, out=out)
+
+        def near_term(inputs, out):
+            np.matmul(response, inputs.ravel(), out=out.reshape(-1))
+
+    # the last block runs whole; rows past the horizon are dropped
+    blocks = -(-steps // block)
+    z = np.empty((hist_steps + blocks * block + 1, n), dtype=np.result_type(q, coefs) if modal else float)
+    z[: hist_steps + 1] = history @ q.conj() if modal else history
+    reads = np.arange(block)[:, None] - far_lags
+    inputs = np.zeros((block + 2, n), dtype=z.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(hist_steps, total - 1, block):
-            j1 = min(j0 + block, total - 1)
-            # far lags only read nodes before the block
-            gathered = vals[np.arange(j0, j1)[:, None] - far_lags]
-            forcing = gathered.reshape(j1 - j0, len(far)) @ far
-            for j in range(j0, j1):
-                vals[j + 1] = coupled @ vals[j + 1 - width : j + 1].ravel() + forcing[j - j0]
-            rows = vals[j0 + 1 : j1 + 1]
-            bad = ~np.isfinite(rows).all(axis=1) | (np.linalg.norm(rows, axis=1) > BLOWUP_GUARD)
+            inputs[0], inputs[1] = z[j0], z[j0 - 1]
+            if far_lags.size:
+                far_term(np.take(z, reads + j0, axis=0), inputs[2:])
+            near_term(inputs, z[j0 + 1 : j0 + block + 1])
+            # a NaN or infinite row fails the comparison too
+            bad = ~(np.linalg.norm(z[j0 + 1 : min(j0 + block, total - 1) + 1], axis=1) <= BLOWUP_GUARD)
             if bad.any():
                 t = -1.0 + (j0 + int(np.argmax(bad))) * dt
                 raise BlowUpError(
                     f"solution norm exceeded {BLOWUP_GUARD:.0e} at t = {t + dt:.6g}; aborting"
                 )
-
-    return Trajectory(vals, dt, m=init.history.m, p=model.p)
+    values = np.ascontiguousarray(np.real(z[:total] @ q.T)) if modal else z[:total]
+    values[: hist_steps + 1] = history
+    return Trajectory(values, dt, m=init.history.m, p=model.p)
 
 
 def mild_residual(model: SystemModel, traj: Trajectory, t: float) -> float:
@@ -522,9 +618,9 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     if N == 0:
         return terms
 
-    lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, n, stages=(0.0,))
+    lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, stages=(0.0,))
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
-    stencil = weights[0].transpose(0, 2, 1).reshape(-1, n)
+    stencil = _as_matrices(weights[0], n).transpose(0, 2, 1).reshape(-1, n)
     e1 = model.A.expm(dt)
 
     for _ in range(1, N + 1):

@@ -195,23 +195,17 @@ def cantor_grid_weights(m: int, depth: int) -> np.ndarray:
 def cantor_transform(lam: complex) -> complex:
     """Exponential transform of the Cantor function on [-1, 0].
 
-    Returns g^(lam) = integral of e^(lam * sigma) dg(sigma) through the
-    product representation e^(-lam/2) * prod_k cosh(lam / 3^k), truncated
-    once a factor is within 1e-16 of 1.  An entire function of lam with
+    Returns g^(lam) = integral of e^(lam * sigma) dg(sigma); the 0-d case
+    of ``cantor_transform_grid``.  An entire function of lam with
     g^(0) = 1 and |g^(i omega)| <= 1.
     """
-    lam = complex(lam)
-    prod = 1.0 + 0j
-    for k in range(1, 200):
-        factor = np.cosh(lam / 3.0**k)
-        prod *= factor
-        if abs(factor - 1.0) < 1e-16:
-            break
-    return complex(np.exp(-lam / 2.0) * prod)
+    return complex(cantor_transform_grid(lam))
 
 
 def cantor_transform_grid(lams: np.ndarray) -> np.ndarray:
-    """Vectorised ``cantor_transform`` over an array of arguments."""
+    """``cantor_transform`` over an array of arguments (or a scalar): the
+    product representation e^(-lam/2) * prod_k cosh(lam / 3^k), truncated
+    once every factor is within 1e-16 of 1."""
     lams = np.asarray(lams, dtype=complex)
     prod = np.ones_like(lams)
     for k in range(1, 200):

@@ -167,10 +167,16 @@ def lp_norm(f: HistoryGrid) -> float:
     The integral over [-1, 0] uses the composite trapezoid rule on the
     sample grid with the Euclidean norm on values.
     """
-    g = np.linalg.norm(f.samples, axis=1) ** f.p
-    h = 1.0 / f.m
-    integral = h * (0.5 * (g[0] + g[-1]) + g[1:-1].sum())
-    return float(integral ** (1.0 / f.p))
+    return float(_lp_norms(f.samples, f.p))
+
+
+def _lp_norms(samples: np.ndarray, p: float) -> np.ndarray:
+    """``lp_norm`` of every history in a stack of samples, shape
+    (..., m + 1, n)."""
+    g = np.linalg.norm(samples, axis=-1) ** p
+    h = 1.0 / (samples.shape[-2] - 1)
+    integral = h * (0.5 * (g[..., 0] + g[..., -1]) + g[..., 1:-1].sum(axis=-1))
+    return integral ** (1.0 / p)
 
 
 def state_norm(s: DelayState) -> float:

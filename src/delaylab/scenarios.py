@@ -138,16 +138,16 @@ def _mode_rightmost_real_root(eig: float, coupling, c: float) -> float:
 def rd_rightmost_root(n: int, c: float, depth: int = 24, kernel: str = "cantor") -> complex:
     """Rightmost characteristic root of the preset at coefficient c > 0.
 
-    Maximises the per-mode real roots of the factored determinant; for
-    c > 0 the loss of stability happens through a real root, so the
-    rightmost root is real.
+    The determinant factors into per-mode equations; the real root r of
+    mode mu solves r - c * coupling(r) = mu, whose left side increases in
+    r (the coupling is positive and decreasing on the real axis), so r
+    increases with mu and the top eigenvalue, lambda_1, gives the largest
+    real root.  For c > 0 the loss of stability happens through a real
+    root, so the rightmost root is real.
     """
     if c <= 0:
         raise PreconditionError("the scan handles positive coefficients only")
-    eigs = np.real(laplacian_dirichlet_1d(n).eigenvalues)
-    coupling = _real_coupling(kernel, depth)
-    root = max(_mode_rightmost_real_root(float(e), coupling, c) for e in eigs)
-    return complex(root, 0.0)
+    return complex(_mode_rightmost_real_root(dirichlet_lambda1(n), _real_coupling(kernel, depth), c), 0.0)
 
 
 def threshold_scan(n: int, depth: int, c_range: tuple[float, float], steps: int = 40, kernel: str = "cantor") -> float:

@@ -8,7 +8,8 @@ eigenvalues mu_k of A into sums of log(lam - s(lam) - mu_k)), the explicit
 resolvent of the block delay operator, the integral smallness estimate
 for the perturbation, and the frequency-domain stability certificate
 that compares the delay term's norm along a vertical line with the
-reciprocal resolvent norm of A.
+reciprocal resolvent norm of A (for normal A the distance to its
+spectrum, with no SVD).
 """
 
 from __future__ import annotations
@@ -31,7 +32,16 @@ from .functional import (
     char_norm_profile,
     total_variation,
 )
-from .history import DelayState, HistoryGrid, _trapezoid_weights, lp_norm, nilpotent_shift, segment, state_norm
+from .history import (
+    DelayState,
+    HistoryGrid,
+    _lp_norms,
+    _trapezoid_weights,
+    interp_uniform,
+    lp_norm,
+    nilpotent_shift,
+    state_norm,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -125,8 +135,10 @@ class StabilityReport:
     """Outcome of the frequency-domain stability certificate at Re = alpha.
 
     ``lhs`` is the grid supremum of the delay term's characteristic norm,
-    ``rhs`` the reciprocal of the grid supremum of ||R(alpha + i omega, A)||;
-    the certificate holds when lhs < rhs.  ``s0_estimate`` is the real part
+    ``rhs`` the reciprocal of the supremum of ||R(alpha + i omega, A)||:
+    exact, min_k |alpha - Re mu_k|, when A has an orthonormal eigenbasis,
+    and read on the frequency grid otherwise; the certificate holds when
+    lhs < rhs.  ``s0_estimate`` is the real part
     of the rightmost characteristic root found near the line and
     ``omega0_estimate`` a decay-rate fit from a trajectory; ``a_normal``
     records whether A was numerically normal (for non-normal A the
@@ -514,7 +526,12 @@ def resolvent_defect(model: SystemModel, lam: complex, y: np.ndarray, g: History
 
 
 class CriterionProfile(NamedTuple):
-    """Per-frequency data behind the stability certificate."""
+    """Per-frequency data behind the stability certificate.
+
+    ``rhs`` is the infimum of the smallest singular value of
+    alpha + i omega - A along the line: exact, min_k |alpha - Re mu_k|,
+    when A has orthonormal modes, and the grid minimum otherwise.
+    """
 
     omegas: np.ndarray
     char_norms: np.ndarray
@@ -534,27 +551,25 @@ def criterion_profile(model: SystemModel, alpha: float, grid: FrequencyGrid) -> 
     """Evaluate both sides of the certificate along Re = alpha.
 
     lhs is the grid maximum of the characteristic norm of the delay term;
-    rhs is the reciprocal of the grid maximum of ||R(alpha + i omega, A)||,
-    computed from the smallest singular value of (alpha + i omega - A).
-    Requires alpha <= 0 and the line to stay clear of the spectrum of A.
+    rhs is the reciprocal of the supremum of ||R(alpha + i omega, A)||,
+    the infimum of the smallest singular value of alpha + i omega - A.
+    When A has orthonormal modes that value is the distance to the
+    spectrum, min_k |alpha + i omega - mu_k|, whose infimum along the
+    whole line is min_k |alpha - Re mu_k|; otherwise it is the grid
+    minimum of one SVD per frequency.  Requires alpha <= 0 and the line
+    to stay clear of the spectrum of A.
     """
     if not alpha <= 0:
         raise PreconditionError("the certificate line must satisfy alpha <= 0")
-    if _line_clearance(model, alpha) < 1e-9:
+    clearance = _line_clearance(model, alpha)
+    if clearance < 1e-9:
         raise PreconditionError(f"the line Re = {alpha} intersects the spectrum of A")
     omegas = grid.samples
     char_norms = char_norm_profile(model.phi, alpha, omegas)
-    lams = alpha + 1j * omegas
-    eye = np.eye(model.n)
-    min_sv = np.empty(len(lams))
-    chunk = max(256, 4_000_000 // (model.n * model.n))
-    for start in range(0, len(lams), chunk):
-        sl = slice(start, start + chunk)
-        shifted = lams[sl, None, None] * eye - model.A.matrix
-        min_sv[sl] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+    min_sv = model.A.min_singular(alpha + 1j * omegas)
     resolvent_norms = 1.0 / min_sv
     lhs = float(char_norms.max())
-    rhs = float(min_sv.min())
+    rhs = clearance if model.A.modes() is not None else float(min_sv.min())
     bound = float(np.exp(-min(alpha, 0.0)) * total_variation(model.phi))
     return CriterionProfile(omegas, char_norms, resolvent_norms, lhs, bound, rhs, bool(lhs < rhs))
 
@@ -683,9 +698,9 @@ def _grid_node_matrices(phi: DelayFunctional, m: int, n: int) -> np.ndarray:
     """Matrices Q[l] with apply(phi, f) = sum_l Q[l] @ f(sigma_l) for every
     history f sampled on m + 1 nodes: the stage-0 delay stencil with one
     step per grid node, whose lag l reads node m - l."""
-    lags, weights = _delay_stencil(_atoms(phi, m), m, n, stages=(0.0,))
+    lags, weights = _delay_stencil(_atoms(phi, m), m, stages=(0.0,))
     out = np.zeros((m + 1, n, n))
-    out[m - lags] = weights[0]
+    out[m - lags] = _as_matrices(weights[0], n)
     return out
 
 
@@ -763,7 +778,9 @@ def decay_rate(traj: Trajectory, window: tuple[float, float], max_points: int = 
     """Least-squares slope of log ||(u(t), u_t)|| over the window.
 
     The product state norm is sampled at up to ``max_points`` grid times
-    inside the window; an identically zero window is rejected.
+    inside the window; every sampled segment is interpolated from the
+    trajectory in one call, as ``segment`` would, and normed along an
+    axis by the ``lp_norm`` rule.  An identically zero window is rejected.
     """
     t_lo, t_hi = window
     if t_lo < 0 or t_hi <= t_lo or t_hi > traj.t_end + 1e-9:
@@ -774,9 +791,9 @@ def decay_rate(traj: Trajectory, window: tuple[float, float], max_points: int = 
     if len(idx) > max_points:
         idx = idx[np.linspace(0, len(idx) - 1, max_points).astype(int)]
     ts = times[idx]
-    norms = np.array(
-        [state_norm(DelayState(traj.values[i], segment(traj, times[i]))) for i in idx]
-    )
+    queries = ts[:, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)
+    segments = interp_uniform(traj.values, -1.0, traj.dt, queries.ravel()).reshape(len(idx), traj.m + 1, traj.n)
+    norms = np.linalg.norm(traj.values[idx], axis=1) + _lp_norms(segments, traj.p)
     if np.max(norms) == 0.0:
         raise PreconditionError("trajectory vanishes on the whole window")
     keep = norms > 0

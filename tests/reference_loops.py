@@ -4,8 +4,10 @@
 stage's delayed values by interpolating the trajectory;
 ``reference_volterra_terms`` evaluates the delay term node by node; and
 ``reference_miyadera_estimate`` builds the moved state of every sample
-at every quadrature node.  The package assembles these linear maps once
-and applies them in bulk; the tests compare the two.
+at every quadrature node; and ``reference_decay_rate`` rebuilds every
+sampled state through ``segment`` and ``state_norm``.  The package
+assembles these linear maps once and applies them in bulk; the tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from delaylab import (
     history_injection,
     nilpotent_shift,
     random_compatible_state,
+    segment,
+    state_norm,
     t0_action,
     total_variation,
 )
@@ -206,3 +210,16 @@ def reference_miyadera_estimate(model, t0, samples=200, *, seed=42, r_nodes=65, 
     conj_exponent = 1.0 - 1.0 / model.p
     q_bound = t0**conj_exponent * sup_norm * total_variation(model.phi)
     return q_emp, q_bound
+
+
+def reference_decay_rate(traj, window, max_points=201):
+    """Decay-rate fit with the state at every sample time built on its own."""
+    t_lo, t_hi = window
+    times = traj.times
+    mask = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12)
+    idx = np.nonzero(mask)[0]
+    if len(idx) > max_points:
+        idx = idx[np.linspace(0, len(idx) - 1, max_points).astype(int)]
+    norms = np.array([state_norm(DelayState(traj.values[i], segment(traj, times[i]))) for i in idx])
+    keep = norms > 0
+    return float(np.polyfit(times[idx][keep], np.log(norms[keep]), 1)[0])

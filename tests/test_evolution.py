@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -40,6 +42,20 @@ class TestSpatialOperator:
         times = np.array([0.0, 0.3, 1.0, 2.4])
         expected = np.array([scipy.linalg.expm(t * a) @ x for t in times])
         np.testing.assert_allclose(op.propagate(x, times), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("name", ["scalar", "symmetric", "rotation"])
+    def test_modes_are_an_orthonormal_eigenbasis(self, name):
+        rng = np.random.default_rng(4)
+        sym = rng.standard_normal((4, 4))
+        a = {"scalar": np.array([[-0.7]]), "symmetric": sym + sym.T, "rotation": _rotation_operator().matrix}[name]
+        mu, q = dl.SpatialOperator(a).modes()
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(len(a)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose((q * mu) @ q.conj().T, a, rtol=0, atol=1e-12)
+
+    def test_non_normal_operator_has_no_modes(self):
+        op = _nonnormal_operator()
+        assert op.modes() is None
+        np.testing.assert_allclose(op.expm(0.7), scipy.linalg.expm(0.7 * op.matrix), atol=1e-12)
 
     def test_expm_matches_scipy(self):
         rng = np.random.default_rng(3)
@@ -164,6 +180,62 @@ class TestStepRecurrence:
         with pytest.raises(dl.BlowUpError) as want:
             reference_solve_steps(model, init, 3.0, 1e-3)
         assert str(got.value) == str(want.value)
+
+
+def _rotation_operator():
+    # normal but not symmetric: two rotation blocks, complex eigenbasis
+    a = np.zeros((4, 4))
+    a[:2, :2] = [[-0.3, 2.0], [-2.0, -0.3]]
+    a[2:, 2:] = [[-0.7, 0.9], [-0.9, -0.7]]
+    return dl.SpatialOperator(a)
+
+
+def _nonnormal_operator():
+    return dl.SpatialOperator(np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -2.0]]))
+
+
+# model, dt, horizon and the basis that solve_steps must step in
+MODAL_CASES = {
+    "cantor_rotation": lambda: (dl.SystemModel(_rotation_operator(), dl.CantorKernel(0.8)), 1e-3, 2.0, "modal"),
+    "empty_diagonal": lambda: (
+        dl.SystemModel(dl.diagonal_operator([-1.0, -2.5, 0.3]), empty_functional()), 1e-3, 2.0, "modal"
+    ),
+    "scalar_capped_block": lambda: (dl.scalar_dde(-0.3, -0.8), 1e-3, 3.0, "modal"),
+    "cantor_non_normal": lambda: (dl.SystemModel(_nonnormal_operator(), dl.CantorKernel(0.6)), 1e-3, 2.0, "matrix"),
+}
+
+
+class TestModalStepping:
+    """Stepping in the eigenbasis of A against the stage-by-stage sweep."""
+
+    @pytest.mark.parametrize("case", sorted(MODAL_CASES))
+    def test_matches_stage_by_stage_sweep(self, case, caplog):
+        model, dt, horizon, basis = MODAL_CASES[case]()
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(6))
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            got = dl.solve_steps(model, init, horizon, dt).values
+        assert f"{basis} basis" in caplog.text
+        want = reference_solve_steps(model, init, horizon, dt).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_blowup_message_matches_reference(self):
+        model = dl.SystemModel(dl.diagonal_operator([2.0, 9.0]), dl.CantorKernel(3.0))
+        init = dl.random_compatible_state(2, 64, 2.0, np.random.default_rng(7))
+        with pytest.raises(dl.BlowUpError) as got:
+            dl.solve_steps(model, init, 4.0, 1e-3)
+        with pytest.raises(dl.BlowUpError) as want:
+            reference_solve_steps(model, init, 4.0, 1e-3)
+        assert str(got.value) == str(want.value)
+
+    def test_logs_the_stepping_path(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            dl.solve_steps(dl.scalar_dde(-0.3, -0.8), constant_state(1.0), 3.0, 1e-3)
+        # lags 0, 999 and 1000; the far lags allow blocks of 999 steps and
+        # the cap on the block response splits them into blocks of 315
+        assert caplog.messages == [
+            "solve_steps: modal basis, n = 1, dt = 0.001, steps = 3000, block = 315, lags = 3"
+        ]
 
 
 def ode_model_2d():

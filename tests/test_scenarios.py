@@ -3,6 +3,7 @@ import pytest
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
+from delaylab.scenarios import _mode_rightmost_real_root, _real_coupling
 
 
 class TestLaplacian:
@@ -93,6 +94,17 @@ class TestModeDecoupling:
         )
         assert report.rightmost is not None
         assert abs(report.rightmost - rightmost) < 1e-6
+
+
+    @pytest.mark.parametrize("kernel", ["cantor", "single_delay"])
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.4])
+    @pytest.mark.parametrize("n", [15, 31])
+    def test_top_mode_gives_the_rightmost_root(self, n, ratio, kernel):
+        c = ratio * abs(dl.dirichlet_lambda1(n))
+        coupling = _real_coupling(kernel, 24)
+        eigs = np.real(dl.laplacian_dirichlet_1d(n).eigenvalues)
+        every_mode = max(_mode_rightmost_real_root(float(e), coupling, c) for e in eigs)
+        assert dl.rd_rightmost_root(n, c, 24, kernel) == complex(every_mode, 0.0)
 
 
 class TestThresholdScan:

@@ -1,10 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
 from delaylab.spectral import _char_matrix_stack, _log_det
-from reference_loops import reference_miyadera_estimate
+from delaylab.scenario_io import load_scenario
+from reference_loops import reference_decay_rate, reference_miyadera_estimate
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def empty_functional():
@@ -301,6 +306,42 @@ class TestStabilityCriterion:
         report = dl.find_roots(model, dl.Region(0.0, 5.0, 50.0), dl.RootConfig(spacing=0.1))
         assert all(z.real < 0.0 for z in report.roots)
 
+    @pytest.mark.parametrize("name", ["rd_n15", "rotation"])
+    def test_distance_to_spectrum_matches_svd(self, name):
+        # normal A: sigma_min(lam - A) = min_k |lam - mu_k|
+        if name == "rd_n15":
+            model, alpha = dl.reaction_diffusion_scenario(15, 4.9), 0.0
+        else:
+            # rotation blocks whose eigenvalues sit between grid samples
+            a = np.zeros((4, 4))
+            a[:2, :2] = [[-0.3, 2.03], [-2.03, -0.3]]
+            a[2:, 2:] = [[-0.7, 0.93], [-0.93, -0.7]]
+            model, alpha = dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(0.1)), -0.1
+        grid = dl.FrequencyGrid(50.0, 1001)
+        profile = dl.criterion_profile(model, alpha, grid)
+        lams = alpha + 1j * grid.samples
+        svd = np.linalg.svd(lams[:, None, None] * np.eye(model.n) - model.A.matrix, compute_uv=False)[:, -1]
+        np.testing.assert_allclose(1.0 / profile.resolvent_norms, svd, rtol=1e-12, atol=0)
+        # the exact infimum along the line is attained at omega = Im mu_k
+        mu = model.A.spectrum()
+        k = np.argmin(np.abs(mu.real - alpha))
+        at_min = np.linalg.svd((alpha + 1j * mu[k].imag) * np.eye(model.n) - model.A.matrix, compute_uv=False)[-1]
+        assert profile.rhs == pytest.approx(at_min, rel=1e-12)
+        assert profile.rhs <= svd.min() * (1.0 + 1e-12)
+        if name == "rotation":
+            assert profile.rhs < svd.min() - 1e-3
+
+    def test_normal_operator_minimum_between_grid_samples(self):
+        # the minimum of sigma_min(i omega - A) is 0.01 at omega = 3.73,
+        # between the default grid samples 3.7 and 3.8 (which read 0.0316)
+        a = dl.SpatialOperator(np.array([[-0.01, 3.73], [-3.73, -0.01]]))
+        model = dl.SystemModel(a, dl.single_delay(-0.015 * np.eye(2), -1.0))
+        report = dl.stability_criterion(model, 0.0)
+        assert report.rhs == pytest.approx(0.01, rel=1e-12)
+        assert report.lhs == pytest.approx(0.015, rel=1e-12)
+        assert not report.criterion_holds
+        assert report.s0_estimate > 0.0
+
     def test_line_on_eigenvalue_rejected(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
         with pytest.raises(dl.PreconditionError):
@@ -439,6 +480,14 @@ class TestDecayRate:
         init = DelayState(np.array([1.0, 1.0]), HistoryGrid.constant([1.0, 1.0], 100, 2.0))
         traj = dl.solve_steps(model, init, 15.0, 1e-3)
         assert dl.decay_rate(traj, (5.0, 15.0)) == pytest.approx(-1.0, abs=0.02)
+
+    @pytest.mark.parametrize("name", ["scalar_single_delay", "reaction_diffusion_cantor"])
+    def test_matches_per_sample_loop(self, name):
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
+        traj = dl.solve_steps(scenario.model, scenario.initial, scenario.run.T, scenario.run.dt)
+        window = (traj.t_end / 2.0, traj.t_end)
+        want = reference_decay_rate(traj, window)
+        assert dl.decay_rate(traj, window) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_rejects_zero_window(self):
         traj = dl.Trajectory(np.zeros((3001, 1)), 1e-3, m=50, p=2.0)
