@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--omega-max", type=float, default=200.0)
     p.add_argument("--count", type=int, default=4001, help="odd number of frequency samples")
-    p.add_argument("--horizon", type=float, default=20.0, help="trajectory length for the decay fit")
+    p.add_argument("--horizon", type=float, default=20.0, help="trajectory length, decay fitted on its second half")
     p.set_defaults(handler=cmd_stability)
 
     p = sub.add_parser("miyadera", help="empirical vs analytic smallness of the delay term")

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BlowUpError, BudgetError, PreconditionError
 from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, apply, char_matrix
@@ -127,6 +126,8 @@ class SpatialOperator:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         w, v, vinv, _ = self._eigen()
         if v is None:
+            import scipy.linalg
+
             return np.array([scipy.linalg.expm(t * self.matrix) @ x for t in times])
         return np.real((np.exp(np.outer(times, w)) * (vinv @ x)) @ v.T)
 
@@ -136,6 +137,8 @@ class SpatialOperator:
         t = np.asarray(t, dtype=float)
         w, v, vinv, _ = self._eigen()
         if v is None:
+            import scipy.linalg
+
             stack = [scipy.linalg.expm(s * self.matrix) for s in t.ravel()]
             return np.array(stack).reshape(t.shape + (self.n, self.n))
         return np.real((v * np.exp(t[..., None] * w)[..., None, :]) @ vinv)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoResultError, PreconditionError
 from .evolution import SpatialOperator, SystemModel, scalar_operator
@@ -132,6 +131,8 @@ def _mode_rightmost_real_root(eig: float, coupling, c: float) -> float:
         lo -= 1.0
     else:
         raise NoResultError("failed to bracket the per-mode real root from below")
+    from scipy.optimize import brentq
+
     return float(brentq(q, lo, hi, xtol=1e-13, rtol=1e-14))
 
 

@@ -321,12 +321,15 @@ def find_roots(model: SystemModel, region: Region, cfg: RootConfig | None = None
     seeds = lams[is_min]
 
     candidates: list[tuple[complex, float]] = []
+    dropped = 0
     for seed, root, residual in zip(seeds, *_newton_polish(model, seeds, cfg)):
         if np.isnan(residual):
             logger.debug("Newton iteration failed at seed %s; seed dropped", seed)
+            dropped += 1
             continue
         if residual > cfg.root_tol:
             logger.debug("seed %s did not converge (residual %.3e); dropped", seed, residual)
+            dropped += 1
             continue
         if region.contains(root):
             candidates.append((complex(root), float(residual)))
@@ -344,6 +347,14 @@ def find_roots(model: SystemModel, region: Region, cfg: RootConfig | None = None
     roots = [roots[i] for i in order]
     residuals = [residuals[i] for i in order]
     rightmost = roots[0] if roots else None
+    if logger.isEnabledFor(logging.DEBUG):
+        # the test _log_det applies to every batch: a scalar symbol or n = 1
+        factored = model.n == 1 or _transform(model.phi, 0.0).ndim == 1
+        logger.debug(
+            "find_roots: %s log det, grid %d x %d, seeds %d, converged %d, dropped %d, roots %d",
+            "factored" if factored else "slogdet", re_count, im_count,
+            len(seeds), len(seeds) - dropped, dropped, len(roots),
+        )
     return RootReport(roots, residuals, region, rightmost)
 
 
@@ -605,7 +616,9 @@ def stability_criterion(
     Besides the certificate itself the report estimates the rightmost
     characteristic root near the line (grid-seeded Newton in a rectangle
     around alpha) and the trajectory decay rate of a random compatible
-    state fitted on [2, horizon]; on Hilbert-type models (p = 2) the two
+    state fitted on [horizon/2, horizon], the window ``solve`` and
+    ``reproduce-rd`` fit on, where the transient of the roots left of the
+    rightmost one has died down; on Hilbert-type models (p = 2) the two
     estimates agree up to fitting error.
     """
     report, _ = _stability_report(
@@ -644,7 +657,7 @@ def _stability_report(
     rng = np.random.default_rng(seed)
     state = random_compatible_state(model.n, state_m, model.p, rng)
     traj = solve_steps(model, state, horizon, dt)
-    omega0 = decay_rate(traj, (2.0, horizon))
+    omega0 = decay_rate(traj, (horizon / 2.0, horizon))
 
     a_mat = model.A.matrix
     commutator = a_mat @ a_mat.T - a_mat.T @ a_mat

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import delaylab as dl
 from delaylab.cli import main
 from delaylab.scenario_io import load_scenario, parse_scenario, scenario_to_dict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def scalar_scenario(a, b, T=4.0, dt=1e-3, m=50, head=1.0):
@@ -364,3 +370,33 @@ class TestScenarioRoundTrip:
                 np.testing.assert_array_equal(restored.delays, phi.delays)
             else:
                 np.testing.assert_array_equal(restored.samples, phi.samples)
+
+
+# Imports delaylab and its CLI, runs solve, spectrum and stability on the
+# shipped scenarios and prints the scipy modules that got loaded.
+NUMPY_ONLY_RUN = """
+import sys
+import delaylab, delaylab.cli
+scalar, rd, out = sys.argv[1:]
+for argv in (
+    ["solve", "--scenario", scalar],
+    ["spectrum", "--scenario", scalar, "--re-min", "-1", "--re-max", "1", "--im-max", "2"],
+    ["stability", "--scenario", rd, "--horizon", "4"],
+):
+    assert delaylab.cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestImportFootprint:
+    def test_cli_runs_without_scipy(self, tmp_path):
+        # pytest itself has scipy loaded, so the check runs in a fresh interpreter
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        scenarios = ROOT / "scenarios"
+        done = subprocess.run(
+            [sys.executable, "-c", NUMPY_ONLY_RUN, str(scenarios / "scalar_single_delay.json"),
+             str(scenarios / "reaction_diffusion_cantor.json"), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

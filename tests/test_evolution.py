@@ -57,6 +57,21 @@ class TestSpatialOperator:
         assert op.modes() is None
         np.testing.assert_allclose(op.expm(0.7), scipy.linalg.expm(0.7 * op.matrix), atol=1e-12)
 
+    def test_defective_operator_falls_back_to_scaling_and_squaring(self):
+        # a Jordan block: the two eig vectors are parallel up to rounding, so
+        # the basis is dropped and exponentials come from scipy's expm
+        op = dl.SpatialOperator(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+        assert op._eigen()[1] is None
+
+        def exact(t):
+            return np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
+
+        times = np.array([0.0, 0.3, 1.0, 2.4])
+        np.testing.assert_allclose(op.expm(0.7), exact(0.7), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.expm(times), [exact(t) for t in times], rtol=0, atol=1e-12)
+        x = np.array([0.4, -1.3])
+        np.testing.assert_allclose(op.propagate(x, times), [exact(t) @ x for t in times], rtol=0, atol=1e-12)
+
     def test_expm_matches_scipy(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) * 0.7

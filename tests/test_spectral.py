@@ -178,6 +178,19 @@ class TestFindRoots:
         with pytest.raises(dl.BudgetError):
             dl.find_roots(model, dl.Region(-100.0, 100.0, 100.0), dl.RootConfig(spacing=0.01))
 
+    @pytest.mark.parametrize("name,path", [("scalar", "factored"), ("delays", "slogdet")])
+    def test_debug_line_names_log_det_path(self, caplog, name, path):
+        if name == "scalar":
+            model = load_scenario(SCENARIOS / "scalar_single_delay.json").model
+        else:
+            model = list(log_det_models())[2]  # non-commuting 2 x 2 delays
+        with caplog.at_level("DEBUG", logger="delaylab.spectral"):
+            report = dl.find_roots(model, dl.Region(-1.0, 1.0, 4.0))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_roots:")]
+        assert len(lines) == 1
+        assert lines[0].startswith(f"find_roots: {path} log det, grid 41 x 161, seeds ")
+        assert lines[0].endswith(f", roots {len(report.roots)}")
+
 
 class TestResolvent:
     def test_zero_history_gives_pure_exponential(self):
@@ -341,6 +354,14 @@ class TestStabilityCriterion:
         assert report.lhs == pytest.approx(0.015, rel=1e-12)
         assert not report.criterion_holds
         assert report.s0_estimate > 0.0
+
+    @pytest.mark.parametrize("seed", [39, 55, 61])
+    def test_decay_fit_on_second_half_matches_rightmost_root(self, seed):
+        # on [2, 20] these states still carry the transient of the roots
+        # left of the rightmost one: the fit missed it by 0.056-0.076
+        model = load_scenario(SCENARIOS / "reaction_diffusion_cantor.json").model
+        report = dl.stability_criterion(model, 0.0, seed=seed, state_m=64)
+        assert abs(report.omega0_estimate - report.s0_estimate) <= 0.05
 
     def test_line_on_eigenvalue_rejected(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
