@@ -28,14 +28,12 @@ from .evolution import (
     semigroup_action,
     solve_steps,
     t0_action,
-    volterra_apply,
     volterra_terms,
 )
 from .functional import (
     CantorKernel,
     DensityKernel,
     DiscreteDelays,
-    SupResult,
     apply,
     cantor_grid_weights,
     cantor_transform,
@@ -44,7 +42,6 @@ from .functional import (
     char_matrix,
     char_norm_profile,
     single_delay,
-    sup_char_norm,
     total_variation,
 )
 from .history import (
@@ -58,7 +55,6 @@ from .history import (
     state_norm,
 )
 from .scenarios import (
-    RDScenario,
     dirichlet_lambda1,
     laplacian_dirichlet_1d,
     rd_rightmost_root,
@@ -70,10 +66,8 @@ from .spectral import (
     CriterionProfile,
     FrequencyGrid,
     Region,
-    RootConfig,
     RootReport,
     StabilityReport,
-    char_apply,
     char_det,
     count_roots_argument_principle,
     criterion_profile,

@@ -31,7 +31,6 @@ from .scenarios import dirichlet_lambda1, rd_rightmost_root, reaction_diffusion_
 from .spectral import (
     FrequencyGrid,
     Region,
-    RootConfig,
     _stability_report,
     criterion_profile,
     decay_rate,
@@ -70,7 +69,7 @@ def cmd_solve(args) -> int:
 def cmd_spectrum(args) -> int:
     scenario = load_scenario(args.scenario)
     region = Region(args.re_min, args.re_max, args.im_max)
-    report = find_roots(scenario.model, region, RootConfig(spacing=args.spacing))
+    report = find_roots(scenario.model, region, spacing=args.spacing)
     out = _out_dir(args)
     write_json(out / "roots.json", report.to_dict())
     write_roots_csv(out / "roots.csv", report)

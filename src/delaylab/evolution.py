@@ -87,10 +87,13 @@ class SpatialOperator:
         """A = V diag(mu) V^-1 as (mu, V, V^-1, orthonormal), computed once.
 
         V is orthonormal for the 1 x 1 case, for a symmetric A (``eigh``)
-        and for a normal A whose ``eig`` basis satisfies ||V^H V - I|| <=
-        1e-12; then V^-1 = V^H.  A basis with condition number above 1e8
-        is dropped (V = V^-1 = None) and exponentials fall back to
-        scaling and squaring.
+        and for a normal A; then V^-1 = V^H.  For a normal A the ``eig``
+        basis is orthonormalised by QR, which keeps the eigenvectors of
+        simple eigenvalues and makes those of a repeated one orthonormal,
+        and accepted when ||A Q - Q diag(mu)||_2 <= 1e-12 (1 + ||A||_2).
+        Otherwise the ``eig`` basis is kept with its inverse when its
+        condition number is below 1e8, and dropped (V = V^-1 = None) above,
+        where exponentials fall back to scaling and squaring.
         """
         if self._eig is None:
             a = self.matrix
@@ -101,8 +104,9 @@ class SpatialOperator:
                 self._eig = (w, q, q.T, True)
             else:
                 w, v = np.linalg.eig(a)
-                if np.linalg.norm(v.conj().T @ v - np.eye(self.n), 2) <= 1e-12:
-                    self._eig = (w, v, v.conj().T, True)
+                q = np.linalg.qr(v)[0]
+                if np.linalg.norm(a @ q - q * w, 2) <= 1e-12 * (1.0 + np.linalg.norm(a, 2)):
+                    self._eig = (w, q, q.conj().T, True)
                 elif np.linalg.cond(v) < 1e8:
                     self._eig = (w, v, np.linalg.inv(v), False)
                 else:
@@ -192,6 +196,12 @@ class SystemModel:
     @property
     def n(self) -> int:
         return self.A.n
+
+    @property
+    def scalar_symbol(self) -> bool:
+        """Whether every weight of Phi, and so its characteristic matrix,
+        is a scalar times Id: a dimension-free functional, or n = 1."""
+        return self.phi.dim is None or self.n == 1
 
     def char_matrix(self, lam: complex) -> np.ndarray:
         return char_matrix(self.phi, lam, dim=self.n)
@@ -430,10 +440,10 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     history[-1] = init.head
 
     atoms = _atoms(model.phi, init.history.m)
-    if n == 1:
+    if model.scalar_symbol:
         atoms = atoms._replace(weights=atoms.weights.reshape(len(atoms.offsets)))
     modes = model.A.modes()
-    modal = modes is not None and atoms.weights.ndim == 1
+    modal = modes is not None and model.scalar_symbol
     if modal:
         rates, q = modes
     else:
@@ -636,13 +646,6 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
         terms.append(DelayState(new_rows[-1].copy(), _segment_of_rows(new_rows, dt, t, m, s.history.p)))
         rows = new_rows
     return terms
-
-
-def volterra_apply(model: SystemModel, k: int, t: float, s: DelayState, dt: float | None = None) -> DelayState:
-    """The k-th iterated Volterra term (k >= 1)."""
-    if k < 1:
-        raise ValueError("term index must be >= 1")
-    return volterra_terms(model, k, t, s, dt)[k]
 
 
 class DysonResult(NamedTuple):

@@ -38,6 +38,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
+from .errors import PreconditionError
 from .history import HistoryGrid, _trapezoid_weights, interp_uniform
 
 _MAX_DEPTH = 40
@@ -94,10 +95,8 @@ class CantorKernel:
         self.depth = int(self.depth)
         if not np.isfinite(self.c):
             raise ValueError("Cantor kernel coefficient must be finite")
-        if self.depth < 1:
-            raise ValueError("Cantor kernel depth must be >= 1")
-        if self.depth > _MAX_DEPTH:
-            raise ValueError(f"Cantor kernel depth {self.depth} exceeds guard ({_MAX_DEPTH})")
+        if not 1 <= self.depth <= _MAX_DEPTH:
+            raise PreconditionError(f"Cantor kernel depth must lie in [1, {_MAX_DEPTH}], got {self.depth}")
 
     @property
     def dim(self) -> int | None:
@@ -378,37 +377,9 @@ def char_matrix(phi: DelayFunctional, lam: complex, dim: int | None = None) -> n
     return _as_matrices(_transform(phi, [lam]), dim)[0]
 
 
-class SupResult(NamedTuple):
-    """Grid supremum of the characteristic norm plus its crude analytic cap.
-
-    ``value`` is the maximum over the sampled frequencies (a lower estimate
-    of the true supremum); ``analytic_bound`` is e^(-alpha) times the total
-    variation, valid for alpha <= 0, attached so reports can show how far
-    the grid maximum sits below the worst case.
-    """
-
-    value: float
-    analytic_bound: float
-
-
 def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray) -> np.ndarray:
     """Spectral norms of char_matrix(alpha + i omega) over the samples."""
     lams = alpha + 1j * np.asarray(omegas, dtype=float)
     if isinstance(phi, CantorKernel):
         return abs(phi.c) * np.abs(cantor_transform_grid(lams))
     return _norms(_transform(phi, lams))
-
-
-def sup_char_norm(phi: DelayFunctional, alpha: float, grid) -> SupResult:
-    """Supremum of ||char_matrix(alpha + i omega)|| over a frequency grid.
-
-    ``grid`` may be a FrequencyGrid or any array of omega samples.  The
-    operator norm is the spectral norm; the reported value is the grid
-    maximum and therefore a lower estimate of the true supremum.
-    """
-    omegas = np.asarray(getattr(grid, "samples", grid), dtype=float)
-    if omegas.size == 0:
-        raise ValueError("frequency grid is empty")
-    bound = float(np.exp(-min(alpha, 0.0)) * total_variation(phi))
-    profile = char_norm_profile(phi, alpha, omegas)
-    return SupResult(float(profile.max()), bound)

@@ -146,8 +146,8 @@ class DelayState:
         """Distance between the history value at 0 and the head."""
         return float(np.linalg.norm(self.history.samples[-1] - self.head))
 
-    def is_compatible(self, tol: float = COMPAT_TOL) -> bool:
-        return self.compat_defect() <= tol
+    def is_compatible(self) -> bool:
+        return self.compat_defect() <= COMPAT_TOL
 
     def copy(self) -> "DelayState":
         return DelayState(self.head.copy(), self.history.copy())

@@ -11,8 +11,6 @@ cross-checked against the full root finder in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NoResultError, PreconditionError
@@ -22,6 +20,8 @@ from .functional import CantorKernel, cantor_transform, single_delay
 
 def dirichlet_lambda1(n: int) -> float:
     """First eigenvalue of the discretised Dirichlet Laplacian on (0, 1)."""
+    if n < 1:
+        raise PreconditionError(f"need at least one interior grid point, got n = {n}")
     h = 1.0 / (n + 1)
     return -(4.0 / h**2) * np.sin(np.pi * h / 2.0) ** 2
 
@@ -33,7 +33,7 @@ def laplacian_dirichlet_1d(n: int) -> SpatialOperator:
     carries the exact eigenvalues -(4/h^2) sin^2(k pi h / 2).
     """
     if n < 1:
-        raise ValueError("need at least one interior grid point")
+        raise PreconditionError(f"need at least one interior grid point, got n = {n}")
     h = 1.0 / (n + 1)
     mat = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / h**2
     k = np.arange(1, n + 1)
@@ -41,34 +41,10 @@ def laplacian_dirichlet_1d(n: int) -> SpatialOperator:
     return SpatialOperator(mat, kind="laplacian1d", eigenvalues=eigs.astype(complex))
 
 
-@dataclass
-class RDScenario:
+def reaction_diffusion_scenario(n: int, c: float, depth: int = 24) -> SystemModel:
     """Reaction-diffusion-with-delay preset: heat flow on (0, 1) with a
     memory source c * integral of the past against the Cantor measure."""
-
-    n: int
-    h: float
-    c: float
-    depth: int
-    lambda1: float
-
-    def __post_init__(self):
-        if abs(self.h - 1.0 / (self.n + 1)) > 1e-12:
-            raise ValueError("mesh width must equal 1/(n+1)")
-        if abs(self.lambda1 - dirichlet_lambda1(self.n)) > 1e-10 * (1.0 + abs(self.lambda1)):
-            raise ValueError("lambda1 does not match the discretisation formula")
-
-    @classmethod
-    def create(cls, n: int, c: float, depth: int = 24) -> "RDScenario":
-        return cls(n=n, h=1.0 / (n + 1), c=float(c), depth=depth, lambda1=dirichlet_lambda1(n))
-
-    def model(self) -> SystemModel:
-        return SystemModel(laplacian_dirichlet_1d(self.n), CantorKernel(self.c, self.depth), p=2.0)
-
-
-def reaction_diffusion_scenario(n: int, c: float, depth: int = 24) -> SystemModel:
-    """System model of the reaction-diffusion preset."""
-    return RDScenario.create(n, c, depth).model()
+    return SystemModel(laplacian_dirichlet_1d(n), CantorKernel(float(c), depth), p=2.0)
 
 
 def scalar_dde(a: float, b: float) -> SystemModel:
@@ -156,11 +132,13 @@ def threshold_scan(n: int, depth: int, c_range: tuple[float, float], steps: int 
 
     ``c_range`` must bracket the crossing (stable at the lower end,
     unstable at the upper end); raises NoResultError otherwise.  Returns
-    the crossing coefficient after ``steps`` bisection iterations.
+    the crossing coefficient after ``steps >= 1`` bisection iterations.
     """
     c_lo, c_hi = c_range
     if not (0.0 < c_lo < c_hi):
         raise PreconditionError(f"need 0 < c_lo < c_hi, got {c_range}")
+    if steps < 1:
+        raise PreconditionError(f"need at least one bisection step, got {steps}")
     sign_lo = rd_rightmost_root(n, c_lo, depth, kernel).real
     sign_hi = rd_rightmost_root(n, c_hi, depth, kernel).real
     if not (sign_lo < 0.0 < sign_hi):

@@ -4,8 +4,10 @@
 stage's delayed values by interpolating the trajectory;
 ``reference_volterra_terms`` evaluates the delay term node by node; and
 ``reference_miyadera_estimate`` builds the moved state of every sample
-at every quadrature node; and ``reference_decay_rate`` rebuilds every
-sampled state through ``segment`` and ``state_norm``.  The package
+at every quadrature node; ``reference_decay_rate`` rebuilds every
+sampled state through ``segment`` and ``state_norm``; and
+``reference_shift_resolvent_history`` accumulates the shift resolvent
+interval by interval from the right.  The package
 assembles these linear maps once and applies them in bulk; the tests
 compare the two.
 """
@@ -223,3 +225,24 @@ def reference_decay_rate(traj, window, max_points=201):
     norms = np.array([state_norm(DelayState(traj.values[i], segment(traj, times[i]))) for i in idx])
     keep = norms > 0
     return float(np.polyfit(times[idx][keep], np.log(norms[keep]), 1)[0])
+
+
+def reference_shift_resolvent_history(lam, g):
+    """Q_l = e^(lam sigma_l) J_l + e^(-lam h) Q_{l+1} from l = m - 1 down,
+    with J_l the cubic-stencil integral of e^(-lam tau) g over interval l."""
+    m, h, sigma = g.m, 1.0 / g.m, g.nodes
+    factor = np.exp(-lam * sigma)[:, None] * g.samples.astype(complex)
+    first = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+    mid = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0
+    last = np.array([1.0, -5.0, 19.0, 9.0]) / 24.0
+    j_local = np.empty((m, g.n), dtype=complex)
+    j_local[0] = h * (first @ factor[0:4])
+    for l in range(1, m - 1):
+        j_local[l] = h * (mid @ factor[l - 1 : l + 3])
+    j_local[m - 1] = h * (last @ factor[m - 3 : m + 1])
+    out = np.zeros((m + 1, g.n), dtype=complex)
+    acc = np.zeros(g.n, dtype=complex)
+    for l in range(m - 1, -1, -1):
+        acc = np.exp(lam * sigma[l]) * j_local[l] + np.exp(-lam * h) * acc
+        out[l] = acc
+    return out

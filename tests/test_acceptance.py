@@ -77,7 +77,7 @@ def test_criterion_2_certificate_soundness():
         if not profile.holds:
             continue
         held += 1
-        report = dl.find_roots(model, dl.Region(alpha, alpha + 5.0, 50.0), dl.RootConfig(spacing=0.1))
+        report = dl.find_roots(model, dl.Region(alpha, alpha + 5.0, 50.0), spacing=0.1)
         violations += sum(1 for z in report.roots if z.real >= alpha)
     assert held >= 3  # the certificate must actually fire on several models
     assert violations == 0
@@ -105,7 +105,7 @@ def test_criterion_3_resolvent_formula():
     m = 256
     worst = 0.0
     for model in _resolvent_models():
-        roots = dl.find_roots(model, dl.Region(-8.0, 3.0, 6.0), dl.RootConfig(spacing=0.1)).roots
+        roots = dl.find_roots(model, dl.Region(-8.0, 3.0, 6.0), spacing=0.1).roots
         checked = 0
         while checked < 20:
             lam = complex(rng.uniform(-1.0, 2.0), rng.uniform(-2.0, 2.0))

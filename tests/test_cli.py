@@ -310,6 +310,16 @@ class TestReproduceRdCommand:
         code = main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--c-min", "12", "--c-max", "4"])
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "options",
+        [["--n", "0"], ["--n", "-3"], ["--depth", "0"], ["--depth", "99"], ["--steps", "-1"], ["--steps", "0"]],
+        ids=["zero_n", "negative_n", "zero_depth", "deep_depth", "negative_steps", "zero_steps"],
+    )
+    def test_out_of_range_option_exits_4(self, tmp_path, capsys, options):
+        base = ["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--decay-horizon", "0"]
+        assert main(base + options) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
+
     def test_range_without_crossing_exits_3(self, tmp_path):
         code = main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--c-min", "1", "--c-max", "3", "--decay-horizon", "0"])
         assert code == 3

@@ -43,11 +43,20 @@ class TestSpatialOperator:
         expected = np.array([scipy.linalg.expm(t * a) @ x for t in times])
         np.testing.assert_allclose(op.propagate(x, times), expected, atol=1e-10)
 
-    @pytest.mark.parametrize("name", ["scalar", "symmetric", "rotation"])
+    @pytest.mark.parametrize("name", ["scalar", "symmetric", "rotation", "double_pair"])
     def test_modes_are_an_orthonormal_eigenbasis(self, name):
         rng = np.random.default_rng(4)
         sym = rng.standard_normal((4, 4))
-        a = {"scalar": np.array([[-0.7]]), "symmetric": sym + sym.T, "rotation": _rotation_operator().matrix}[name]
+        # double_pair: Q kron(I_2, R) Q^T, the pair -0.01 +- 3.73i twice;
+        # eig's basis of the double eigenspaces is not orthonormal
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+        double_pair = q @ np.kron(np.eye(2), [[-0.01, 3.73], [-3.73, -0.01]]) @ q.T
+        a = {
+            "scalar": np.array([[-0.7]]),
+            "symmetric": sym + sym.T,
+            "rotation": _rotation_operator().matrix,
+            "double_pair": double_pair,
+        }[name]
         mu, q = dl.SpatialOperator(a).modes()
         np.testing.assert_allclose(q.conj().T @ q, np.eye(len(a)), rtol=0, atol=1e-12)
         np.testing.assert_allclose((q * mu) @ q.conj().T, a, rtol=0, atol=1e-12)
@@ -390,7 +399,7 @@ class TestVolterraTerms:
         phi = dl.single_delay(np.array([[0.9]]), -1.0)
         model = dl.SystemModel(dl.scalar_operator(-0.4), phi, 2.0)
         zero_hist = DelayState(np.array([0.0]), HistoryGrid.constant([0.0], 64, 2.0))
-        term = dl.volterra_apply(model, 1, 0.5, zero_hist, 1e-2)
+        term = dl.volterra_terms(model, 1, 0.5, zero_hist, 1e-2)[1]
         assert dl.state_norm(term) == 0.0
 
     def test_terms_decay_geometrically(self):
@@ -425,7 +434,7 @@ class TestVolterraTerms:
     def test_rejects_nonpositive_index(self):
         model = dl.scalar_dde(-1.0, 0.5)
         with pytest.raises(ValueError):
-            dl.volterra_apply(model, 0, 1.0, constant_state(1.0), 1e-2)
+            dl.volterra_terms(model, -1, 1.0, constant_state(1.0), 1e-2)
 
 
 class TestDysonPhillips:

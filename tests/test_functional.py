@@ -172,37 +172,36 @@ class TestCharMatrix:
 
 
 class TestSupCharNorm:
+    """The grid supremum of the characteristic norm, the ``lhs`` of
+    ``criterion_profile``, and its cap e^(-alpha) TV, its
+    ``lhs_analytic_bound``."""
+
     def test_zero_functional(self):
         grid = dl.FrequencyGrid(10.0, 101)
-        assert dl.sup_char_norm(empty_functional(), 0.0, grid).value == 0.0
-        assert dl.sup_char_norm(CantorKernel(0.0), 0.0, grid).value == 0.0
+        assert dl.char_norm_profile(empty_functional(), 0.0, grid.samples).max() == 0.0
+        assert dl.char_norm_profile(CantorKernel(0.0), 0.0, grid.samples).max() == 0.0
 
     def test_single_delay_modulus_is_frequency_independent(self):
         phi = dl.single_delay(0.7 * np.eye(2), -1.0)
-        got = dl.sup_char_norm(phi, 0.0, dl.FrequencyGrid(30.0, 301))
-        assert got.value == pytest.approx(0.7, abs=1e-12)
+        got = dl.char_norm_profile(phi, 0.0, dl.FrequencyGrid(30.0, 301).samples).max()
+        assert got == pytest.approx(0.7, abs=1e-12)
 
     def test_cantor_attains_maximum_at_zero_frequency(self):
         phi = CantorKernel(0.85)
         grid = dl.FrequencyGrid(50.0, 1001)
-        got = dl.sup_char_norm(phi, 0.0, grid)
-        assert got.value == pytest.approx(0.85, abs=1e-12)
         profile = dl.char_norm_profile(phi, 0.0, grid.samples)
+        assert profile.max() == pytest.approx(0.85, abs=1e-12)
         assert np.argmax(profile) == grid.count // 2
 
     def test_nonincreasing_in_alpha(self):
         grid = dl.FrequencyGrid(50.0, 501)
         for phi in (CantorKernel(0.85), dl.single_delay(np.array([[0.7]]), -1.0)):
-            values = [dl.sup_char_norm(phi, a, grid).value for a in (-2.0, -1.0, -0.5, 0.0)]
+            values = [dl.char_norm_profile(phi, a, grid.samples).max() for a in (-2.0, -1.0, -0.5, 0.0)]
             assert all(v1 >= v2 - 1e-12 for v1, v2 in zip(values, values[1:]))
 
     def test_analytic_bound_dominates(self):
         grid = dl.FrequencyGrid(80.0, 801)
         phi = CantorKernel(1.2)
         for alpha in (-1.5, -0.5, 0.0):
-            got = dl.sup_char_norm(phi, alpha, grid)
-            assert got.value <= got.analytic_bound + 1e-12
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError):
-            dl.sup_char_norm(CantorKernel(1.0), 0.0, np.array([]))
+            got = dl.char_norm_profile(phi, alpha, grid.samples).max()
+            assert got <= np.exp(-alpha) * dl.total_variation(phi) + 1e-12

@@ -20,10 +20,6 @@ class TestLaplacian:
     def test_first_eigenvalue_approaches_continuum(self):
         assert abs(abs(dl.dirichlet_lambda1(127)) - np.pi**2) < 5e-4 * np.pi**2
 
-    def test_scenario_validates_mesh_data(self):
-        with pytest.raises(ValueError):
-            dl.RDScenario(n=5, h=0.2, c=1.0, depth=24, lambda1=-1.0)
-
 
 class TestReactionDiffusion:
     def test_pure_heat_decay_matches_first_eigenvalue(self):
@@ -46,7 +42,7 @@ class TestReactionDiffusion:
         c = 1.5 * abs(dl.dirichlet_lambda1(n))
         assert dl.rd_rightmost_root(n, c).real > 0.0
         model = dl.reaction_diffusion_scenario(n, c)
-        report = dl.find_roots(model, dl.Region(-1.0, 3.0, 4.0), dl.RootConfig(spacing=0.05))
+        report = dl.find_roots(model, dl.Region(-1.0, 3.0, 4.0), spacing=0.05)
         assert report.rightmost is not None
         assert report.rightmost.real > 0.0
 
@@ -90,7 +86,7 @@ class TestModeDecoupling:
         model = dl.reaction_diffusion_scenario(n, c)
         rightmost = dl.rd_rightmost_root(n, c).real
         report = dl.find_roots(
-            model, dl.Region(rightmost - 0.5, rightmost + 0.5, 1.0), dl.RootConfig(spacing=0.02)
+            model, dl.Region(rightmost - 0.5, rightmost + 0.5, 1.0), spacing=0.02
         )
         assert report.rightmost is not None
         assert abs(report.rightmost - rightmost) < 1e-6

@@ -7,7 +7,7 @@ import delaylab as dl
 from delaylab import DelayState, HistoryGrid
 from delaylab.spectral import _char_matrix_stack, _log_det
 from delaylab.scenario_io import load_scenario
-from reference_loops import reference_decay_rate, reference_miyadera_estimate
+from reference_loops import reference_decay_rate, reference_miyadera_estimate, reference_shift_resolvent_history
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -43,21 +43,22 @@ class TestFrequencyGrid:
 class TestCharacteristicOperator:
     def test_eigenvector_annihilated_without_delay(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
-        out = dl.char_apply(model, -1.0, np.array([1.0, 0.0]))
+        out = _char_matrix_stack(model, [-1.0])[0] @ np.array([1.0, 0.0])
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_scalar_closed_form(self):
         model = dl.scalar_dde(0.0, 0.7)
         for lam in (0.3, 1.0 + 2.0j, -0.5 - 1.0j):
-            got = dl.char_apply(model, lam, np.array([1.0]))[0]
+            got = (_char_matrix_stack(model, [lam])[0] @ np.array([1.0]))[0]
             assert got == pytest.approx(lam - 0.7 * np.exp(-lam), abs=1e-14)
 
     def test_linearity_in_vector(self):
         model = dl.scalar_dde(-1.0, 0.4)
         lam = 0.2 + 0.9j
         x1, x2 = np.array([1.7]), np.array([-0.6])
-        lhs = dl.char_apply(model, lam, 2.0 * x1 + 3.0 * x2)
-        rhs = 2.0 * dl.char_apply(model, lam, x1) + 3.0 * dl.char_apply(model, lam, x2)
+        m = _char_matrix_stack(model, [lam])[0]
+        lhs = m @ (2.0 * x1 + 3.0 * x2)
+        rhs = 2.0 * (m @ x1) + 3.0 * (m @ x2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
 
     def test_det_is_characteristic_polynomial_without_delay(self):
@@ -176,7 +177,7 @@ class TestFindRoots:
     def test_budget_guard(self):
         model = dl.scalar_dde(0.0, -1.0)
         with pytest.raises(dl.BudgetError):
-            dl.find_roots(model, dl.Region(-100.0, 100.0, 100.0), dl.RootConfig(spacing=0.01))
+            dl.find_roots(model, dl.Region(-100.0, 100.0, 100.0), spacing=0.01)
 
     @pytest.mark.parametrize("name,path", [("scalar", "factored"), ("delays", "slogdet")])
     def test_debug_line_names_log_det_path(self, caplog, name, path):
@@ -236,6 +237,29 @@ class TestResolvent:
         with pytest.raises(ValueError):
             dl.resolvent_apply(model, 1.0, np.array([1.0, 2.0]), HistoryGrid.constant([0.0], 16, 2.0))
 
+    @pytest.mark.parametrize("m", [3, 4, 64, 256])
+    def test_shift_resolvent_matches_right_to_left_loop(self, m):
+        g = smooth_history(m, 2, seed=m)
+        for lam in (0.0, 1.0 + 0.7j, -2.5 + 4.0j, 3.0):
+            got = dl.shift_resolvent_history(lam, g)
+            want = reference_shift_resolvent_history(lam, g)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_shift_resolvent_exact_on_cubics(self, m):
+        # at lam = 0 the cubic stencils integrate a cubic history exactly:
+        # out_l = integral of g over [sigma_l, 0]
+        coeffs = np.array([0.7, -1.2, 0.4, 2.1])
+        g = HistoryGrid.from_function(lambda s: np.polyval(coeffs, s), m)
+        antiderivative = np.polyint(coeffs)
+        want = np.polyval(antiderivative, 0.0) - np.polyval(antiderivative, g.nodes)
+        got = dl.shift_resolvent_history(0.0, g)[:, 0]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_shift_resolvent_needs_four_nodes(self):
+        with pytest.raises(dl.PreconditionError, match="m >= 3"):
+            dl.shift_resolvent_history(0.5, HistoryGrid.constant([1.0], 2, 2.0))
+
 
 GRID_FUNCTIONALS = {
     "discrete": dl.DiscreteDelays(
@@ -280,6 +304,16 @@ class TestGridPaths:
             np.testing.assert_allclose(got, dl.apply(phi, f), rtol=0.0, atol=1e-12)
 
 
+_ROTATION_373 = np.array([[-0.01, 3.73], [-3.73, -0.01]])
+
+
+def _double_pair_matrix():
+    """Q kron(I_2, R) Q^T with R the 3.73 rotation block and Q a random
+    orthogonal matrix: normal, with the pair -0.01 +- 3.73i twice."""
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
+    return q @ np.kron(np.eye(2), _ROTATION_373) @ q.T
+
+
 class TestStabilityCriterion:
     def test_no_delay_certificate_and_root_estimate(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
@@ -316,7 +350,7 @@ class TestStabilityCriterion:
         model = dl.SystemModel(a, dl.single_delay(b, -1.0), 2.0)
         profile = dl.criterion_profile(model, 0.0, dl.FrequencyGrid(200.0, 4001))
         assert profile.holds
-        report = dl.find_roots(model, dl.Region(0.0, 5.0, 50.0), dl.RootConfig(spacing=0.1))
+        report = dl.find_roots(model, dl.Region(0.0, 5.0, 50.0), spacing=0.1)
         assert all(z.real < 0.0 for z in report.roots)
 
     @pytest.mark.parametrize("name", ["rd_n15", "rotation"])
@@ -344,12 +378,16 @@ class TestStabilityCriterion:
         if name == "rotation":
             assert profile.rhs < svd.min() - 1e-3
 
-    def test_normal_operator_minimum_between_grid_samples(self):
+    @pytest.mark.parametrize("name", ["rotation", "double_pair"])
+    def test_normal_operator_minimum_between_grid_samples(self, name):
         # the minimum of sigma_min(i omega - A) is 0.01 at omega = 3.73,
-        # between the default grid samples 3.7 and 3.8 (which read 0.0316)
-        a = dl.SpatialOperator(np.array([[-0.01, 3.73], [-3.73, -0.01]]))
-        model = dl.SystemModel(a, dl.single_delay(-0.015 * np.eye(2), -1.0))
+        # between the default grid samples 3.7 and 3.8 (which read 0.0316);
+        # "double_pair" repeats the eigenvalue pair, where the eig basis
+        # of the double eigenspaces is not orthonormal
+        a = dl.SpatialOperator(_double_pair_matrix() if name == "double_pair" else _ROTATION_373)
+        model = dl.SystemModel(a, dl.single_delay(-0.015 * np.eye(a.n), -1.0))
         report = dl.stability_criterion(model, 0.0)
+        assert report.a_normal
         assert report.rhs == pytest.approx(0.01, rel=1e-12)
         assert report.lhs == pytest.approx(0.015, rel=1e-12)
         assert not report.criterion_holds
