@@ -31,12 +31,12 @@ from .scenarios import dirichlet_lambda1, rd_rightmost_root, reaction_diffusion_
 from .spectral import (
     FrequencyGrid,
     Region,
-    _stability_report,
     criterion_profile,
     decay_rate,
     find_roots,
     miyadera_estimate,
     random_compatible_state,
+    stability_criterion,
 )
 
 
@@ -82,7 +82,7 @@ def cmd_spectrum(args) -> int:
 def cmd_stability(args) -> int:
     scenario = load_scenario(args.scenario)
     grid = FrequencyGrid(args.omega_max, args.count)
-    report, profile = _stability_report(
+    report, profile = stability_criterion(
         scenario.model,
         args.alpha,
         grid,
@@ -99,7 +99,10 @@ def cmd_stability(args) -> int:
 
 def cmd_miyadera(args) -> int:
     scenario = load_scenario(args.scenario)
-    t0_values = [float(v) for v in args.t0_grid.split(",") if v.strip()]
+    try:
+        t0_values = [float(v) for v in args.t0_grid.split(",") if v.strip()]
+    except ValueError:
+        raise PreconditionError(f"t0 grid must be comma-separated numbers, got {args.t0_grid!r}") from None
     if not t0_values:
         raise PreconditionError("empty t0 grid")
     rows = []
@@ -132,17 +135,18 @@ def cmd_dyson(args) -> int:
 
 def cmd_reproduce_rd(args) -> int:
     lam1 = abs(dirichlet_lambda1(args.n))
+    if not 0.0 <= args.decay_horizon < np.inf:
+        raise PreconditionError(f"decay horizon must be finite and nonnegative, got {args.decay_horizon}")
     c_min = args.c_min if args.c_min is not None else 0.5 * lam1
     c_max = args.c_max if args.c_max is not None else 1.5 * lam1
-    if not (0.0 < c_min < c_max):
-        print(f"usage error: need 0 < c-min < c-max, got {c_min}, {c_max}", file=sys.stderr)
-        return 4
-    c_star = threshold_scan(args.n, args.depth, (c_min, c_max), args.steps)
+    # built first so that a bad depth is rejected before any root solve
+    half_model = reaction_diffusion_scenario(args.n, 0.5 * lam1, args.depth)
+    c_star = threshold_scan(args.n, (c_min, c_max), args.steps)
 
     grid = FrequencyGrid(50.0, 1001)
     rows = []
     for c in np.linspace(c_min, c_max, 9):
-        rightmost = rd_rightmost_root(args.n, float(c), args.depth)
+        rightmost = rd_rightmost_root(args.n, float(c))
         profile = criterion_profile(reaction_diffusion_scenario(args.n, float(c), args.depth), 0.0, grid)
         rows.append([float(c), rightmost.real, rightmost.imag, profile.holds])
 
@@ -152,9 +156,7 @@ def cmd_reproduce_rd(args) -> int:
         "lambda1_abs": lam1,
         "c_star": c_star,
         "c_star_over_lambda1": c_star / lam1,
-        "criterion_holds_at_half": bool(
-            criterion_profile(reaction_diffusion_scenario(args.n, 0.5 * lam1, args.depth), 0.0, grid).holds
-        ),
+        "criterion_holds_at_half": bool(criterion_profile(half_model, 0.0, grid).holds),
     }
 
     if args.decay_horizon > 0:

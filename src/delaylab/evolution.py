@@ -52,16 +52,13 @@ VOLTERRA_BUDGET = 4_000_000
 class SpatialOperator:
     """The instantaneous operator A as an n x n matrix.
 
-    ``kind`` tags matrices with analytic structure ("scalar", "diagonal",
-    "laplacian1d", or plain "matrix"); when ``eigenvalues`` are supplied
-    they must match the matrix spectrum to 1e-8.  One eigendecomposition
-    of A is computed on first use and cached; the spectrum, the
-    exponentials, the smallest singular values of lam - A and the modal
-    coordinates of ``solve_steps`` all read it.
+    When ``eigenvalues`` are supplied they must match the matrix spectrum
+    to 1e-8.  One eigendecomposition of A is computed on first use and
+    cached; the spectrum, the exponentials, the smallest singular values
+    of lam - A and the modal coordinates of ``solve_steps`` all read it.
     """
 
     matrix: np.ndarray
-    kind: str = "matrix"
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
@@ -169,12 +166,12 @@ class SpatialOperator:
 
 
 def scalar_operator(a: float) -> SpatialOperator:
-    return SpatialOperator(np.array([[float(a)]]), kind="scalar", eigenvalues=np.array([a], dtype=complex))
+    return SpatialOperator(np.array([[float(a)]]), eigenvalues=np.array([a], dtype=complex))
 
 
 def diagonal_operator(eigs) -> SpatialOperator:
     eigs = np.atleast_1d(np.asarray(eigs, dtype=float))
-    return SpatialOperator(np.diag(eigs), kind="diagonal", eigenvalues=eigs.astype(complex))
+    return SpatialOperator(np.diag(eigs), eigenvalues=eigs.astype(complex))
 
 
 @dataclass
@@ -207,12 +204,9 @@ class SystemModel:
         return char_matrix(self.phi, lam, dim=self.n)
 
     def default_dt(self) -> float:
-        # Explicit stepping limit for the diffusive case: dt <= h^2/4.
-        if self.A.kind == "laplacian1d":
-            h = 1.0 / (self.n + 1)
-            raw = min(1e-3, h * h / 4.0)
-            return 1.0 / np.ceil(1.0 / raw)
-        return 1e-3
+        # Explicit stepping limit dt <= 1/||A||_inf <= 1/rho(A), capped at 1e-3
+        # and rounded down to 1/integer; h^2/4 for the Dirichlet Laplacian.
+        return 1.0 / np.ceil(max(1000.0, np.abs(self.A.matrix).sum(axis=1).max()))
 
 
 @dataclass
@@ -419,8 +413,8 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     assembled map, so the result is that of the stage-by-stage sweep up
     to rounding.
     """
-    if not T > 0:
-        raise PreconditionError("horizon T must be positive")
+    if not 0.0 < T < np.inf:
+        raise PreconditionError(f"horizon T must be positive and finite, got {T}")
     if dt is None:
         dt = model.default_dt()
     inv = 1.0 / dt
@@ -580,11 +574,6 @@ def semigroup_action(model: SystemModel, t: float, s: DelayState, dt: float | No
     return DelayState(traj.value_at(t), segment(traj, t))
 
 
-def _segment_of_rows(rows: np.ndarray, dt: float, t: float, m: int, p: float) -> HistoryGrid:
-    nodes = t + (-1.0 + np.arange(m + 1) / m)
-    return HistoryGrid(interp_uniform(rows, -1.0, dt, nodes), p)
-
-
 def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: float | None = None) -> list[DelayState]:
     """Iterated Volterra terms W_0(t) s, ..., W_N(t) s.
 
@@ -602,7 +591,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     if not t >= 0:
         raise PreconditionError("time must be nonnegative")
     if N < 0:
-        raise ValueError("term count must be nonnegative")
+        raise PreconditionError(f"term count must be nonnegative, got N = {N}")
     if dt is None:
         dt = model.default_dt()
     inv = 1.0 / dt
@@ -643,7 +632,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
         for j in range(1, r_steps + 1):
             acc = e1 @ (acc + 0.5 * dt * v[j - 1]) + 0.5 * dt * v[j]
             new_rows[hist_steps + j] = acc
-        terms.append(DelayState(new_rows[-1].copy(), _segment_of_rows(new_rows, dt, t, m, s.history.p)))
+        terms.append(DelayState(new_rows[-1].copy(), segment(Trajectory(new_rows, dt, m, s.history.p), t)))
         rows = new_rows
     return terms
 

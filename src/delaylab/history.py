@@ -225,16 +225,15 @@ def history_injection(t: float, x: np.ndarray, A: "SpatialOperator", m: int = 64
     return HistoryGrid(out, p)
 
 
-def segment(traj: "Trajectory", t: float, m: int | None = None, p: float | None = None) -> HistoryGrid:
-    """History segment u_t(sigma) = u(t + sigma) resampled from a trajectory.
+def segment(traj: "Trajectory", t: float) -> HistoryGrid:
+    """History segment u_t(sigma) = u(t + sigma) resampled from a trajectory
+    on its grid of ``traj.m`` intervals, with its exponent ``traj.p``.
 
-    The trajectory must cover [t - 1, t]; values at off-grid times come
-    from piecewise-linear interpolation.
+    The trajectory must cover [t - 1, t], up to the 1e-9 slack of
+    ``Trajectory.value_at``; values at off-grid times come from
+    piecewise-linear interpolation.
     """
-    if t < 0 or t > traj.t_end + 1e-12:
+    if t < 0 or t > traj.t_end + 1e-9:
         raise PreconditionError(f"segment time {t} outside trajectory coverage [0, {traj.t_end}]")
-    m = traj.m if m is None else m
-    p = traj.p if p is None else p
-    nodes = -1.0 + np.arange(m + 1) / m
-    vals = traj.value_at(t + nodes)
-    return HistoryGrid(vals, p)
+    nodes = -1.0 + np.arange(traj.m + 1) / traj.m
+    return HistoryGrid(traj.value_at(t + nodes), traj.p)

@@ -131,10 +131,6 @@ def functional_from_dict(doc: dict, path: str = "phi") -> DelayFunctional:
 
 
 def operator_to_dict(a: SpatialOperator) -> dict:
-    if a.kind == "scalar":
-        return {"kind": "scalar", "payload": {"a": float(a.matrix[0, 0])}}
-    if a.kind == "laplacian1d":
-        return {"kind": "laplacian1d", "payload": {"n": a.n}}
     return {"kind": "matrix", "payload": {"entries": a.matrix.tolist()}}
 
 

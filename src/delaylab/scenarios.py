@@ -38,7 +38,7 @@ def laplacian_dirichlet_1d(n: int) -> SpatialOperator:
     mat = (np.diag(-2.0 * np.ones(n)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)) / h**2
     k = np.arange(1, n + 1)
     eigs = -(4.0 / h**2) * np.sin(k * np.pi * h / 2.0) ** 2
-    return SpatialOperator(mat, kind="laplacian1d", eigenvalues=eigs.astype(complex))
+    return SpatialOperator(mat, eigenvalues=eigs.astype(complex))
 
 
 def reaction_diffusion_scenario(n: int, c: float, depth: int = 24) -> SystemModel:
@@ -57,32 +57,18 @@ def scalar_dde(a: float, b: float) -> SystemModel:
 # ---------------------------------------------------------------------------
 
 
-def _real_coupling(kernel: str, depth: int):
+def _cantor_coupling(lam: float) -> float:
     # overflow far down the real axis is capped; the root bracketing below
     # only needs "very large" there, never the exact value
-    if kernel == "cantor":
-
-        def coupling_cantor(lam):
-            with np.errstate(over="ignore"):
-                value = cantor_transform(lam).real
-            return value if np.isfinite(value) else 1e300
-
-        return coupling_cantor
-    if kernel == "single_delay":
-
-        def coupling_delay(lam):
-            with np.errstate(over="ignore"):
-                value = np.exp(-lam)
-            return value if np.isfinite(value) else 1e300
-
-        return coupling_delay
-    raise ValueError(f"unknown scan kernel {kernel!r}; use 'cantor' or 'single_delay'")
+    with np.errstate(over="ignore"):
+        value = cantor_transform(lam).real
+    return value if np.isfinite(value) else 1e300
 
 
 def _mode_rightmost_real_root(eig: float, coupling, c: float) -> float:
     """Unique real root of q(lam) = lam - eig - c * coupling(lam), c > 0.
 
-    Both couplings are positive and decreasing on the real axis, so q is
+    The coupling is positive and decreasing on the real axis, so q is
     strictly increasing with q(eig) < 0.  Walking down in unit steps from
     the positive side finds a width-1 bracket without ever evaluating the
     coupling deep in its overflow range.
@@ -112,22 +98,22 @@ def _mode_rightmost_real_root(eig: float, coupling, c: float) -> float:
     return float(brentq(q, lo, hi, xtol=1e-13, rtol=1e-14))
 
 
-def rd_rightmost_root(n: int, c: float, depth: int = 24, kernel: str = "cantor") -> complex:
+def rd_rightmost_root(n: int, c: float) -> complex:
     """Rightmost characteristic root of the preset at coefficient c > 0.
 
     The determinant factors into per-mode equations; the real root r of
-    mode mu solves r - c * coupling(r) = mu, whose left side increases in
-    r (the coupling is positive and decreasing on the real axis), so r
+    mode mu solves r - c * g^(r) = mu, whose left side increases in r (the
+    Cantor transform g^ is positive and decreasing on the real axis), so r
     increases with mu and the top eigenvalue, lambda_1, gives the largest
     real root.  For c > 0 the loss of stability happens through a real
     root, so the rightmost root is real.
     """
     if c <= 0:
         raise PreconditionError("the scan handles positive coefficients only")
-    return complex(_mode_rightmost_real_root(dirichlet_lambda1(n), _real_coupling(kernel, depth), c), 0.0)
+    return complex(_mode_rightmost_real_root(dirichlet_lambda1(n), _cantor_coupling, c), 0.0)
 
 
-def threshold_scan(n: int, depth: int, c_range: tuple[float, float], steps: int = 40, kernel: str = "cantor") -> float:
+def threshold_scan(n: int, c_range: tuple[float, float], steps: int = 40) -> float:
     """Bisection on the sign of the rightmost-root real part over c.
 
     ``c_range`` must bracket the crossing (stable at the lower end,
@@ -135,12 +121,12 @@ def threshold_scan(n: int, depth: int, c_range: tuple[float, float], steps: int 
     the crossing coefficient after ``steps >= 1`` bisection iterations.
     """
     c_lo, c_hi = c_range
-    if not (0.0 < c_lo < c_hi):
-        raise PreconditionError(f"need 0 < c_lo < c_hi, got {c_range}")
+    if not (0.0 < c_lo < c_hi < np.inf):
+        raise PreconditionError(f"need 0 < c_lo < c_hi < inf, got {c_range}")
     if steps < 1:
         raise PreconditionError(f"need at least one bisection step, got {steps}")
-    sign_lo = rd_rightmost_root(n, c_lo, depth, kernel).real
-    sign_hi = rd_rightmost_root(n, c_hi, depth, kernel).real
+    sign_lo = rd_rightmost_root(n, c_lo).real
+    sign_hi = rd_rightmost_root(n, c_hi).real
     if not (sign_lo < 0.0 < sign_hi):
         raise NoResultError(
             f"no sign change of the rightmost root over c in [{c_lo}, {c_hi}] "
@@ -148,7 +134,7 @@ def threshold_scan(n: int, depth: int, c_range: tuple[float, float], steps: int 
         )
     for _ in range(steps):
         c_mid = 0.5 * (c_lo + c_hi)
-        if rd_rightmost_root(n, c_mid, depth, kernel).real > 0.0:
+        if rd_rightmost_root(n, c_mid).real > 0.0:
             c_hi = c_mid
         else:
             c_lo = c_mid

@@ -559,8 +559,9 @@ def stability_criterion(
     horizon: float = 20.0,
     state_m: int = 100,
     dt: float | None = None,
-) -> StabilityReport:
-    """Full stability report along the line Re = alpha.
+) -> tuple[StabilityReport, CriterionProfile]:
+    """Full stability report along the line Re = alpha, together with the
+    certificate profile it was built on.
 
     Besides the certificate itself the report estimates the rightmost
     characteristic root near the line (grid-seeded Newton in a rectangle
@@ -570,22 +571,6 @@ def stability_criterion(
     rightmost one has died down; on Hilbert-type models (p = 2) the two
     estimates agree up to fitting error.
     """
-    report, _ = _stability_report(model, alpha, grid, seed=seed, horizon=horizon, state_m=state_m, dt=dt)
-    return report
-
-
-def _stability_report(
-    model: SystemModel,
-    alpha: float,
-    grid: FrequencyGrid | None,
-    *,
-    seed: int,
-    horizon: float,
-    state_m: int,
-    dt: float | None,
-) -> tuple[StabilityReport, CriterionProfile]:
-    """``stability_criterion`` together with the certificate profile it
-    was built on, so that callers writing the profile compute it once."""
     grid = grid or FrequencyGrid()
     profile = criterion_profile(model, alpha, grid)
     re_min = max(alpha - 12.0, float(model.A.spectrum().real.min()) - 1.0)
@@ -680,6 +665,8 @@ def miyadera_estimate(
     """
     if not (0.0 < t0 < 1.0):
         raise PreconditionError("t0 must lie in (0, 1)")
+    if samples < 1:
+        raise PreconditionError(f"need at least one sample state, got {samples}")
     rng = np.random.default_rng(seed)
     rs = np.linspace(0.0, t0, r_nodes)
     w = _trapezoid_weights(r_nodes, rs[1] - rs[0])

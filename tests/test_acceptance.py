@@ -40,9 +40,9 @@ def random_stable_symmetric(rng, n, lo=-6.0, hi=-0.5):
 
 def test_criterion_1_reaction_diffusion_threshold():
     start = time.time()
-    n, depth = 31, 24
+    n = 31
     lam1 = abs(dl.dirichlet_lambda1(n))
-    c_star = dl.threshold_scan(n, depth, (0.5 * lam1, 1.5 * lam1), steps=50)
+    c_star = dl.threshold_scan(n, (0.5 * lam1, 1.5 * lam1), steps=50)
     ratio = c_star / lam1
     assert abs(ratio - 1.0) <= 0.01
 
@@ -223,7 +223,7 @@ def test_criterion_7_growth_rate_matches_resolvent_bound():
     ]
     gaps = []
     for model, alpha in cases:
-        report = dl.stability_criterion(model, alpha, horizon=40.0, seed=11)
+        report, _ = dl.stability_criterion(model, alpha, horizon=40.0, seed=11)
         assert report.p == 2.0
         assert report.s0_estimate is not None and report.omega0_estimate is not None
         assert np.sign(report.omega0_estimate) == np.sign(report.s0_estimate)

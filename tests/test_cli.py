@@ -118,6 +118,21 @@ class TestSolveCommand:
         path = write_scenario(tmp_path, scalar_scenario(40.0, 0.0, T=1.0))
         assert main(["solve", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_laplacian_entries_step_like_the_tagged_laplacian(self, tmp_path):
+        # dt: null reads the step off the matrix alone, tags or not; at
+        # dt = 1e-3 the n = 31 Laplacian blows up
+        n = 31
+        tagged = rd_scenario(n=n, c=0.5 * abs(dl.dirichlet_lambda1(n)), T=1.0)
+        entries = json.loads(json.dumps(tagged))
+        entries["model"]["A"] = {"kind": "matrix", "payload": {"entries": dl.laplacian_dirichlet_1d(n).matrix.tolist()}}
+        outs = []
+        for name, doc in (("tagged", tagged), ("entries", entries)):
+            out = tmp_path / name
+            assert main(["solve", "--scenario", write_scenario(tmp_path, doc, name + ".json"), "--out", str(out)]) == 0
+            outs.append(out)
+        for report in ("trajectory.csv", "summary.json"):
+            assert (outs[0] / report).read_bytes() == (outs[1] / report).read_bytes()
+
 
 DELAY = ["model", "phi", "payload", "terms", 0, "delay"]
 MATRIX = ["model", "phi", "payload", "terms", 0, "matrix"]
@@ -312,17 +327,50 @@ class TestReproduceRdCommand:
 
     @pytest.mark.parametrize(
         "options",
-        [["--n", "0"], ["--n", "-3"], ["--depth", "0"], ["--depth", "99"], ["--steps", "-1"], ["--steps", "0"]],
-        ids=["zero_n", "negative_n", "zero_depth", "deep_depth", "negative_steps", "zero_steps"],
+        [
+            ["--n", "0"], ["--n", "-3"], ["--depth", "0"], ["--depth", "99"], ["--steps", "-1"], ["--steps", "0"],
+            ["--decay-horizon", "-1"], ["--decay-horizon", "nan"], ["--c-min", "4", "--c-max", "inf"],
+        ],
+        ids=[
+            "zero_n", "negative_n", "zero_depth", "deep_depth", "negative_steps", "zero_steps",
+            "negative_horizon", "nan_horizon", "infinite_c_max",
+        ],
     )
     def test_out_of_range_option_exits_4(self, tmp_path, capsys, options):
         base = ["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--decay-horizon", "0"]
         assert main(base + options) == 4
         assert capsys.readouterr().err.startswith("precondition violated:")
 
+    def test_bad_depth_rejected_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("threshold scan ran before the depth was checked")
+
+        monkeypatch.setattr("delaylab.cli.threshold_scan", no_scan)
+        assert main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--depth", "99"]) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
+
     def test_range_without_crossing_exits_3(self, tmp_path):
         code = main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--c-min", "1", "--c-max", "3", "--decay-horizon", "0"])
         assert code == 3
+
+
+class TestOutOfRangeOptions:
+    @pytest.mark.parametrize(
+        "command,options",
+        [
+            ("dyson", ["--n-max", "-1"]),
+            ("miyadera", ["--samples", "-2"]),
+            ("miyadera", ["--samples", "0"]),
+            ("miyadera", ["--t0-grid", "0.1,abc"]),
+            ("dyson", ["--t", "inf"]),
+            ("stability", ["--horizon", "inf"]),
+        ],
+        ids=["negative_n_max", "negative_samples", "zero_samples", "non_numeric_t0", "infinite_t", "infinite_horizon"],
+    )
+    def test_exits_4(self, tmp_path, capsys, command, options):
+        path = write_scenario(tmp_path, scalar_scenario(-2.0, 0.5, T=2.0))
+        assert main([command, "--scenario", path, "--out", str(tmp_path / "o")] + options) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
 
 
 class TestScenarioRoundTrip:

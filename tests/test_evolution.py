@@ -97,9 +97,19 @@ class TestSystemModel:
 
     def test_default_step_for_diffusion(self):
         model = dl.reaction_diffusion_scenario(31, 1.0)
+        # the same Laplacian built from its entries alone, without tags
+        untagged = dl.SystemModel(dl.SpatialOperator(dl.laplacian_dirichlet_1d(31).matrix), model.phi, model.p)
         h = 1.0 / 32
-        assert model.default_dt() <= h * h / 4.0
-        assert round(1.0 / model.default_dt()) == pytest.approx(1.0 / model.default_dt())
+        for m in (model, untagged):
+            assert m.default_dt() <= h * h / 4.0
+            assert round(1.0 / m.default_dt()) == pytest.approx(1.0 / m.default_dt())
+        assert untagged.default_dt() == model.default_dt() == 1.0 / 4096
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 31, 63, 127])
+    def test_default_step_of_laplacian_is_h2_over_4(self, n):
+        # ||A||_inf = 4/h^2 reproduces the rule 1/ceil(1/min(1e-3, h^2/4))
+        h = 1.0 / (n + 1)
+        assert dl.reaction_diffusion_scenario(n, 0.0).default_dt() == 1.0 / np.ceil(1.0 / min(1e-3, h * h / 4.0))
 
     def test_default_step_scalar(self):
         assert dl.scalar_dde(0.0, -1.0).default_dt() == 1e-3
@@ -429,6 +439,16 @@ class TestVolterraTerms:
         for g, w in zip(got, want, strict=True):
             scale = max(np.abs(w.head).max(), np.abs(w.history.samples).max(), 1e-300)
             np.testing.assert_allclose(g.head, w.head, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(g.history.samples, w.history.samples, rtol=0, atol=1e-12 * scale)
+
+    def test_time_off_the_grid_by_rounding_accepted(self):
+        # t within the 1e-9 grid slack of a node reads its segments there
+        model, t = dl.scalar_dde(0.0, -1.0), 1.5 + 5e-10
+        init = dl.random_compatible_state(1, 64, 2.0, np.random.default_rng(4))
+        got = dl.volterra_terms(model, 2, t, init, 1e-3)
+        want = reference_volterra_terms(model, 2, t, init, 1e-3)
+        for g, w in zip(got, want, strict=True):
+            scale = max(np.abs(w.history.samples).max(), 1e-300)
             np.testing.assert_allclose(g.history.samples, w.history.samples, rtol=0, atol=1e-12 * scale)
 
     def test_rejects_nonpositive_index(self):

@@ -3,7 +3,15 @@ import pytest
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
-from delaylab.scenarios import _mode_rightmost_real_root, _real_coupling
+from delaylab.scenarios import _cantor_coupling, _mode_rightmost_real_root
+
+
+def _delay_coupling(lam):
+    """e^(-lam), the transform of a unit delay at -1, capped like the
+    Cantor coupling where it overflows."""
+    with np.errstate(over="ignore"):
+        value = np.exp(-lam)
+    return value if np.isfinite(value) else 1e300
 
 
 class TestLaplacian:
@@ -96,37 +104,45 @@ class TestModeDecoupling:
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.4])
     @pytest.mark.parametrize("n", [15, 31])
     def test_top_mode_gives_the_rightmost_root(self, n, ratio, kernel):
+        # any positive coupling decreasing on the real axis makes the top
+        # mode's root the rightmost; the preset reads the Cantor one
         c = ratio * abs(dl.dirichlet_lambda1(n))
-        coupling = _real_coupling(kernel, 24)
+        coupling = _cantor_coupling if kernel == "cantor" else _delay_coupling
         eigs = np.real(dl.laplacian_dirichlet_1d(n).eigenvalues)
         every_mode = max(_mode_rightmost_real_root(float(e), coupling, c) for e in eigs)
-        assert dl.rd_rightmost_root(n, c, 24, kernel) == complex(every_mode, 0.0)
+        top_mode = _mode_rightmost_real_root(dl.dirichlet_lambda1(n), coupling, c)
+        assert top_mode == every_mode
+        if kernel == "cantor":
+            assert dl.rd_rightmost_root(n, c) == complex(every_mode, 0.0)
 
 
 class TestThresholdScan:
     def test_cantor_crossing_at_first_eigenvalue(self):
         n = 31
         lam1 = abs(dl.dirichlet_lambda1(n))
-        c_star = dl.threshold_scan(n, 24, (0.5 * lam1, 1.5 * lam1), steps=45)
+        c_star = dl.threshold_scan(n, (0.5 * lam1, 1.5 * lam1), steps=45)
         assert abs(c_star / lam1 - 1.0) <= 0.01
 
     def test_single_delay_crossing_at_first_eigenvalue(self):
-        n = 15
-        lam1 = abs(dl.dirichlet_lambda1(n))
-        c_star = dl.threshold_scan(n, 24, (0.5 * lam1, 1.5 * lam1), steps=45, kernel="single_delay")
-        assert abs(c_star / lam1 - 1.0) <= 0.01
+        # lam - lam1 - c e^(-lam) vanishes at lam = 0 exactly when c = |lam1|
+        lam1 = dl.dirichlet_lambda1(15)
+        below, at, above = (
+            _mode_rightmost_real_root(lam1, _delay_coupling, ratio * abs(lam1)) for ratio in (0.99, 1.0, 1.01)
+        )
+        assert below < 0.0 < above
+        assert abs(at) <= 1e-9
 
     def test_range_without_crossing_rejected(self):
         n = 15
         lam1 = abs(dl.dirichlet_lambda1(n))
         with pytest.raises(dl.NoResultError):
-            dl.threshold_scan(n, 24, (0.1 * lam1, 0.5 * lam1), steps=10)
+            dl.threshold_scan(n, (0.1 * lam1, 0.5 * lam1), steps=10)
 
     def test_threshold_consistent_across_representations(self):
         # root-based crossing vs decay-rate sign flip on long trajectories
         n = 9
         lam1 = abs(dl.dirichlet_lambda1(n))
-        c_root = dl.threshold_scan(n, 24, (0.5 * lam1, 1.5 * lam1), steps=45)
+        c_root = dl.threshold_scan(n, (0.5 * lam1, 1.5 * lam1), steps=45)
         rng = np.random.default_rng(10)
         init = dl.random_compatible_state(n, 32, 2.0, rng)
 
