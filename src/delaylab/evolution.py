@@ -54,8 +54,9 @@ class SpatialOperator:
 
     When ``eigenvalues`` are supplied they must match the matrix spectrum
     to 1e-8.  One eigendecomposition of A is computed on first use and
-    cached; the spectrum, the exponentials, the smallest singular values
-    of lam - A and the modal coordinates of ``solve_steps`` all read it.
+    cached; the spectrum, the exponentials and their norms, the smallest
+    singular values of lam - A and the modal coordinates of
+    ``solve_steps`` all read it.
     """
 
     matrix: np.ndarray
@@ -157,12 +158,24 @@ class SpatialOperator:
         if self.modes() is not None:
             out = np.abs(flat[:, None] - self.spectrum()).min(axis=1)
         else:
-            out = np.empty(len(flat))
-            chunk = max(256, 4_000_000 // (self.n * self.n))
-            for start in range(0, len(flat), chunk):
-                shifted = flat[start : start + chunk, None, None] * np.eye(self.n) - self.matrix
-                out[start : start + chunk] = np.linalg.svd(shifted, compute_uv=False)[:, -1]
+            out = self._singular_values(flat, lambda z: z[:, None, None] * np.eye(self.n) - self.matrix, -1)
         return float(out[0]) if lams.ndim == 0 else out.reshape(lams.shape)
+
+    def expm_norm(self, times) -> np.ndarray:
+        """||exp(t A)||_2 for every t of a flat array: max_k |e^(t mu_k)| with
+        orthonormal modes, otherwise one SVD of exp(t A) per t."""
+        t = np.asarray(times, dtype=float).ravel()
+        if self.modes() is None:
+            return self._singular_values(t, self.expm, 0)
+        return np.exp(np.outer(t, self.modes()[0].real)).max(axis=1)
+
+    def _singular_values(self, values: np.ndarray, stack, which: int) -> np.ndarray:
+        """Singular value ``which`` of each matrix of stack(values), in batches of about 4M entries."""
+        out = np.empty(len(values))
+        chunk = max(256, 4_000_000 // (self.n * self.n))
+        for start in range(0, len(values), chunk):
+            out[start : start + chunk] = np.linalg.svd(stack(values[start : start + chunk]), compute_uv=False)[:, which]
+        return out
 
 
 def scalar_operator(a: float) -> SpatialOperator:

@@ -204,6 +204,22 @@ def nilpotent_shift(t: float, f: HistoryGrid) -> HistoryGrid:
     return HistoryGrid(out, f.p)
 
 
+def _shifted_weights(weights: np.ndarray, ts: np.ndarray, m: int) -> np.ndarray:
+    """sum_l weights[l] g(sigma_l) for g = nilpotent_shift(ts[i], f) as weights
+    on f: entry [i, q] weighs f(sigma_q), by the rules of ``nilpotent_shift``
+    (identity at t = 0, zero where t + sigma_l >= 0, its interpolation)."""
+    q = ts[:, None] + (-1.0 + np.arange(m + 1) / m)
+    i, l = np.nonzero((q < 0) & (ts[:, None] > 0))
+    pos = (q[i, l] + 1.0) / (1.0 / m)
+    idx = np.clip(np.floor(pos).astype(int), 0, m - 1)
+    frac = (pos - idx).reshape((-1,) + (1,) * (weights.ndim - 1))
+    out = np.zeros(q.shape + weights.shape[1:])
+    out[ts == 0] = weights
+    np.add.at(out, (i, idx), (1.0 - frac) * weights[l])
+    np.add.at(out, (i, idx + 1), frac * weights[l])
+    return out
+
+
 def history_injection(t: float, x: np.ndarray, A: "SpatialOperator", m: int = 64, p: float = 2.0) -> HistoryGrid:
     """History window filled with the flowed head, zero before it enters.
 

@@ -36,11 +36,10 @@ from .history import (
     DelayState,
     HistoryGrid,
     _lp_norms,
+    _shifted_weights,
     _trapezoid_weights,
     interp_uniform,
     lp_norm,
-    nilpotent_shift,
-    state_norm,
 )
 
 logger = logging.getLogger(__name__)
@@ -539,15 +538,19 @@ def criterion_profile(model: SystemModel, alpha: float, grid: FrequencyGrid) -> 
 def random_compatible_state(n: int, m: int, p: float, rng: np.random.Generator) -> DelayState:
     """Unit-product-norm state with a Gaussian head and a random cubic
     polynomial history shifted so that f(0) = x holds exactly."""
-    x = rng.standard_normal(n)
-    coeffs = rng.standard_normal((4, n))
-    sigma = -1.0 + np.arange(m + 1) / m
-    powers = sigma[:, None] ** np.arange(4)[None, :]
-    samples = powers @ coeffs
-    samples += x - samples[-1]
-    state = DelayState(x, HistoryGrid(samples, p))
-    scale = state_norm(state)
-    return DelayState(x / scale, HistoryGrid(samples / scale, p))
+    heads, histories = _random_compatible_states(1, n, m, p, rng)
+    return DelayState(heads[0], HistoryGrid(histories[0], p))
+
+
+def _random_compatible_states(count: int, n: int, m: int, p: float, rng: np.random.Generator):
+    """Heads (count, n) and histories (count, m + 1, n) of ``count`` draws of ``random_compatible_state``."""
+    draws = rng.standard_normal((count, 5 * n))
+    heads, coeffs = draws[:, :n], draws[:, n:].reshape(count, 4, n)
+    samples = ((-1.0 + np.arange(m + 1) / m)[:, None] ** np.arange(4)[None, :]) @ coeffs
+    samples += (heads - samples[:, -1])[:, None]
+    # state by state: a norm along an axis may round differently from state_norm
+    scale = np.array([np.linalg.norm(x) + _lp_norms(f, p) for x, f in zip(heads, samples)])
+    return heads / scale[:, None], samples / scale[:, None, None]
 
 
 def stability_criterion(
@@ -638,6 +641,10 @@ def _grid_node_matrices(phi: DelayFunctional, m: int, n: int) -> np.ndarray:
     return out
 
 
+#: ``miyadera_estimate`` moves its states in chunks of this many entries (r_nodes x n each).
+_MOVED_ENTRIES = 100_000
+
+
 def miyadera_estimate(
     model: SystemModel,
     t0: float,
@@ -652,56 +659,60 @@ def miyadera_estimate(
     q_emp is the maximum over random unit-product-norm compatible states
     of the trapezoid quadrature of r -> ||Phi(S_r x + T_0(r) f)|| over
     [0, t0]; q_bound = t0^(1/p') M |eta| with M the sampled supremum of
-    ||exp(r A)|| over [0, 1] (1000 nodes) and p' the conjugate exponent.
-    The bound dominates the sample for every admissible state.
+    ||exp(r A)|| over [0, 1] (1000 nodes, ``SpatialOperator.expm_norm``)
+    and p' the conjugate exponent.  The bound dominates the sample for
+    every admissible state.
 
-    The map (x, f) -> Phi(S_r x + T_0(r) f) is linear, so it is assembled
-    once per quadrature node r: an n x n head map from the injected flow
-    exp((r + sigma) A) and a history map from ``nilpotent_shift`` and the
-    node matrices of Phi on the history grid.  The states are drawn in the same order from
-    the same ``rng`` as one at a time, and all of them are evaluated with
-    one product per node.  M comes from the cached factorisation of A,
-    batched over the 1000 nodes.
+    The linear map (x, f) -> Phi(S_r x + T_0(r) f) is assembled for all r
+    at once: the node weights of Phi folded through every shift S_r, and
+    the head maps sum_l N_l exp((r + sigma_l) A) over the nodes the flowed
+    head has entered, through the eigenbasis of A (``expm`` if it has none).
     """
     if not (0.0 < t0 < 1.0):
         raise PreconditionError("t0 must lie in (0, 1)")
     if samples < 1:
         raise PreconditionError(f"need at least one sample state, got {samples}")
-    rng = np.random.default_rng(seed)
+    if r_nodes < 2 or state_m < 2:
+        raise PreconditionError(f"need r_nodes >= 2 and state_m >= 2, got {r_nodes} and {state_m}")
+    n, m = model.n, state_m
+    heads, histories = _random_compatible_states(samples, n, m, model.p, np.random.default_rng(seed))
     rs = np.linspace(0.0, t0, r_nodes)
     w = _trapezoid_weights(r_nodes, rs[1] - rs[0])
-    n, m = model.n, state_m
-    states = [random_compatible_state(n, m, model.p, rng) for _ in range(samples)]
-    heads = np.array([s.head for s in states]).reshape(samples, n)
-    # history of state s flattened node-major: entry (l, j) is f_s(sigma_l)_j
-    histories = np.array([s.history.samples for s in states]).reshape(samples, (m + 1) * n)
+    times = rs[:, None] + (-1.0 + np.arange(m + 1) / m)
+    # at r = 0 the history already holds x at sigma = 0
+    entered = (times >= 0) & (rs[:, None] > 0)
 
-    nodes = -1.0 + np.arange(m + 1) / m
     node_mats = _grid_node_matrices(model.phi, m, n)
-    unit_histories = HistoryGrid(np.eye(m + 1), model.p)
-    vals = np.empty((r_nodes, samples))
-    for i, r in enumerate(rs):
-        # S_r on a grid acts on every component alike: column q of the
-        # shifted unit grid is the image of the unit history at node q
-        shift = nilpotent_shift(r, unit_histories).samples
-        hist_map = np.tensordot(shift, node_mats, axes=(0, 0))  # (q, i, j)
-        moved = histories @ hist_map.transpose(0, 2, 1).reshape((m + 1) * n, n)
-        entered = r + nodes >= 0
-        if r > 0 and entered.any():
-            flows = model.A.expm((r + nodes)[entered])
-            head_map = np.matmul(node_mats[entered], flows).sum(axis=0)
-            moved += heads @ head_map.T
-        vals[i] = np.linalg.norm(moved, axis=1)
-    q_emp = float(np.max(w @ vals, initial=0.0))
+    node_w = node_mats[:, 0, 0] if model.scalar_symbol else node_mats
+    # Phi(S_r f) = sum_q hist_map[r, q] f(sigma_q), with scalar or n x n weights
+    hist_map = _shifted_weights(node_w, rs, m)
+    if not model.scalar_symbol:
+        hist_map = hist_map.transpose(0, 2, 1, 3).reshape(r_nodes, 1, n, (m + 1) * n)
+    mu, v, vinv, orthonormal = model.A._eigen()
+    if v is None:
+        flows = np.zeros((r_nodes, m + 1, n, n))
+        flows[entered] = model.A.expm(times[entered])
+        head_map = np.einsum("lij,rljk->rik", node_mats, flows)
+    else:
+        # sum_l (N_l V) diag(growth[r, l]) V^-1: one product per column k of V
+        growth = np.exp(np.where(entered, times, 0.0)[..., None] * mu) * entered[..., None]
+        summed = growth.transpose(2, 0, 1) @ (node_mats @ v).transpose(2, 0, 1)
+        head_map = np.real(summed.transpose(1, 2, 0) @ vinv)
 
-    grid_r = np.linspace(0.0, 1.0, 1000)
-    chunk = max(1, 4_000_000 // (n * n))
-    sup_norm = max(
-        float(np.linalg.svd(model.A.expm(grid_r[start : start + chunk]), compute_uv=False)[:, 0].max())
-        for start in range(0, len(grid_r), chunk)
-    )
-    conj_exponent = 1.0 - 1.0 / model.p  # = 1/p'
-    q_bound = t0**conj_exponent * sup_norm * total_variation(model.phi)
+    chunk = max(1, _MOVED_ENTRIES // (r_nodes * n))
+    q_emp = 0.0
+    for start in range(0, samples, chunk):
+        x, f = heads[start : start + chunk], histories[start : start + chunk]
+        # products per state (per node and state for matrix weights): no sum depends on the chunk
+        moved = (head_map.reshape(-1, n) @ x[..., None]).reshape(len(x), r_nodes, n)
+        hist = hist_map @ f if model.scalar_symbol else (hist_map @ f.reshape(len(x), -1, 1)).swapaxes(0, 1)
+        moved += hist.reshape(moved.shape)
+        q_emp = max(q_emp, float(np.max((np.linalg.norm(moved, axis=2) * w).sum(axis=1))))
+    basis = "expm" if v is None else "modal" if orthonormal else "eigenbasis"
+    logger.debug("miyadera_estimate: %s basis, samples = %d, r_nodes = %d, m = %d, chunks = %d",
+                 basis, samples, r_nodes, m, -(-samples // chunk))
+    sup_norm = float(model.A.expm_norm(np.linspace(0.0, 1.0, 1000)).max())
+    q_bound = t0 ** (1.0 - 1.0 / model.p) * sup_norm * total_variation(model.phi)  # t0^(1/p')
     return q_emp, q_bound
 
 

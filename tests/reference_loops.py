@@ -4,7 +4,8 @@
 stage's delayed values by interpolating the trajectory;
 ``reference_volterra_terms`` evaluates the delay term node by node; and
 ``reference_miyadera_estimate`` builds the moved state of every sample
-at every quadrature node; ``reference_decay_rate`` rebuilds every
+at every quadrature node; ``reference_random_compatible_state`` draws
+one state at a time; ``reference_decay_rate`` rebuilds every
 sampled state through ``segment`` and ``state_norm``; and
 ``reference_shift_resolvent_history`` accumulates the shift resolvent
 interval by interval from the right.  The package
@@ -28,7 +29,6 @@ from delaylab import (
     cantor_grid_weights,
     history_injection,
     nilpotent_shift,
-    random_compatible_state,
     segment,
     state_norm,
     t0_action,
@@ -187,6 +187,18 @@ def reference_volterra_terms(model, N, t, s, dt):
     return terms
 
 
+def reference_random_compatible_state(n, m, p, rng):
+    """One random compatible state: the head, then the four cubic
+    coefficients, drawn on their own and scaled by ``state_norm``."""
+    x = rng.standard_normal(n)
+    coeffs = rng.standard_normal((4, n))
+    sigma = -1.0 + np.arange(m + 1) / m
+    samples = (sigma[:, None] ** np.arange(4)[None, :]) @ coeffs
+    samples += x - samples[-1]
+    scale = state_norm(DelayState(x, HistoryGrid(samples, p)))
+    return DelayState(x / scale, HistoryGrid(samples / scale, p))
+
+
 def reference_miyadera_estimate(model, t0, samples=200, *, seed=42, r_nodes=65, state_m=64):
     """Smallness constants with every state moved and evaluated on its own."""
     rng = np.random.default_rng(seed)
@@ -196,7 +208,7 @@ def reference_miyadera_estimate(model, t0, samples=200, *, seed=42, r_nodes=65, 
     w[-1] *= 0.5
     q_emp = 0.0
     for _ in range(samples):
-        state = random_compatible_state(model.n, state_m, model.p, rng)
+        state = reference_random_compatible_state(model.n, state_m, model.p, rng)
         vals = np.empty(r_nodes)
         for i, r in enumerate(rs):
             moved = history_injection(r, state.head, model.A, m=state_m, p=model.p) + nilpotent_shift(

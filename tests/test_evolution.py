@@ -81,6 +81,26 @@ class TestSpatialOperator:
         x = np.array([0.4, -1.3])
         np.testing.assert_allclose(op.propagate(x, times), [exact(t) @ x for t in times], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("name", ["scalar", "symmetric", "rotation"])
+    def test_expm_norm_of_modes_matches_svd(self, name):
+        sym = np.random.default_rng(4).standard_normal((4, 4))
+        a = {"scalar": np.array([[-0.7]]), "symmetric": sym + sym.T, "rotation": _rotation_operator().matrix}[name]
+        op = dl.SpatialOperator(a)
+        assert op.modes() is not None
+        times = np.linspace(0.0, 1.0, 1000)
+        want = np.linalg.svd(op.expm(times), compute_uv=False)[:, 0]
+        np.testing.assert_allclose(op.expm_norm(times), want, rtol=1e-14, atol=0)
+
+    def test_expm_norm_of_non_normal_operator_sees_transient_growth(self):
+        # eigenvalues -1 and -2, yet ||exp(tA)|| rises above 2 before it decays
+        op = dl.SpatialOperator(np.array([[-1.0, 10.0], [0.0, -2.0]]))
+        assert op.modes() is None
+        times = np.linspace(0.0, 1.0, 1000)
+        got = op.expm_norm(times)
+        want = [np.linalg.norm(scipy.linalg.expm(t * op.matrix), 2) for t in times]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert got.max() > 2.0 > max(1.0, np.exp(op.spectrum().real.max()))
+
     def test_expm_matches_scipy(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5)) * 0.7

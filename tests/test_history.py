@@ -110,6 +110,24 @@ class TestNilpotentShift:
         with pytest.raises(ValueError):
             dl.nilpotent_shift(-0.1, f)
 
+    @pytest.mark.parametrize("matrix_weights", [False, True])
+    def test_shifted_weights_read_the_shifted_history(self, matrix_weights):
+        from delaylab.history import _shifted_weights
+
+        # t = 0 (identity), t + sigma = 0 on a node (t = 0.25), off-grid t, t >= 1
+        m, ts = 64, np.array([0.0, 0.25, 0.3117, 0.9, 1.0, 1.4])
+        rng = np.random.default_rng(11)
+        weights = rng.standard_normal((m + 1, 2, 2) if matrix_weights else m + 1)
+        f = HistoryGrid(rng.standard_normal((m + 1, 2)), 2.0)
+        got = _shifted_weights(weights, ts, m)
+        for t, on_f in zip(ts, got):
+            g = dl.nilpotent_shift(t, f).samples
+            if matrix_weights:
+                want, read = np.einsum("lij,lj->i", weights, g), np.einsum("qij,qj->i", on_f, f.samples)
+            else:
+                want, read = weights @ g, on_f @ f.samples
+            np.testing.assert_allclose(read, want, rtol=0, atol=1e-13)
+
 
 class TestHistoryInjection:
     def test_zero_time_window_is_empty(self):

@@ -1,3 +1,4 @@
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,12 @@ import delaylab as dl
 from delaylab import DelayState, HistoryGrid
 from delaylab.spectral import _char_matrix_stack, _log_det
 from delaylab.scenario_io import load_scenario
-from reference_loops import reference_decay_rate, reference_miyadera_estimate, reference_shift_resolvent_history
+from reference_loops import (
+    reference_decay_rate,
+    reference_miyadera_estimate,
+    reference_random_compatible_state,
+    reference_shift_resolvent_history,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -446,6 +452,46 @@ class TestPerturbedResolventBound:
             dl.perturbed_resolvent_bound_check(model, 0.5, 0.9)
 
 
+_NON_NORMAL_2X2 = np.array([[-0.5, 0.3], [0.2, -0.8]])
+
+# model and the basis that miyadera_estimate reads A in
+MIYADERA_MODELS = {
+    "discrete": lambda: (
+        dl.SystemModel(
+            dl.SpatialOperator(_NON_NORMAL_2X2),
+            dl.DiscreteDelays(
+                np.array([[[0.4, -0.6], [0.3, 0.2]], [[0.2, 0.15], [-0.3, 0.1]]]), np.array([-0.31, -1.0])
+            ),
+            2.0,
+        ),
+        "eigenbasis",
+    ),
+    "cantor": lambda: (dl.SystemModel(dl.SpatialOperator(_NON_NORMAL_2X2), dl.CantorKernel(0.9), 3.0), "eigenbasis"),
+    "density": lambda: (
+        dl.SystemModel(
+            dl.SpatialOperator(_NON_NORMAL_2X2),
+            dl.DensityKernel(
+                np.array([[[np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3]] for s in -1.0 + np.arange(41) / 40])
+            ),
+            1.0,
+        ),
+        "eigenbasis",
+    ),
+    "laplacian_cantor": lambda: (dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.CantorKernel(0.9), 2.0), "modal"),
+    # 0.7 Id stored as a matrix: the matrix-weight path in the modes of A
+    "rotation_delay": lambda: (
+        dl.SystemModel(dl.SpatialOperator([[-0.3, 2.0], [-2.0, -0.3]]), dl.single_delay(0.7 * np.eye(2), -0.4), 2.0),
+        "modal",
+    ),
+    "scalar_n1": lambda: (dl.scalar_dde(-0.6, 0.8), "modal"),
+    # a Jordan block has no usable eigenbasis
+    "jordan_cantor": lambda: (
+        dl.SystemModel(dl.SpatialOperator([[-1.0, 1.0], [0.0, -1.0]]), dl.CantorKernel(0.5), 2.0),
+        "expm",
+    ),
+}
+
+
 class TestMiyaderaEstimate:
     def test_zero_functional_gives_zero(self):
         model = dl.SystemModel(dl.scalar_operator(-1.0), empty_functional(), 2.0)
@@ -494,37 +540,42 @@ class TestMiyaderaEstimate:
         # the bound scales like t0^(1/p'); for p = 1 it is t0-independent
         assert bounds[0.5] / bounds[0.25] == pytest.approx(2.0 ** (1.0 - 1.0 / p), rel=1e-12)
 
-    @pytest.mark.parametrize(
-        "phi,p",
-        [
-            (
-                dl.DiscreteDelays(
-                    np.array([[[0.4, -0.6], [0.3, 0.2]], [[0.2, 0.15], [-0.3, 0.1]]]), np.array([-0.31, -1.0])
-                ),
-                2.0,
-            ),
-            (dl.CantorKernel(0.9), 3.0),
-            (
-                dl.DensityKernel(
-                    np.array([[[np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3]] for s in -1.0 + np.arange(41) / 40])
-                ),
-                1.0,
-            ),
-        ],
-        ids=["discrete", "cantor", "density"],
-    )
-    def test_matches_per_state_loop(self, phi, p):
-        model = dl.SystemModel(dl.SpatialOperator(np.array([[-0.5, 0.3], [0.2, -0.8]])), phi, p)
-        got = dl.miyadera_estimate(model, 0.25, samples=20, seed=3)
+    @pytest.mark.parametrize("name", sorted(MIYADERA_MODELS))
+    def test_matches_per_state_loop(self, name, caplog):
+        model, basis = MIYADERA_MODELS[name]()
+        with caplog.at_level(logging.DEBUG, logger="delaylab.spectral"):
+            got = dl.miyadera_estimate(model, 0.25, samples=20, seed=3)
+        assert f"{basis} basis" in caplog.text
         want = reference_miyadera_estimate(model, 0.25, samples=20, seed=3)
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert got[1] == pytest.approx(want[1], rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["laplacian_cantor", "discrete"])
+    def test_chunks_give_the_same_estimate(self, name, monkeypatch):
+        model = MIYADERA_MODELS[name]()[0]
+        whole = dl.miyadera_estimate(model, 0.25, samples=20, seed=3)
+        # 7 states per chunk, then one state per chunk
+        for entries in (7 * 65 * model.n, 1):
+            monkeypatch.setattr("delaylab.spectral._MOVED_ENTRIES", entries)
+            assert dl.miyadera_estimate(model, 0.25, samples=20, seed=3) == whole
+
+    def test_logs_basis_and_chunks(self, caplog):
+        model = MIYADERA_MODELS["laplacian_cantor"]()[0]
+        with caplog.at_level(logging.DEBUG, logger="delaylab.spectral"):
+            dl.miyadera_estimate(model, 0.25, samples=400, state_m=32)
+        # 100_000 // (65 nodes x n = 7) = 219 states per chunk
+        assert caplog.messages == [
+            "miyadera_estimate: modal basis, samples = 400, r_nodes = 65, m = 32, chunks = 2"
+        ]
 
     def test_rejects_bad_window(self):
         model = dl.scalar_dde(-1.0, 0.1)
         for t0 in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(dl.PreconditionError):
                 dl.miyadera_estimate(model, t0, samples=1)
+        for sizes in ({"r_nodes": 1}, {"r_nodes": 0}, {"state_m": 1}):
+            with pytest.raises(dl.PreconditionError):
+                dl.miyadera_estimate(model, 0.25, samples=1, **sizes)
 
 
 class TestDecayRate:
@@ -555,6 +606,19 @@ class TestDecayRate:
 
 
 class TestRandomCompatibleState:
+    @pytest.mark.parametrize("n,m,p", [(1, 100, 2.0), (4, 100, 2.0), (15, 64, 2.0), (31, 64, 3.0)])
+    def test_batch_equals_sequential_draws(self, n, m, p):
+        from delaylab.spectral import _random_compatible_states
+
+        heads, histories = _random_compatible_states(200, n, m, p, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        want = [reference_random_compatible_state(n, m, p, rng) for _ in range(200)]
+        assert np.array_equal(heads, [s.head for s in want])
+        assert np.array_equal(histories, [s.history.samples for s in want])
+        one = dl.random_compatible_state(n, m, p, np.random.default_rng(9))
+        assert np.array_equal(one.head, want[0].head)
+        assert np.array_equal(one.history.samples, want[0].history.samples)
+
     def test_unit_norm_and_compatibility(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
