@@ -5,16 +5,17 @@ Runge-Kutta sweep where delayed values come from piecewise-linear
 interpolation of the already-computed trajectory.  On the uniform grid
 that interpolation is a fixed stencil of lags and weights, so one step is
 a constant-coefficient linear recurrence, assembled once and solved a
-block of steps at a time.  When A has an orthonormal eigenbasis and the
-delay weights are multiples of Id, the recurrence runs in the modal
-coordinates of A, one scalar equation per mode; the eigendecomposition
-has one home, cached on ``SpatialOperator``.  The second route is the
-semigroup construction: the unperturbed block action (flowed head,
-injected head plus shifted history) composed with the iterated Volterra
-terms whose sum is the perturbation series of the full evolution.  Both
-produce the same states up to discretisation error, which the test suite
-asserts; ``mild_residual`` checks the integrated form of the equation
-directly on a trajectory.
+block of steps at a time by one code path for b independent blocks of
+size s: when A has an eigenbasis and the delay weights are multiples of
+Id, the n modal coordinates of A are n blocks of size 1, one scalar
+equation per mode, and otherwise u is one block of size n.  The
+eigendecomposition has one home, cached on ``SpatialOperator``.  The
+second route is the semigroup construction: the unperturbed block action
+(flowed head, injected head plus shifted history) composed with the
+iterated Volterra terms whose sum is the perturbation series of the full
+evolution.  Both produce the same states up to discretisation error,
+which the test suite asserts; ``mild_residual`` checks the integrated
+form of the equation directly on a trajectory.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, BudgetError, PreconditionError
 from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, apply, char_matrix
@@ -84,8 +86,8 @@ class SpatialOperator:
     def _eigen(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, bool]:
         """A = V diag(mu) V^-1 as (mu, V, V^-1, orthonormal), computed once.
 
-        V is orthonormal for the 1 x 1 case, for a symmetric A (``eigh``)
-        and for a normal A; then V^-1 = V^H.  For a normal A the ``eig``
+        V is orthonormal for a symmetric A (``eigh``; every 1 x 1 A) and
+        for a normal A; then V^-1 = V^H.  For a normal A the ``eig``
         basis is orthonormalised by QR, which keeps the eigenvectors of
         simple eigenvalues and makes those of a repeated one orthonormal,
         and accepted when ||A Q - Q diag(mu)||_2 <= 1e-12 (1 + ||A||_2).
@@ -95,9 +97,7 @@ class SpatialOperator:
         """
         if self._eig is None:
             a = self.matrix
-            if self.n == 1:
-                self._eig = (a[0].copy(), np.ones((1, 1)), np.ones((1, 1)), True)
-            elif np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max())):
+            if np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max())):
                 w, q = np.linalg.eigh(a)
                 self._eig = (w, q, q.T, True)
             else:
@@ -210,8 +210,9 @@ class SystemModel:
     @property
     def scalar_symbol(self) -> bool:
         """Whether every weight of Phi, and so its characteristic matrix,
-        is a scalar times Id: a dimension-free functional, or n = 1."""
-        return self.phi.dim is None or self.n == 1
+        is a scalar times Id: whether its atoms hold scalars (``_atoms``;
+        the grid only places the Cantor atoms)."""
+        return _atoms(self.phi, 1).weights.ndim == 1
 
     def char_matrix(self, lam: complex) -> np.ndarray:
         return char_matrix(self.phi, lam, dim=self.n)
@@ -327,8 +328,8 @@ def _delay_stencil(
     interval (j - 1, j) with a fraction above 1, which extrapolates from
     it, so a stage never reads a node that is not yet computed.  Only lags
     that carry a nonzero weight in some stage are kept, in ascending order.
-    The weights follow the atoms: n x n matrices, or scalars standing for
-    multiples of Id.
+    Each weight has the shape of one atom weight: a scalar standing for a
+    multiple of Id, or any stack of matrices.
     """
     offsets, values = atoms.offsets, atoms.weights
     count = len(offsets)
@@ -353,50 +354,48 @@ def _delay_stencil(
 def _step_recurrence(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
     """Lags and coefficients C_l of one RK4 step, u_{j+1} = sum_l C_l u_{j-l}.
 
-    ``a_eff`` is the n x n instantaneous matrix, with n x n stage weights;
-    in modal coordinates it is the vector of the n decoupled rates, with
-    scalar stage weights, and every C_l is then the vector of its diagonal.
-    The stages are composed as maps of the stored nodes: the current node
-    u_j is the identity at lag 0 and the delay stencil supplies each
-    stage's delayed values, so the formulas are those of the stage-by-stage
-    step.  Lag 0 is always present and comes first.
+    ``a_eff`` is the instantaneous term of b independent blocks as a
+    (b, s, s) stack; the stage weights of the delay stencil broadcast
+    against it, and every C_l is such a stack.  The stages are composed as
+    maps of the stored nodes: the current node u_j is the identity at lag 0
+    and the delay stencil supplies each stage's delayed values, so the
+    formulas are those of the stage-by-stage step.  Lag 0 is always
+    present and comes first.
     """
-    if a_eff.ndim == 1:
-        one, act, weights = np.ones_like(a_eff), np.multiply, weights[..., None]
-    else:
-        one, act = np.eye(len(a_eff)), np.matmul
     all_lags = np.union1d(lags, [0])
-    delay = np.zeros((len(_RK4_STAGES), len(all_lags)) + one.shape, dtype=np.result_type(a_eff, weights))
+    delay = np.zeros((len(_RK4_STAGES), len(all_lags)) + a_eff.shape, dtype=np.result_type(a_eff, weights))
     delay[:, np.searchsorted(all_lags, lags)] = weights
     node = np.zeros_like(delay[0])
-    node[0] = one
+    node[0] = np.eye(a_eff.shape[-1])
     half = 0.5 * dt
-    k1 = act(a_eff, node) + delay[0]
-    k2 = act(a_eff, node + half * k1) + delay[1]
-    k3 = act(a_eff, node + half * k2) + delay[1]
-    k4 = act(a_eff, node + dt * k3) + delay[2]
+    k1 = a_eff @ node + delay[0]
+    k2 = a_eff @ (node + half * k1) + delay[1]
+    k3 = a_eff @ (node + half * k2) + delay[1]
+    k4 = a_eff @ (node + dt * k3) + delay[2]
     return all_lags, node + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def _block_response(c0: np.ndarray, c1: np.ndarray, block: int) -> np.ndarray:
     """Response of s_{k+1} = C_0 s_k + C_1 s_{k-1} + f_k over a block.
 
-    Row k holds the coefficients with which s_{k+1} reads the inputs
-    (s_0, s_{-1}, f_0, ..., f_{block-1}), shape (block, block + 2) + C.shape;
-    the forcing part is the lower-triangular impulse-response Toeplitz.
-    The coefficients are diagonals (modal coordinates) or n x n matrices.
+    C_0 and C_1 are (b, s, s) stacks of independent blocks.  Row k s + i
+    of block b holds the coefficients with which entry i of s_{k+1} reads
+    entry j of input c of (s_0, s_{-1}, f_0, ..., f_{block-1}), at column
+    c s + j.  With P_k and Q_k the responses of s_k to s_0 and to s_{-1},
+    s_{k+1} reads f_i through P_{k-i}: the forcing part is the
+    lower-triangular Toeplitz of P, whose row k (P_k, ..., P_0, 0, ..., 0)
+    is a window of (P_{block-1}, ..., P_0, 0, ..., 0) read backwards.
     """
-    act = np.multiply if c0.ndim == 1 else np.matmul
-    one = np.ones_like(c0) if c0.ndim == 1 else np.eye(len(c0))
-    out = np.empty((block, block + 2) + c0.shape, dtype=c0.dtype)
-    cur = np.zeros(out.shape[1:], dtype=c0.dtype)
-    prev = np.zeros_like(cur)
-    cur[0] = prev[1] = one
-    for k in range(block):
-        cur, prev = act(c0, cur) + act(c1, prev), cur
-        cur[2 + k] += one
-        out[k] = cur
-    return out
+    # seq[k + 1] = (P_k, Q_k), from P_-1 = 0 and Q_-1 = Id
+    seq = np.zeros((block + 2, 2) + c0.shape, dtype=c0.dtype)
+    seq[1, 0] = seq[0, 1] = np.eye(c0.shape[-1])
+    for k in range(1, block + 1):
+        seq[k + 1] = c0 @ seq[k] + c1 @ seq[k - 1]
+    reversed_p = np.concatenate((seq[block:0:-1, 0], np.zeros_like(seq[2:-1, 0])))
+    toeplitz = sliding_window_view(reversed_p, block, axis=0)[::-1]
+    out = np.concatenate((seq[2:], np.moveaxis(toeplitz, -1, 1)), axis=1)
+    b, s = c0.shape[:2]
+    return out.transpose(2, 0, 3, 1, 4).reshape(b, block * s, (block + 2) * s)
 
 
 def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None = None) -> Trajectory:
@@ -413,18 +412,18 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     On the uniform grid every stage reads the same lags with the same
     weights at every step, so one step is the fixed linear map
     u_{j+1} = sum_l C_l u_{j-l}, assembled once from the delay stencil.
-    When A has orthonormal modes, A = Q diag(mu) Q^H, and every weight of
-    Phi is a multiple of Id (or n = 1), the equation decouples: the map
-    steps z = Q^H u with diagonal C_l, and the trajectory holds Re(Q z).
-    Otherwise it steps u with n x n matrices C_l.  Either way the steps
-    are taken in blocks no longer than the shortest lag above 1: the
-    lags above 1 only read nodes before the block, so their forcing comes
-    from one gather and one product, and the block's response to its
-    first two nodes and to that forcing, precomputed once, gives all of
-    its nodes in one more product.  The guard is checked once per block
-    on ||z|| = ||u||.  The frontier extrapolation is part of the
-    assembled map, so the result is that of the stage-by-stage sweep up
-    to rounding.
+    It steps z = V^-1 u as b independent blocks of size s with (b, s, s)
+    stacks C_l.  When A = V diag(mu) V^-1 has an eigenbasis (any that
+    ``SpatialOperator._eigen`` keeps) and ``SystemModel.scalar_symbol``
+    holds, the model decouples into (b, s) = (n, 1) modes; otherwise
+    V = Id and (b, s) = (1, n).  The steps run in blocks no longer than
+    the shortest lag above 1: those lags only read nodes before the
+    block, so their forcing is one gather and one batched product, and
+    the precomputed block response to the first two nodes and the forcing
+    gives the block's nodes in one more.  Each block is mapped back to
+    u = Re(V z), on which the guard is checked.  The frontier
+    extrapolation is part of the map, so the result is that of the
+    stage-by-stage sweep up to rounding.
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")
@@ -446,71 +445,53 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     history = init.history.value_at(-1.0 + np.arange(hist_steps + 1) * dt)
     history[-1] = init.head
 
+    mu, v, vinv, _ = model.A._eigen()
+    modal = v is not None and model.scalar_symbol
+    rates, v, vinv = (mu[:, None, None], v, vinv) if modal else (model.A.matrix[None], np.eye(n), np.eye(n))
+    b, s = rates.shape[:2]
     atoms = _atoms(model.phi, init.history.m)
-    if model.scalar_symbol:
-        atoms = atoms._replace(weights=atoms.weights.reshape(len(atoms.offsets)))
-    modes = model.A.modes()
-    modal = modes is not None and model.scalar_symbol
-    if modal:
-        rates, q = modes
-    else:
-        rates = model.A.matrix
-        atoms = atoms._replace(weights=_as_matrices(atoms.weights, n))
-    folded, atoms = _fold_instantaneous(atoms)
+    # one s x s weight per atom, shared by the b blocks
+    folded, atoms = _fold_instantaneous(atoms._replace(weights=_as_matrices(atoms.weights, s)[:, None]))
     lags, weights = _delay_stencil(atoms, hist_steps)
     lags, coefs = _step_recurrence(rates + folded, lags, weights, dt)
 
-    far = lags > 1
-    far_lags, far_coefs = lags[far], coefs[far]
+    far_lags = lags[lags > 1]
+    # f_k = sum_l C_l z_{k-l}: (b, s, L s) against the gathered lags
+    far_coefs = coefs[lags > 1].transpose(1, 2, 0, 3).reshape(b, s, -1)
     c1 = coefs[lags == 1].sum(axis=0)  # zero when no stage reads lag 1
-    per_node = n if modal else n * n
-    cap = max(1, int(np.sqrt(1.0 + _BLOCK_ENTRIES / per_node) - 1.0))
+    cap = max(1, int(np.sqrt(1.0 + _BLOCK_ENTRIES / (b * s * s)) - 1.0))
     block = min(int(far_lags[0]) if far_lags.size else steps, steps, cap)
     response = _block_response(coefs[0], c1, block)
     logger.debug(
         "solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
         "modal" if modal else "matrix", n, dt, steps, block, len(lags),
     )
-    if modal:
-        # one (block, block + 2) response per mode, applied as a batch
-        response = np.ascontiguousarray(response.transpose(2, 0, 1))
-
-        def far_term(gathered, out):
-            np.einsum("bln,ln->bn", gathered, far_coefs, out=out)
-
-        def near_term(inputs, out):
-            np.matmul(response, inputs.T[:, :, None], out=out.T[:, :, None])
-    else:
-        far_coefs = far_coefs.transpose(0, 2, 1).reshape(-1, n)
-        response = response.transpose(0, 2, 1, 3).reshape(block * n, -1)
-
-        def far_term(gathered, out):
-            np.matmul(gathered.reshape(block, -1), far_coefs, out=out)
-
-        def near_term(inputs, out):
-            np.matmul(response, inputs.ravel(), out=out.reshape(-1))
 
     # the last block runs whole; rows past the horizon are dropped
     blocks = -(-steps // block)
-    z = np.empty((hist_steps + blocks * block + 1, n), dtype=np.result_type(q, coefs) if modal else float)
-    z[: hist_steps + 1] = history @ q.conj() if modal else history
-    reads = np.arange(block)[:, None] - far_lags
-    inputs = np.zeros((block + 2, n), dtype=z.dtype)
+    z = np.empty((b, hist_steps + blocks * block + 1, s), dtype=np.result_type(vinv, coefs))
+    z[:, : hist_steps + 1] = (history @ vinv.T).reshape(-1, b, s).transpose(1, 0, 2)
+    values = np.empty((total, n))
+    values[: hist_steps + 1] = history
+    # windows[:, r, j, k] = z[:, r + k, j]: a lag reads one window, contiguous when s = 1
+    windows = sliding_window_view(z, block, axis=1)
+    inputs = np.zeros((b, block + 2, s), dtype=z.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(hist_steps, total - 1, block):
-            inputs[0], inputs[1] = z[j0], z[j0 - 1]
-            if far_lags.size:
-                far_term(np.take(z, reads + j0, axis=0), inputs[2:])
-            near_term(inputs, z[j0 + 1 : j0 + block + 1])
+            inputs[:, 0], inputs[:, 1] = z[:, j0], z[:, j0 - 1]
+            gathered = windows[:, j0 - far_lags].reshape(b, -1, block)  # empty without far lags
+            np.matmul(far_coefs, gathered, out=inputs[:, 2:].transpose(0, 2, 1))
+            np.matmul(response, inputs.reshape(b, -1, 1), out=z[:, j0 + 1 : j0 + block + 1].reshape(b, -1, 1))
+            stop = min(j0 + block, total - 1) + 1
+            rows = np.real(z[:, j0 + 1 : stop].transpose(1, 0, 2).reshape(-1, n) @ v.T)
+            values[j0 + 1 : stop] = rows
             # a NaN or infinite row fails the comparison too
-            bad = ~(np.linalg.norm(z[j0 + 1 : min(j0 + block, total - 1) + 1], axis=1) <= BLOWUP_GUARD)
+            bad = ~(np.linalg.norm(rows, axis=1) <= BLOWUP_GUARD)
             if bad.any():
                 t = -1.0 + (j0 + int(np.argmax(bad))) * dt
                 raise BlowUpError(
                     f"solution norm exceeded {BLOWUP_GUARD:.0e} at t = {t + dt:.6g}; aborting"
                 )
-    values = np.ascontiguousarray(np.real(z[:total] @ q.T)) if modal else z[:total]
-    values[: hist_steps + 1] = history
     return Trajectory(values, dt, m=init.history.m, p=model.p)
 
 

@@ -11,9 +11,12 @@ Three variants are supported:
 
 Every variant is a Stieltjes measure on [-1, 0] and is read through one
 representation, its atoms: offsets sigma_i in [-1, 0] and weights W_i with
-Phi(f) ~= sum_i W_i f(sigma_i), where a weight is an n x n matrix or a
-scalar standing for a multiple of Id.  The atoms are the delays with their
-matrices, the trapezoid nodes of a density kernel's own grid, and the
+Phi(f) ~= sum_i W_i f(sigma_i).  The weights are scalars standing for
+multiples of Id whenever every one of them is such a multiple (the Cantor
+kernel, an empty functional, any 1 x 1 functional, or b Id stored as a
+matrix), and n x n matrices otherwise; the routines that read the atoms
+take the scalar path from that shape alone.  The atoms are the delays with
+their matrices, the trapezoid nodes of a density kernel's own grid, and the
 Cantor grid weights on the history grid.  ``apply``, ``total_variation``
 and the characteristic matrices of this module, and the delay stencils of
 the time-domain routes, all read the atoms; this is the only module that
@@ -263,9 +266,9 @@ def cantor_transform_recursive(lam: complex, depth: int = 30) -> complex:
 
 class _Atoms(NamedTuple):
     """Phi(f) ~= sum_i W_i f(sigma_i): offsets sigma_i in [-1, 0] and weights
-    W_i, a (k, n, n) stack of matrices or k scalars standing for multiples
-    of Id.  ``point_masses`` is true when the atoms are the measure itself
-    rather than quadrature nodes of it."""
+    W_i, k scalars standing for multiples of Id or a (k, n, n) stack of
+    matrices.  ``point_masses`` is true when the atoms are the measure
+    itself rather than quadrature nodes of it."""
 
     offsets: np.ndarray
     weights: np.ndarray
@@ -274,17 +277,23 @@ class _Atoms(NamedTuple):
 
 def _atoms(phi: DelayFunctional, m: int | None = None) -> _Atoms:
     """Atoms of phi; those of the Cantor kernel sit on the m-node history
-    grid, the others do not depend on m."""
+    grid, the others do not depend on m.  Matrix weights that are all
+    exact multiples of Id, as every 1 x 1 weight is, come back as their
+    scalars; ``phi.dim`` still holds the dimension."""
+    if isinstance(phi, CantorKernel):
+        return _Atoms(-1.0 + np.arange(m + 1) / m, phi.c * cantor_grid_weights(m, phi.depth), False)
     if isinstance(phi, DiscreteDelays):
         if phi.dim is None:
             return _Atoms(np.zeros(0), np.zeros(0), True)
-        return _Atoms(phi.delays, phi.matrices, True)
-    if isinstance(phi, CantorKernel):
-        return _Atoms(-1.0 + np.arange(m + 1) / m, phi.c * cantor_grid_weights(m, phi.depth), False)
-    if isinstance(phi, DensityKernel):
-        w = _trapezoid_weights(phi.m + 1, 1.0 / phi.m)
-        return _Atoms(phi.nodes, w[:, None, None] * phi.samples, False)
-    raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+        atoms = _Atoms(phi.delays, phi.matrices, True)
+    elif isinstance(phi, DensityKernel):
+        atoms = _Atoms(phi.nodes, _trapezoid_weights(phi.m + 1, 1.0 / phi.m)[:, None, None] * phi.samples, False)
+    else:
+        raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+    diagonal = atoms.weights[:, 0, 0]
+    if np.array_equal(atoms.weights, diagonal[:, None, None] * np.eye(phi.dim)):
+        return atoms._replace(weights=diagonal)
+    return atoms
 
 
 def _as_matrices(weights: np.ndarray, n: int | None) -> np.ndarray:
@@ -352,6 +361,8 @@ def apply(phi: DelayFunctional, f: HistoryGrid) -> np.ndarray:
     The atoms read f by piecewise-linear interpolation; the Cantor kernel
     contracts the samples with its grid weights directly.
     """
+    if phi.dim not in (None, f.n):
+        raise ValueError(f"history dimension {f.n} does not match functional dimension {phi.dim}")
     if isinstance(phi, CantorKernel):
         return phi.c * (cantor_grid_weights(f.m, phi.depth) @ f.samples)
     offsets, weights, _ = _atoms(phi)
@@ -372,8 +383,12 @@ def char_matrix(phi: DelayFunctional, lam: complex, dim: int | None = None) -> n
     Returns the n x n matrix whose action on x equals Phi(sigma ->
     e^(lam * sigma) x): sum_k B_k e^(lam h_k) for discrete delays,
     c * g^(lam) * Id for the Cantor kernel, and the quadrature of
-    K(sigma) e^(lam * sigma) for density kernels.
+    K(sigma) e^(lam * sigma) for density kernels.  ``dim`` defaults to
+    the functional's own dimension; a dimension-free one requires it.
     """
+    dim = phi.dim if dim is None else dim
+    if phi.dim not in (None, dim):
+        raise ValueError(f"dimension {dim} does not match functional dimension {phi.dim}")
     return _as_matrices(_transform(phi, [lam]), dim)[0]
 
 

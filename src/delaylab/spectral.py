@@ -194,8 +194,9 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     = tr(M^-1 M') for every lam of a flat array, M(lam) = lam - A - T(lam);
     D is None unless ``derivative``.
 
-    With a scalar symbol s(lam) (``SystemModel.scalar_symbol``: a
-    dimension-free functional, or n = 1) det M = prod_k (z - mu_k) with z = lam - s(lam) over the eigenvalues
+    With a scalar symbol s(lam) (``SystemModel.scalar_symbol``: every
+    weight of Phi a multiple of Id, so that ``_transform`` returns scalars)
+    det M = prod_k (z - mu_k) with z = lam - s(lam) over the eigenvalues
     mu_k of A, exactly for any A, so L = sum_k log|z - mu_k| and D =
     (1 - s'(lam)) sum_k 1/(z - mu_k): O(n) per lam, without overflow.
     Otherwise L comes from ``slogdet`` of the matrix stack and D from one
@@ -208,6 +209,7 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     L = np.empty(lams.shape)
     D = np.empty(lams.shape, dtype=complex) if derivative else None
     chunk = max(256, 4_000_000 // (n * n))
+    scalar = model.scalar_symbol
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(lams), chunk):
             sl = slice(start, start + chunk)
@@ -216,11 +218,11 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
                 t, tp = _transform_and_derivative(model.phi, lam)
             else:
                 t = _transform(model.phi, lam)
-            if model.scalar_symbol:
-                gaps = (lam - t.reshape(len(lam), -1)[:, 0])[:, None] - model.A.spectrum()
+            if scalar:
+                gaps = (lam - t)[:, None] - model.A.spectrum()
                 L[sl] = np.log(np.abs(gaps)).sum(axis=1)
                 if derivative:
-                    D[sl] = (1.0 - tp.reshape(len(lam), -1)[:, 0]) * (1.0 / gaps).sum(axis=1)
+                    D[sl] = (1.0 - tp) * (1.0 / gaps).sum(axis=1)
                 continue
             stack = lam[:, None, None] * eye - model.A.matrix - t
             L[sl] = np.linalg.slogdet(stack)[1]
@@ -682,11 +684,12 @@ def miyadera_estimate(
     # at r = 0 the history already holds x at sigma = 0
     entered = (times >= 0) & (rs[:, None] > 0)
 
+    scalar = model.scalar_symbol
     node_mats = _grid_node_matrices(model.phi, m, n)
-    node_w = node_mats[:, 0, 0] if model.scalar_symbol else node_mats
+    node_w = node_mats[:, 0, 0] if scalar else node_mats
     # Phi(S_r f) = sum_q hist_map[r, q] f(sigma_q), with scalar or n x n weights
     hist_map = _shifted_weights(node_w, rs, m)
-    if not model.scalar_symbol:
+    if not scalar:
         hist_map = hist_map.transpose(0, 2, 1, 3).reshape(r_nodes, 1, n, (m + 1) * n)
     mu, v, vinv, orthonormal = model.A._eigen()
     if v is None:
@@ -705,7 +708,7 @@ def miyadera_estimate(
         x, f = heads[start : start + chunk], histories[start : start + chunk]
         # products per state (per node and state for matrix weights): no sum depends on the chunk
         moved = (head_map.reshape(-1, n) @ x[..., None]).reshape(len(x), r_nodes, n)
-        hist = hist_map @ f if model.scalar_symbol else (hist_map @ f.reshape(len(x), -1, 1)).swapaxes(0, 1)
+        hist = hist_map @ f if scalar else (hist_map @ f.reshape(len(x), -1, 1)).swapaxes(0, 1)
         moved += hist.reshape(moved.shape)
         q_emp = max(q_emp, float(np.max((np.linalg.norm(moved, axis=2) * w).sum(axis=1))))
     basis = "expm" if v is None else "modal" if orthonormal else "eigenbasis"

@@ -248,6 +248,14 @@ def _nonnormal_operator():
     return dl.SpatialOperator(np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -2.0]]))
 
 
+def _advection_diffusion_operator(n=15, v=20.0):
+    # central-difference drift on the Dirichlet Laplacian: non-normal, with
+    # an eig basis of condition number about 3.1e4 at n = 15, v = 20
+    h = 1.0 / (n + 1)
+    drift = (np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / (2.0 * h)
+    return dl.SpatialOperator(dl.laplacian_dirichlet_1d(n).matrix + v * drift)
+
+
 # model, dt, horizon and the basis that solve_steps must step in
 MODAL_CASES = {
     "cantor_rotation": lambda: (dl.SystemModel(_rotation_operator(), dl.CantorKernel(0.8)), 1e-3, 2.0, "modal"),
@@ -255,7 +263,13 @@ MODAL_CASES = {
         dl.SystemModel(dl.diagonal_operator([-1.0, -2.5, 0.3]), empty_functional()), 1e-3, 2.0, "modal"
     ),
     "scalar_capped_block": lambda: (dl.scalar_dde(-0.3, -0.8), 1e-3, 3.0, "modal"),
-    "cantor_non_normal": lambda: (dl.SystemModel(_nonnormal_operator(), dl.CantorKernel(0.6)), 1e-3, 2.0, "matrix"),
+    "cantor_non_normal": lambda: (dl.SystemModel(_nonnormal_operator(), dl.CantorKernel(0.6)), 1e-3, 2.0, "modal"),
+    "cantor_advection": lambda: (
+        dl.SystemModel(_advection_diffusion_operator(), dl.CantorKernel(50.0)), 1.0 / 1024, 2.0, "modal"
+    ),
+    "scaled_identity_delay": lambda: (
+        dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.single_delay(0.9 * np.eye(7), -1.0)), 1e-3, 2.0, "modal"
+    ),
 }
 
 
@@ -274,13 +288,15 @@ class TestModalStepping:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_blowup_message_matches_reference(self):
-        model = dl.SystemModel(dl.diagonal_operator([2.0, 9.0]), dl.CantorKernel(3.0))
         init = dl.random_compatible_state(2, 64, 2.0, np.random.default_rng(7))
-        with pytest.raises(dl.BlowUpError) as got:
-            dl.solve_steps(model, init, 4.0, 1e-3)
-        with pytest.raises(dl.BlowUpError) as want:
-            reference_solve_steps(model, init, 4.0, 1e-3)
-        assert str(got.value) == str(want.value)
+        # an orthonormal basis, and one that is not
+        for a in (np.diag([2.0, 9.0]), np.array([[2.0, 5.0], [0.0, 9.0]])):
+            model = dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(3.0))
+            with pytest.raises(dl.BlowUpError) as got:
+                dl.solve_steps(model, init, 4.0, 1e-3)
+            with pytest.raises(dl.BlowUpError) as want:
+                reference_solve_steps(model, init, 4.0, 1e-3)
+            assert str(got.value) == str(want.value)
 
     def test_logs_the_stepping_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):

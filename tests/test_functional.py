@@ -143,9 +143,10 @@ class TestCharMatrix:
         np.testing.assert_allclose(dl.char_matrix(CantorKernel(0.4), 0.0, dim=3), 0.4 * np.eye(3), atol=1e-15)
 
     def test_single_delay_closed_form(self):
-        b = np.array([[0.2, -0.7], [1.1, 0.4]])
-        phi = dl.single_delay(b, -1.0)
-        np.testing.assert_allclose(dl.char_matrix(phi, 1.0), b * np.exp(-1.0), atol=1e-14)
+        # the second input is a multiple of Id, whose atoms are scalars
+        for b in (np.array([[0.2, -0.7], [1.1, 0.4]]), 0.9 * np.eye(3)):
+            phi = dl.single_delay(b, -1.0)
+            np.testing.assert_allclose(dl.char_matrix(phi, 1.0), b * np.exp(-1.0), atol=1e-14)
 
     def test_conjugate_symmetry_for_real_data(self):
         phi = dl.single_delay(np.array([[0.2, -0.7], [1.1, 0.4]]), -0.6)

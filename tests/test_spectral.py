@@ -87,20 +87,24 @@ class TestCharacteristicOperator:
 
 
 def log_det_models():
-    """Scalar symbols (Cantor kernel at n = 15, a non-normal triangular A)
-    and a matrix symbol (non-commuting 2 x 2 delays)."""
+    """Scalar symbols (Cantor kernel at n = 15, a non-normal triangular A),
+    a matrix symbol (non-commuting 2 x 2 delays) and a scalar symbol
+    stored as a matrix (0.9 Id at n = 7)."""
     yield dl.reaction_diffusion_scenario(15, 0.5 * abs(dl.dirichlet_lambda1(15)))
     a = np.array([[-1.0, 2.0, -0.5], [0.0, -2.0, 3.0], [0.0, 0.0, -0.5]])
     yield dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(0.7), 2.0)
     b = np.array([[[0.0, 0.6], [0.0, 0.0]], [[0.0, 0.0], [-0.4, 0.3]]])
     a = np.array([[-1.0, 0.5], [0.2, -2.0]])
     yield dl.SystemModel(dl.SpatialOperator(a), dl.DiscreteDelays(b, np.array([-1.0, -0.3337])), 2.0)
+    yield dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.single_delay(0.9 * np.eye(7), -1.0), 2.0)
 
 
 class TestLogDet:
     LAMS = np.array([0.3 + 0.5j, -0.7 + 2.1j, 1.2 - 0.4j, -2.5 + 0.1j])
 
-    @pytest.mark.parametrize("model", list(log_det_models()), ids=["cantor_n15", "triangular", "delays"])
+    @pytest.mark.parametrize(
+        "model", list(log_det_models()), ids=["cantor_n15", "triangular", "delays", "scaled_identity"]
+    )
     def test_matches_slogdet_and_difference_of_char_det(self, model):
         L, D = _log_det(model, self.LAMS)
         np.testing.assert_allclose(L, np.linalg.slogdet(_char_matrix_stack(model, self.LAMS))[1], rtol=1e-10)
@@ -185,12 +189,16 @@ class TestFindRoots:
         with pytest.raises(dl.BudgetError):
             dl.find_roots(model, dl.Region(-100.0, 100.0, 100.0), spacing=0.01)
 
-    @pytest.mark.parametrize("name,path", [("scalar", "factored"), ("delays", "slogdet")])
+    @pytest.mark.parametrize(
+        "name,path", [("scalar", "factored"), ("delays", "slogdet"), ("scaled_identity", "factored")]
+    )
     def test_debug_line_names_log_det_path(self, caplog, name, path):
         if name == "scalar":
             model = load_scenario(SCENARIOS / "scalar_single_delay.json").model
-        else:
+        elif name == "delays":
             model = list(log_det_models())[2]  # non-commuting 2 x 2 delays
+        else:
+            model = list(log_det_models())[3]  # 0.9 Id stored as a 7 x 7 matrix
         with caplog.at_level("DEBUG", logger="delaylab.spectral"):
             report = dl.find_roots(model, dl.Region(-1.0, 1.0, 4.0))
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_roots:")]
