@@ -2,20 +2,18 @@
 
 The first route is the method of steps: a classical 4-stage explicit
 Runge-Kutta sweep where delayed values come from piecewise-linear
-interpolation of the already-computed trajectory.  On the uniform grid
-that interpolation is a fixed stencil of lags and weights, so one step is
-a constant-coefficient linear recurrence, assembled once and solved a
-block of steps at a time by one code path for b independent blocks of
-size s: when A has an eigenbasis and the delay weights are multiples of
-Id, the n modal coordinates of A are n blocks of size 1, one scalar
-equation per mode, and otherwise u is one block of size n.  The
-eigendecomposition has one home, cached on ``SpatialOperator``.  The
-second route is the semigroup construction: the unperturbed block action
-(flowed head, injected head plus shifted history) composed with the
-iterated Volterra terms whose sum is the perturbation series of the full
-evolution.  Both produce the same states up to discretisation error,
-which the test suite asserts; ``mild_residual`` checks the integrated
-form of the equation directly on a trajectory.
+interpolation of the already-computed trajectory.  The second is the
+semigroup construction: the unperturbed block action (flowed head,
+injected head plus shifted history) composed with the iterated Volterra
+terms whose sum is the perturbation series of the full evolution.  On
+the uniform grid both are constant-coefficient linear recurrences, and
+one block recurrence engine solves them a block of steps per product,
+as b independent blocks of size s: the n modal coordinates of A, one
+scalar equation per mode, when the route decouples, and otherwise u as
+one block of size n.  The eigendecomposition has one home, cached on
+``SpatialOperator``.  Both routes produce the same states up to
+discretisation error, which the test suite asserts; ``mild_residual``
+checks the integrated form of the equation directly on a trajectory.
 """
 
 from __future__ import annotations
@@ -375,14 +373,28 @@ def _step_recurrence(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, d
     return all_lags, node + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
+def _stepping_basis(A: SpatialOperator, decouple: bool, steps: int):
+    """(basis, rates, V, V^-1, block) of a route stepping z = V^-1 u: with ``decouple``
+    and an eigenbasis A = V diag(mu) V^-1 that ``_eigen`` keeps, the n modes mu
+    as an (n, 1, 1) stack, else A as one (1, n, n) block with V = Id; blocks of
+    at most ``steps`` steps keep the block response near ``_BLOCK_ENTRIES`` entries."""
+    mu, v, vinv, _ = A._eigen()
+    if decouple and v is not None:
+        basis, rates = "modal", mu[:, None, None]
+    else:
+        basis, rates, v, vinv = "matrix", A.matrix[None], np.eye(A.n), np.eye(A.n)
+    return basis, rates, v, vinv, max(1, min(steps, int(np.sqrt(1.0 + _BLOCK_ENTRIES / rates.size) - 1.0)))
+
+
 def _block_response(c0: np.ndarray, c1: np.ndarray, block: int) -> np.ndarray:
     """Response of s_{k+1} = C_0 s_k + C_1 s_{k-1} + f_k over a block.
 
-    C_0 and C_1 are (b, s, s) stacks of independent blocks.  Row k s + i
-    of block b holds the coefficients with which entry i of s_{k+1} reads
-    entry j of input c of (s_0, s_{-1}, f_0, ..., f_{block-1}), at column
-    c s + j.  With P_k and Q_k the responses of s_k to s_0 and to s_{-1},
-    s_{k+1} reads f_i through P_{k-i}: the forcing part is the
+    C_0 and C_1 are (b, s, s) stacks of independent blocks: the two newest
+    lags of ``solve_steps``, or exp(dt A) and 0 in ``volterra_terms``.  Row
+    k s + i of block b holds the coefficients with which entry i of s_{k+1}
+    reads entry j of input c of (s_0, s_{-1}, f_0, ..., f_{block-1}), at
+    column c s + j.  With P_k and Q_k the responses of s_k to s_0 and to
+    s_{-1}, s_{k+1} reads f_i through P_{k-i}: the forcing part is the
     lower-triangular Toeplitz of P, whose row k (P_k, ..., P_0, 0, ..., 0)
     is a window of (P_{block-1}, ..., P_0, 0, ..., 0) read backwards.
     """
@@ -411,16 +423,13 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
 
     On the uniform grid every stage reads the same lags with the same
     weights at every step, so one step is the fixed linear map
-    u_{j+1} = sum_l C_l u_{j-l}, assembled once from the delay stencil.
-    It steps z = V^-1 u as b independent blocks of size s with (b, s, s)
-    stacks C_l.  When A = V diag(mu) V^-1 has an eigenbasis (any that
-    ``SpatialOperator._eigen`` keeps) and ``SystemModel.scalar_symbol``
-    holds, the model decouples into (b, s) = (n, 1) modes; otherwise
-    V = Id and (b, s) = (1, n).  The steps run in blocks no longer than
-    the shortest lag above 1: those lags only read nodes before the
-    block, so their forcing is one gather and one batched product, and
-    the precomputed block response to the first two nodes and the forcing
-    gives the block's nodes in one more.  Each block is mapped back to
+    u_{j+1} = sum_l C_l u_{j-l}, assembled once from the delay stencil as
+    (b, s, s) stacks in the basis of ``_stepping_basis``: (b, s) = (n, 1)
+    modes when ``SystemModel.scalar_symbol`` holds.  Blocks of steps no
+    longer than the shortest lag above 1 read those lags only before the
+    block: one gather and one batched product give the forcing, and one
+    more with ``_block_response`` the block's nodes.  Once per unit of
+    time and at the horizon the new nodes are mapped back to
     u = Re(V z), on which the guard is checked.  The frontier
     extrapolation is part of the map, so the result is that of the
     stage-by-stage sweep up to rounding.
@@ -445,9 +454,7 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     history = init.history.value_at(-1.0 + np.arange(hist_steps + 1) * dt)
     history[-1] = init.head
 
-    mu, v, vinv, _ = model.A._eigen()
-    modal = v is not None and model.scalar_symbol
-    rates, v, vinv = (mu[:, None, None], v, vinv) if modal else (model.A.matrix[None], np.eye(n), np.eye(n))
+    basis, rates, v, vinv, block = _stepping_basis(model.A, model.scalar_symbol, steps)
     b, s = rates.shape[:2]
     atoms = _atoms(model.phi, init.history.m)
     # one s x s weight per atom, shared by the b blocks
@@ -459,39 +466,39 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     # f_k = sum_l C_l z_{k-l}: (b, s, L s) against the gathered lags
     far_coefs = coefs[lags > 1].transpose(1, 2, 0, 3).reshape(b, s, -1)
     c1 = coefs[lags == 1].sum(axis=0)  # zero when no stage reads lag 1
-    cap = max(1, int(np.sqrt(1.0 + _BLOCK_ENTRIES / (b * s * s)) - 1.0))
-    block = min(int(far_lags[0]) if far_lags.size else steps, steps, cap)
+    block = min(int(far_lags[0]), block) if far_lags.size else block
     response = _block_response(coefs[0], c1, block)
     logger.debug(
         "solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
-        "modal" if modal else "matrix", n, dt, steps, block, len(lags),
+        basis, n, dt, steps, block, len(lags),
     )
 
     # the last block runs whole; rows past the horizon are dropped
-    blocks = -(-steps // block)
-    z = np.empty((b, hist_steps + blocks * block + 1, s), dtype=np.result_type(vinv, coefs))
+    z = np.empty((b, hist_steps + -(-steps // block) * block + 1, s), dtype=np.result_type(vinv, coefs))
     z[:, : hist_steps + 1] = (history @ vinv.T).reshape(-1, b, s).transpose(1, 0, 2)
     values = np.empty((total, n))
     values[: hist_steps + 1] = history
     # windows[:, r, j, k] = z[:, r + k, j]: a lag reads one window, contiguous when s = 1
     windows = sliding_window_view(z, block, axis=1)
     inputs = np.zeros((b, block + 2, s), dtype=z.dtype)
+    done = hist_steps  # rows of values filled
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(hist_steps, total - 1, block):
             inputs[:, 0], inputs[:, 1] = z[:, j0], z[:, j0 - 1]
             gathered = windows[:, j0 - far_lags].reshape(b, -1, block)  # empty without far lags
             np.matmul(far_coefs, gathered, out=inputs[:, 2:].transpose(0, 2, 1))
             np.matmul(response, inputs.reshape(b, -1, 1), out=z[:, j0 + 1 : j0 + block + 1].reshape(b, -1, 1))
-            stop = min(j0 + block, total - 1) + 1
-            rows = np.real(z[:, j0 + 1 : stop].transpose(1, 0, 2).reshape(-1, n) @ v.T)
-            values[j0 + 1 : stop] = rows
+            stop = min(j0 + block, total - 1)
+            if stop - done < hist_steps and stop < total - 1:
+                continue
+            rows = np.real(z[:, done + 1 : stop + 1].transpose(1, 0, 2).reshape(-1, n) @ v.T)
+            values[done + 1 : stop + 1] = rows
             # a NaN or infinite row fails the comparison too
             bad = ~(np.linalg.norm(rows, axis=1) <= BLOWUP_GUARD)
             if bad.any():
-                t = -1.0 + (j0 + int(np.argmax(bad))) * dt
-                raise BlowUpError(
-                    f"solution norm exceeded {BLOWUP_GUARD:.0e} at t = {t + dt:.6g}; aborting"
-                )
+                t = -1.0 + (done + int(np.argmax(bad))) * dt
+                raise BlowUpError(f"solution norm exceeded {BLOWUP_GUARD:.0e} at t = {t + dt:.6g}; aborting")
+            done = stop
     return Trajectory(values, dt, m=init.history.m, p=model.p)
 
 
@@ -574,13 +581,14 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     W_0 is the unperturbed block action and W_k(t) s = int_0^t
     T_0(t - r) B W_{k-1}(r) s dr with B(x, f) = (Phi(f), 0), discretised
     by composite trapezoid with the trajectory step.  The integrals are
-    accumulated through the exact one-step propagator exp(dt A), which
-    evaluates the same quadrature sums without re-nesting them.
-
-    The delay term of every quadrature node reads the previous term's
-    rows through the stage-0 delay stencil of ``solve_steps`` (the
-    piecewise-linear interpolant at each node plus offset), assembled once;
-    each term gathers the delayed values of all nodes in one product.
+    accumulated through the exact one-step propagator E = exp(dt A) as the
+    recurrence acc_{k+1} = E acc_k + dt/2 (E v_k + v_{k+1}), which
+    evaluates the same quadrature sums without re-nesting them.  The delay
+    term v of every node reads the previous term's rows through the
+    stage-0 delay stencil of ``solve_steps``, in one product per term.
+    Its forcing is then known, and for any Phi the recurrence decouples
+    into the modes of A (``_stepping_basis``): ``_block_response`` solves
+    each term a block of steps per product, mapped back once per term.
     """
     if not t >= 0:
         raise PreconditionError("time must be nonnegative")
@@ -596,11 +604,8 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     if abs(t - r_steps * dt) > 1e-9:
         raise PreconditionError("t must be a multiple of dt for the Volterra quadrature")
     if (N + 1) * max(r_steps, 1) > VOLTERRA_BUDGET:
-        raise BudgetError(
-            f"Volterra work {(N + 1) * r_steps} exceeds budget {VOLTERRA_BUDGET}"
-        )
-    n = model.n
-    m = s.history.m
+        raise BudgetError(f"Volterra work {(N + 1) * r_steps} exceeds budget {VOLTERRA_BUDGET}")
+    n, m = model.n, s.history.m
     total = hist_steps + r_steps + 1
     tgrid = -1.0 + np.arange(total) * dt
 
@@ -617,17 +622,27 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, stages=(0.0,))
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
     stencil = _as_matrices(weights[0], n).transpose(0, 2, 1).reshape(-1, n)
-    e1 = model.A.expm(dt)
-
+    basis, rates, v, vinv, block = _stepping_basis(model.A, True, r_steps)
+    b, size = rates.shape[:2]
+    prop = np.exp(dt * rates) if basis == "modal" else model.A.expm(dt)[None]
+    response = _block_response(prop, np.zeros_like(prop), block)
+    logger.debug(
+        "volterra_terms: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, terms = %d",
+        basis, n, dt, r_steps, block, N,
+    )
+    # the last block runs whole on zero forcing; rows past t are dropped
+    forcing = np.zeros((b, -(-r_steps // block) * block, size), dtype=np.result_type(prop, vinv))
+    inputs = np.zeros((b, block + 2, size), dtype=forcing.dtype)
     for _ in range(1, N + 1):
-        v = rows[reads].reshape(r_steps + 1, len(stencil)) @ stencil
-        new_rows = np.zeros((total, n))
-        acc = np.zeros(n)
-        for j in range(1, r_steps + 1):
-            acc = e1 @ (acc + 0.5 * dt * v[j - 1]) + 0.5 * dt * v[j]
-            new_rows[hist_steps + j] = acc
-        terms.append(DelayState(new_rows[-1].copy(), segment(Trajectory(new_rows, dt, m, s.history.p), t)))
-        rows = new_rows
+        w = (rows[reads].reshape(r_steps + 1, -1) @ stencil @ vinv.T).reshape(-1, b, size).transpose(1, 0, 2)
+        forcing[:, :r_steps] = 0.5 * dt * (w[:, :-1] @ prop.transpose(0, 2, 1) + w[:, 1:])
+        z = np.zeros((b, forcing.shape[1] + 1, size), dtype=forcing.dtype)
+        for j0 in range(0, r_steps, block):
+            inputs[:, 0], inputs[:, 2:] = z[:, j0], forcing[:, j0 : j0 + block]
+            np.matmul(response, inputs.reshape(b, -1, 1), out=z[:, j0 + 1 : j0 + block + 1].reshape(b, -1, 1))
+        rows = np.zeros((total, n))
+        rows[hist_steps + 1 :] = np.real(z[:, 1 : r_steps + 1].transpose(1, 0, 2).reshape(-1, n) @ v.T)
+        terms.append(DelayState(rows[-1].copy(), segment(Trajectory(rows, dt, m, s.history.p), t)))
     return terms
 
 

@@ -276,6 +276,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return repr(value)
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -306,11 +308,9 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
 
 def write_roots_csv(path, report) -> None:
     header = ["re", "im", "residual"]
-    rows = ([z.real, z.imag, r] for z, r in zip(report.roots, report.residuals))
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack((np.real(report.roots), np.imag(report.roots), report.residuals)).tolist())
 
 
 def write_stability_csv(path, profile) -> None:
     header = ["omega", "char_norm", "resolvent_norm"]
-    rows = zip(profile.omegas, profile.char_norms, profile.resolvent_norms)
-    write_csv(path, header, rows)
+    write_csv(path, header, np.column_stack((profile.omegas, profile.char_norms, profile.resolvent_norms)).tolist())

@@ -289,13 +289,22 @@ class TestModalStepping:
 
     def test_blowup_message_matches_reference(self):
         init = dl.random_compatible_state(2, 64, 2.0, np.random.default_rng(7))
-        # an orthonormal basis, and one that is not
-        for a in (np.diag([2.0, 9.0]), np.array([[2.0, 5.0], [0.0, 9.0]])):
+        # an orthonormal basis, and one that is not; the guard is checked once
+        # per unit of time (blocks of 14 steps, so after 1008, 2016 and 3024
+        # steps) and at the horizon: the last two trip at t = 0.727, inside
+        # the first check, and at t = 3.352, inside the final partial one
+        cases = [
+            (np.diag([2.0, 9.0]), 4.0),
+            (np.array([[2.0, 5.0], [0.0, 9.0]]), 4.0),
+            (np.diag([2.0, 40.0]), 4.0),
+            (np.diag([2.0, 8.0]), 3.5),
+        ]
+        for a, horizon in cases:
             model = dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(3.0))
             with pytest.raises(dl.BlowUpError) as got:
-                dl.solve_steps(model, init, 4.0, 1e-3)
+                dl.solve_steps(model, init, horizon, 1e-3)
             with pytest.raises(dl.BlowUpError) as want:
-                reference_solve_steps(model, init, 4.0, 1e-3)
+                reference_solve_steps(model, init, horizon, 1e-3)
             assert str(got.value) == str(want.value)
 
     def test_logs_the_stepping_path(self, caplog):
@@ -476,6 +485,38 @@ class TestVolterraTerms:
             scale = max(np.abs(w.head).max(), np.abs(w.history.samples).max(), 1e-300)
             np.testing.assert_allclose(g.head, w.head, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(g.history.samples, w.history.samples, rtol=0, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("case", sorted(MODAL_CASES))
+    def test_matches_node_by_node_in_every_basis(self, case):
+        # the recurrence runs in the eigenbasis of A whatever Phi is; the
+        # modal-stepping bound covers cond(V) = 3.1e4 of cantor_advection
+        model, dt, _, _ = MODAL_CASES[case]()
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(4))
+        got = dl.volterra_terms(model, 4, 0.5, init, dt)
+        want = reference_volterra_terms(model, 4, 0.5, init, dt)
+        for g, w in zip(got, want, strict=True):
+            scale = max(np.abs(w.head).max(), np.abs(w.history.samples).max(), 1e-300)
+            assert np.abs(g.head - w.head).max() <= 1e-10 * scale
+            assert np.abs(g.history.samples - w.history.samples).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize(
+        "a,line",
+        [
+            ([[-0.3]], "modal basis, n = 1, dt = 0.001, steps = 1500, block = 315, terms = 8"),
+            # a Jordan block keeps no eigenbasis: one block of size 2
+            ([[-1.0, 1.0], [0.0, -1.0]], "matrix basis, n = 2, dt = 0.001, steps = 1500, block = 157, terms = 8"),
+        ],
+    )
+    def test_logs_the_stepping_path(self, a, line, caplog):
+        model = dl.SystemModel(dl.SpatialOperator(np.array(a)), dl.CantorKernel(0.8))
+        init = constant_state(np.ones(len(a)))
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            got = dl.volterra_terms(model, 8, 1.5, init, 1e-3)
+        assert caplog.messages == ["volterra_terms: " + line]
+        want = reference_volterra_terms(model, 8, 1.5, init, 1e-3)
+        for g, w in zip(got, want, strict=True):
+            scale = max(np.abs(w.head).max(), np.abs(w.history.samples).max(), 1e-300)
+            assert np.abs(g.history.samples - w.history.samples).max() <= 1e-10 * scale
 
     def test_time_off_the_grid_by_rounding_accepted(self):
         # t within the 1e-9 grid slack of a node reads its segments there
