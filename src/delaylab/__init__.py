@@ -38,7 +38,6 @@ from .functional import (
     cantor_grid_weights,
     cantor_transform,
     cantor_transform_grid,
-    cantor_transform_recursive,
     char_matrix,
     char_norm_profile,
     single_delay,
@@ -74,7 +73,6 @@ from .spectral import (
     decay_rate,
     find_roots,
     miyadera_estimate,
-    perturbed_resolvent_bound_check,
     random_compatible_state,
     resolvent_apply,
     resolvent_defect,

@@ -25,6 +25,7 @@ from .scenario_io import (
     write_json,
     write_roots_csv,
     write_stability_csv,
+    write_table,
     write_trajectory_csv,
 )
 from .scenarios import dirichlet_lambda1, rd_rightmost_root, reaction_diffusion_scenario, threshold_scan
@@ -112,7 +113,7 @@ def cmd_miyadera(args) -> int:
         )
         rows.append([t0, q_emp, q_bound])
     out = _out_dir(args)
-    write_csv(out / "miyadera.csv", ["t0", "q_emp", "q_bound"], rows)
+    write_table(out / "miyadera.csv", ["t0", "q_emp", "q_bound"], rows)
     return 0
 
 

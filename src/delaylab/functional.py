@@ -28,10 +28,10 @@ stack, which the root search reads, comes from the same atoms (weights
 sigma_i W_i) and, for the Cantor kernel, from the logarithmic derivative
 of the product form.
 
-The Cantor measure is realised two independent ways that serve as mutual
-oracles: the infinite-product form of its exponential transform, and
-recursive self-similar subdivision mu -> (mu o S1^-1 + mu o S2^-1)/2 with
-S1(x) = x/3, S2(x) = (x+2)/3 on [0, 1].
+The exponential transform of the Cantor measure is its infinite-product
+form; the tests check it against recursive self-similar subdivision
+mu -> (mu o S1^-1 + mu o S2^-1)/2 with S1(x) = x/3, S2(x) = (x+2)/3 on
+[0, 1].
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ from .errors import PreconditionError
 from .history import HistoryGrid, _trapezoid_weights, interp_uniform
 
 _MAX_DEPTH = 40
-# Subdivision stops refining once successive levels agree to this relative
-# precision; increments shrink by ~9x per level, so the tail is negligible.
-_SUBDIV_RTOL = 1e-16
-# Hard cap on enumerated leaves (memory guard for the vectorised recursion).
-_MAX_LEAVES = 2**22
 
 
 @dataclass
@@ -230,33 +225,6 @@ def _cantor_log_derivative(lams: np.ndarray) -> np.ndarray:
         if np.max(np.abs(term), initial=0.0) < 1e-17:
             break
     return total
-
-
-def cantor_transform_recursive(lam: complex, depth: int = 30) -> complex:
-    """Transform computed purely by self-similar measure subdivision.
-
-    Splits the measure depth times via mu -> (mu o S1^-1 + mu o S2^-1)/2,
-    evaluating e^(lam * sigma) at the leaf centers with equal masses, and
-    stops early once two consecutive levels agree to relative 1e-16 (the
-    increments contract by ~1/9 per level).  Independent of the product
-    formula; used as its cross-check.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if depth > _MAX_DEPTH:
-        raise ValueError(f"depth {depth} exceeds guard ({_MAX_DEPTH})")
-    lam = complex(lam)
-    centers = np.array([0.5])
-    val_prev = None
-    for level in range(depth + 1):
-        val = complex(np.mean(np.exp(lam * (centers - 1.0))))
-        if val_prev is not None and abs(val - val_prev) <= _SUBDIV_RTOL * (1.0 + abs(val)):
-            break
-        if level == depth or len(centers) >= _MAX_LEAVES:
-            break
-        centers = np.concatenate((centers / 3.0, centers / 3.0 + 2.0 / 3.0))
-        val_prev = val
-    return val
 
 
 # ---------------------------------------------------------------------------

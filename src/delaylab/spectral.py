@@ -603,31 +603,6 @@ def stability_criterion(
     return report, profile
 
 
-def perturbed_resolvent_bound_check(model: SystemModel, lam: complex, delta: float) -> bool:
-    """Check ||R(lam, A + D)|| <= (1/delta) ||R(lam, A)|| for the
-    characteristic perturbation D = char_matrix(lam).
-
-    Preconditions (lam in the resolvent set of A and ||D|| <= (1 - delta)
-    / ||R(lam, A)||) are reported as PreconditionError, distinct from the
-    inequality itself failing (return False).
-    """
-    if not (0.0 < delta < 1.0):
-        raise PreconditionError("delta must lie in (0, 1)")
-    min_sv = model.A.min_singular(lam)
-    if min_sv <= 1e-14:
-        raise PreconditionError(f"lambda = {lam} is not in the resolvent set of A")
-    resolvent_norm = 1.0 / min_sv
-    disturbance = model.char_matrix(lam)
-    dist_norm = float(np.linalg.norm(disturbance, 2))
-    if dist_norm > (1.0 - delta) * min_sv * (1.0 + 1e-12):
-        raise PreconditionError(
-            f"perturbation norm {dist_norm:.3e} exceeds (1 - delta)/||R|| = {(1.0 - delta) * min_sv:.3e}"
-        )
-    shifted = lam * np.eye(model.n) - model.A.matrix - disturbance
-    perturbed_norm = 1.0 / float(np.linalg.svd(shifted, compute_uv=False)[-1])
-    return perturbed_norm <= resolvent_norm / delta
-
-
 # ---------------------------------------------------------------------------
 # Integral smallness of the perturbation
 # ---------------------------------------------------------------------------

