@@ -358,9 +358,10 @@ def _step_recurrence(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, d
     maps of the stored nodes: the current node u_j is the identity at lag 0
     and the delay stencil supplies each stage's delayed values, so the
     formulas are those of the stage-by-stage step.  Lag 0 is always
-    present and comes first.
+    present and comes first; ``lags``, those of ``_delay_stencil``, are
+    unique, ascending and nonnegative.
     """
-    all_lags = np.union1d(lags, [0])
+    all_lags = lags if lags.size and lags[0] == 0 else np.concatenate(([0], lags))
     delay = np.zeros((len(_RK4_STAGES), len(all_lags)) + a_eff.shape, dtype=np.result_type(a_eff, weights))
     delay[:, np.searchsorted(all_lags, lags)] = weights
     node = np.zeros_like(delay[0])

@@ -25,13 +25,15 @@ tells the variants apart.  The Cantor kernel keeps three exact overrides:
 its total variation is |c|, and its characteristic matrices use the
 product form of the transform.  The lam-derivative of the characteristic
 stack, which the root search reads, comes from the same atoms (weights
-sigma_i W_i) and, for the Cantor kernel, from the logarithmic derivative
-of the product form.
+sigma_i W_i) and, for the Cantor kernel, from the product form.
 
 The exponential transform of the Cantor measure is its infinite-product
-form; the tests check it against recursive self-similar subdivision
-mu -> (mu o S1^-1 + mu o S2^-1)/2 with S1(x) = x/3, S2(x) = (x+2)/3 on
-[0, 1].
+form g^(lam) = e^(-lam/2) prod_k cosh(lam / 3^k), read in one pass
+together with its derivative: cosh on the few top levels where |lam / 3^k|
+is large, the exact triplication cosh 3x = cosh x (4 cosh^2 x - 3) on the
+levels below, and the product rule for g^'.  The tests check it against
+recursive self-similar subdivision mu -> (mu o S1^-1 + mu o S2^-1)/2 with
+S1(x) = x/3, S2(x) = (x+2)/3 on [0, 1].
 """
 
 from __future__ import annotations
@@ -200,31 +202,78 @@ def cantor_transform(lam: complex) -> complex:
 
 
 def cantor_transform_grid(lams: np.ndarray) -> np.ndarray:
-    """``cantor_transform`` over an array of arguments (or a scalar): the
-    product representation e^(-lam/2) * prod_k cosh(lam / 3^k), truncated
-    once every factor is within 1e-16 of 1."""
-    lams = np.asarray(lams, dtype=complex)
-    prod = np.ones_like(lams)
-    for k in range(1, 200):
-        factor = np.cosh(lams / 3.0**k)
-        prod *= factor
-        if np.max(np.abs(factor - 1.0)) < 1e-16:
-            break
-    return np.exp(-lams / 2.0) * prod
+    """``cantor_transform`` over an array of arguments (or a scalar)."""
+    return _cantor_product(lams)
 
 
-def _cantor_log_derivative(lams: np.ndarray) -> np.ndarray:
-    """d/dlam log g^(lam) = -1/2 + sum_k tanh(lam / 3^k) / 3^k, the
-    logarithmic derivative of the product form, vectorised; terms are
-    summed until they fall below 1e-17."""
+#: Entries per pass of the level loop of ``_cantor_product``: its
+#: temporaries then stay in cache, and none is of full size.
+_CANTOR_CHUNK = 8192
+
+
+def _cantor_product(lams, derivative: bool = False):
+    """g^(lam) = e^(-lam/2) P, P = prod_{k=1..K} c_k, c_k = cosh(x_k), x_k =
+    lam / 3^k, over an array of lam (or a scalar); with ``derivative`` also
+    g^'(lam) = e^(-lam/2) (P' - P/2).
+
+    K is the first level with |x_k|^2 / 2 < 1e-16 at the largest finite
+    |lam|, plus one.  The top levels, where that |x_k| exceeds 1/3, take
+    cosh directly; below them d_k = c_k - 1 climbs from d_K = x_K^2 / 2
+    (exact, as |x_K| < 5e-9) by the triplication cosh 3x = cosh x
+    (4 cosh^2 x - 3), d_{k-1} = d_k (3 + 2 d_k)^2, which carries relative
+    errors by the factor (3 + 6 d_k) / (3 + 2 d_k), about 1.  P' follows by
+    the product rule, with d'_{k-1} = d'_k (3 + 2 d_k)(3 + 6 d_k); the top
+    levels carry P' - P 3^-k / 2 instead, through the factor derivatives
+    c'_k - c_k / 3^k = -e^(-x_k) / 3^k (1/2 = sum_k 3^-k), which leaves no
+    cancellation in P' - P/2 where the c_k are large.
+    """
     lams = np.asarray(lams, dtype=complex)
-    total = np.full_like(lams, -0.5)
-    for k in range(1, 200):
-        term = np.tanh(lams / 3.0**k) / 3.0**k
-        total += term
-        if np.max(np.abs(term), initial=0.0) < 1e-17:
-            break
-    return total
+    top = float(np.max(np.abs(lams), where=np.isfinite(lams), initial=0.0))
+    direct = 0 if top <= 1.0 else int(np.ceil(np.log(top) / np.log(3.0)))
+    levels = 2
+    while (top / 3.0 ** (levels - 1)) ** 2 / 2.0 >= 1e-16:
+        levels += 1
+    if lams.ndim == 0:
+        # numpy scalars: an order of magnitude less overhead per operation
+        both = _cantor_levels(lams[()], direct, levels, derivative)
+        return both if derivative else both[0]
+    flat = lams.reshape(-1)
+    out = np.empty((1 + derivative, flat.size), dtype=complex)
+    for start in range(0, flat.size, _CANTOR_CHUNK):
+        sl = slice(start, start + _CANTOR_CHUNK)
+        out[:, sl] = _cantor_levels(flat[sl], direct, levels, derivative)
+    out = out.reshape((len(out),) + lams.shape)
+    return tuple(out) if derivative else out[0]
+
+
+def _cantor_levels(lams, direct: int, levels: int, derivative: bool):
+    """The level loop of ``_cantor_product`` on a chunk or a scalar:
+    (g^,) or (g^, g^')."""
+    x = lams / 3.0**levels
+    d = x * x / 2.0
+    p = d + 1.0
+    if derivative:
+        dp = x / 3.0**levels
+        pp = dp + 0.0
+    for _ in range(levels - direct - 1):
+        if derivative:
+            dp *= d * 6.0 + 3.0
+        t = d * 2.0 + 3.0
+        d *= t
+        d *= t
+        if derivative:
+            dp *= t
+            pp += pp * d + p * dp
+        p += p * d
+    if derivative:
+        pp -= p * (0.5 / 3.0**direct)
+    for k in range(direct, 0, -1):
+        c = np.cosh(lams / 3.0**k)
+        if derivative:
+            pp = pp * c - p * np.exp(lams / -(3.0**k)) / 3.0**k
+        p *= c
+    scale = np.exp(lams * -0.5)
+    return (p * scale, pp * scale) if derivative else (p * scale,)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +342,7 @@ def _transform(phi: DelayFunctional, lams, m: int | None = None) -> np.ndarray:
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if m is None and isinstance(phi, CantorKernel):
-        return phi.c * cantor_transform_grid(lams)
+        return phi.c * _cantor_product(lams)
     offsets, weights, _ = _atoms(phi, m)
     if m is None:
         profile = np.exp(np.outer(lams, offsets))
@@ -305,12 +354,11 @@ def _transform(phi: DelayFunctional, lams, m: int | None = None) -> np.ndarray:
 
 def _transform_and_derivative(phi: DelayFunctional, lams) -> tuple[np.ndarray, np.ndarray]:
     """``_transform(phi, lams)`` and its lam-derivative sum_i sigma_i W_i
-    e^(lam sigma_i); for the Cantor kernel the derivative is the transform
-    times ``_cantor_log_derivative``."""
+    e^(lam sigma_i); the Cantor kernel reads both off its product form."""
     lams = np.asarray(lams, dtype=complex).ravel()
     if isinstance(phi, CantorKernel):
-        value = phi.c * cantor_transform_grid(lams)
-        return value, value * _cantor_log_derivative(lams)
+        value, slope = _cantor_product(lams, derivative=True)
+        return phi.c * value, phi.c * slope
     offsets, weights, _ = _atoms(phi)
     profile = np.exp(np.outer(lams, offsets))
     return _contract(profile, weights), _contract(profile * offsets, weights)
@@ -364,5 +412,5 @@ def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray) ->
     """Spectral norms of char_matrix(alpha + i omega) over the samples."""
     lams = alpha + 1j * np.asarray(omegas, dtype=float)
     if isinstance(phi, CantorKernel):
-        return abs(phi.c) * np.abs(cantor_transform_grid(lams))
+        return abs(phi.c) * np.abs(_cantor_product(lams))
     return _norms(_transform(phi, lams))

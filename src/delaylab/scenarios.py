@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NoResultError, PreconditionError
 from .evolution import SpatialOperator, SystemModel, scalar_operator
-from .functional import CantorKernel, cantor_transform, single_delay
+from .functional import CantorKernel, _cantor_product, single_delay
 
 
 def dirichlet_lambda1(n: int) -> float:
@@ -57,29 +57,33 @@ def scalar_dde(a: float, b: float) -> SystemModel:
 # ---------------------------------------------------------------------------
 
 
-def _cantor_coupling(lam: float) -> float:
-    # overflow far down the real axis is capped; the root bracketing below
-    # only needs "very large" there, never the exact value
-    with np.errstate(over="ignore"):
-        value = cantor_transform(lam).real
-    return value if np.isfinite(value) else 1e300
+def _cantor_coupling(lam: float) -> tuple[float, float]:
+    # g^ and g^' on the real axis; overflow far down the axis is capped, the
+    # root bracketing below only needs "very large" there
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, slope = _cantor_product(lam, derivative=True)
+    return (value.real, slope.real) if np.isfinite(value.real) else (1e300, -1e300)
 
 
 def _mode_rightmost_real_root(eig: float, coupling, c: float) -> float:
-    """Unique real root of q(lam) = lam - eig - c * coupling(lam), c > 0.
+    """Unique real root of q(lam) = lam - eig - c * coupling(lam), c > 0;
+    ``coupling`` returns its value and its derivative.
 
-    The coupling is positive and decreasing on the real axis, so q is
-    strictly increasing with q(eig) < 0.  Walking down in unit steps from
+    The coupling, the transform of a positive measure on [-1, 0], is
+    positive, decreasing and convex on the real axis, so q is increasing
+    (q' >= 1) and concave with q(eig) < 0.  Walking down in unit steps from
     the positive side finds a width-1 bracket without ever evaluating the
-    coupling deep in its overflow range.
+    coupling deep in its overflow range; Newton from its lower end climbs
+    to the root without overshoot, with bisection should it leave the bracket.
     """
 
     def q(lam):
-        return lam - eig - c * coupling(lam)
+        value, slope = coupling(lam)
+        return lam - eig - c * value, 1.0 - c * slope
 
     hi = max(0.0, eig) + 1.0
     for _ in range(200):
-        if q(hi) > 0:
+        if q(hi)[0] > 0:
             break
         hi += 1.0
     else:
@@ -87,15 +91,27 @@ def _mode_rightmost_real_root(eig: float, coupling, c: float) -> float:
     lo = hi - 1.0
     max_steps = int(hi - eig) + 10
     for _ in range(max_steps):
-        if q(lo) <= 0:
+        value, slope = q(lo)
+        if value <= 0:
             break
         hi = lo
         lo -= 1.0
     else:
         raise NoResultError("failed to bracket the per-mode real root from below")
-    from scipy.optimize import brentq
-
-    return float(brentq(q, lo, hi, xtol=1e-13, rtol=1e-14))
+    lam = lo
+    for _ in range(200):
+        if value > 0.0:
+            hi = lam
+        else:
+            lo = lam
+        step = -value / slope
+        if not lo <= lam + step <= hi:
+            step = 0.5 * (lo + hi) - lam
+        lam += step
+        if abs(step) <= 1e-13 + 1e-14 * abs(lam):
+            return float(lam)
+        value, slope = q(lam)
+    raise NoResultError("Newton iteration for the per-mode real root did not converge")
 
 
 def rd_rightmost_root(n: int, c: float) -> complex:

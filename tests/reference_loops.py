@@ -12,6 +12,12 @@ interval by interval from the right.  The package
 assembles these linear maps once and applies them in bulk; the tests
 compare the two.
 
+``reference_cantor_transform`` and ``reference_cantor_derivative`` are
+the level-by-level product form of the Cantor transform, a complex cosh
+(and a tanh for the derivative) per level until the factors reach 1; the
+package reads the same product in one pass with the exact triplication
+of cosh on the levels below the top ones.
+
 Two oracles that the package does not compute at all sit beside them:
 ``cantor_transform_recursive`` evaluates the Cantor transform by
 self-similar subdivision of the measure, the cross-check of the product
@@ -265,6 +271,32 @@ def reference_shift_resolvent_history(lam, g):
         acc = np.exp(lam * sigma[l]) * j_local[l] + np.exp(-lam * h) * acc
         out[l] = acc
     return out
+
+
+def reference_cantor_transform(lams) -> np.ndarray:
+    """e^(-lam/2) prod_k cosh(lam / 3^k), truncated once every factor is
+    within 1e-16 of 1."""
+    lams = np.asarray(lams, dtype=complex)
+    prod = np.ones_like(lams)
+    for k in range(1, 200):
+        factor = np.cosh(lams / 3.0**k)
+        prod *= factor
+        if np.max(np.abs(factor - 1.0)) < 1e-16:
+            break
+    return np.exp(-lams / 2.0) * prod
+
+
+def reference_cantor_derivative(lams) -> np.ndarray:
+    """g^'(lam) as g^(lam) times the logarithmic derivative -1/2 + sum_k
+    tanh(lam / 3^k) / 3^k, summed until the terms fall below 1e-17."""
+    lams = np.asarray(lams, dtype=complex)
+    total = np.full_like(lams, -0.5)
+    for k in range(1, 200):
+        term = np.tanh(lams / 3.0**k) / 3.0**k
+        total += term
+        if np.max(np.abs(term), initial=0.0) < 1e-17:
+            break
+    return reference_cantor_transform(lams) * total
 
 
 def cantor_transform_recursive(lam: complex, depth: int = 30) -> complex:

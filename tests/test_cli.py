@@ -430,8 +430,9 @@ class TestScenarioRoundTrip:
                 np.testing.assert_array_equal(restored.samples, phi.samples)
 
 
-# Imports delaylab and its CLI, runs solve, spectrum and stability on the
-# shipped scenarios and prints the scipy modules that got loaded.
+# Imports delaylab and its CLI, runs solve, spectrum, stability and
+# reproduce-rd on the shipped scenarios and prints the scipy modules that
+# got loaded, then whether numpy.ma did.
 NUMPY_ONLY_RUN = """
 import sys
 import delaylab, delaylab.cli
@@ -440,9 +441,11 @@ for argv in (
     ["solve", "--scenario", scalar],
     ["spectrum", "--scenario", scalar, "--re-min", "-1", "--re-max", "1", "--im-max", "2"],
     ["stability", "--scenario", rd, "--horizon", "4"],
+    ["reproduce-rd", "--n", "15", "--decay-horizon", "0"],
 ):
     assert delaylab.cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print("numpy.ma" in sys.modules)
 """
 
 
@@ -457,4 +460,4 @@ class TestImportFootprint:
             env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.split() == ["[]", "False"]

@@ -5,9 +5,49 @@ from hypothesis import strategies as st
 
 import delaylab as dl
 from delaylab import CantorKernel, DensityKernel, DiscreteDelays, HistoryGrid
-from reference_loops import cantor_transform_recursive
+from delaylab.functional import _cantor_product
+from delaylab.scenarios import _cantor_coupling
+from reference_loops import cantor_transform_recursive, reference_cantor_derivative, reference_cantor_transform
 
 CANTOR_CHECK_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0j, 1.0 + 5.0j]
+
+
+def _cantor_accuracy_sets():
+    """Arguments of the product's accuracy checks: a sample of the seed
+    grid of ``stability`` at alpha = 0, the imaginary axis, the real axis
+    and a disk of radius 700."""
+    rng = np.random.default_rng(14)
+    seeds = np.linspace(-12.0, 5.0, 171)[:, None] + 1j * np.linspace(-20.0, 20.0, 401)[None, :]
+    radius, angle = 700.0 * np.sqrt(rng.uniform(0.0, 1.0, 200)), rng.uniform(0.0, 2.0 * np.pi, 200)
+    return {
+        "stability_seeds": rng.choice(seeds.ravel(), 200, replace=False),
+        "imaginary_axis": 1j * np.linspace(-50.0, 50.0, 201),
+        "real_axis": np.linspace(-60.0, 5.0, 131).astype(complex),
+        "disk_700": radius * np.exp(1j * angle),
+    }
+
+
+def _mpmath_cantor(lam):
+    """g^ and g^' by the product over 80 levels in 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam = mpmath.mpc(lam)
+        prod, log_slope = mpmath.mpf(1), mpmath.mpf(-0.5)
+        for k in range(1, 80):
+            prod *= mpmath.cosh(lam / 3**k)
+            log_slope += mpmath.tanh(lam / 3**k) / 3**k
+        value = mpmath.exp(-lam / 2) * prod
+        return complex(value), complex(value * log_slope)
+
+
+def _cantor_errors(got, want, lams):
+    """|got - want| in units of g^(Re lam) for values and |g^'(Re lam)| for
+    derivatives: the integrals of |e^(lam sigma)| and |sigma e^(lam sigma)|
+    against the measure, which bound |g^| and |g^'| and equal them on the
+    real axis.  A plain relative error is unbounded near the zeros of g^ on
+    the imaginary axis, for any rounding of lam / 3^k."""
+    scale = [np.abs(reference_cantor_transform(lams.real)), np.abs(reference_cantor_derivative(lams.real))]
+    return [np.abs(g - w) / s for g, w, s in zip(got, want, scale)]
 
 
 def empty_functional():
@@ -132,6 +172,55 @@ class TestCantorTransform:
         w = dl.cantor_grid_weights(64, 24)
         assert w.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.all(w >= 0.0)
+
+
+class TestCantorProduct:
+    @pytest.mark.parametrize("name", list(_cantor_accuracy_sets()))
+    def test_matches_mpmath_and_reference_loops(self, name):
+        lams = _cantor_accuracy_sets()[name]
+        got = _cantor_product(lams, derivative=True)
+        exact = np.array([_mpmath_cantor(lam) for lam in lams]).T
+        loops = reference_cantor_transform(lams), reference_cantor_derivative(lams)
+        for err in _cantor_errors(got, exact, lams) + _cantor_errors(got, loops, lams):
+            assert err.max() <= 1e-13
+        # as accurate as the level-by-level loops: the errors of both are
+        # mostly the rounding of lam / 3^k, about eps |lam| / 2, so their
+        # maxima differ by a few percent either way
+        for new, old in zip(_cantor_errors(got, exact, lams), _cantor_errors(loops, exact, lams)):
+            assert new.max() <= 1.25 * old.max()
+
+    def test_value_path_matches_derivative_path(self):
+        lams = _cantor_accuracy_sets()["disk_700"]
+        np.testing.assert_array_equal(_cantor_product(lams), _cantor_product(lams, derivative=True)[0])
+
+    def test_exact_at_zero(self):
+        for lam in (0.0, np.zeros(3)):
+            value, slope = _cantor_product(lam, derivative=True)
+            assert np.all(value == 1.0) and np.all(slope == -0.5)
+        assert dl.cantor_transform_grid(np.zeros((2, 2))).shape == (2, 2)
+
+    def test_non_finite_entries_stay_local(self):
+        lams = np.array([1.0 + 1.0j, np.nan, -3.0, np.inf, 40.0j, complex(0.0, -np.inf)])
+        with np.errstate(invalid="ignore", over="ignore"):
+            value, slope = _cantor_product(lams, derivative=True)
+        assert np.isnan(value[1]) and np.isnan(slope[1])
+        assert not np.isfinite(value[[3, 5]]).any()
+        clean = _cantor_product(lams[[0, 2, 4]], derivative=True)
+        np.testing.assert_array_equal(value[[0, 2, 4]], clean[0])
+        np.testing.assert_array_equal(slope[[0, 2, 4]], clean[1])
+
+    def test_overflow_far_down_the_real_axis_is_capped(self):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(_cantor_product(-3000.0))
+            assert not np.isfinite(reference_cantor_transform(-3000.0))
+        assert _cantor_coupling(-3000.0) == (1e300, -1e300)
+
+    def test_entry_independent_of_its_array(self):
+        lams = _cantor_accuracy_sets()["stability_seeds"][:40]
+        alone = np.array([_cantor_product(lam, derivative=True) for lam in lams]).T
+        with_large = _cantor_product(np.append(lams, 700.0j), derivative=True)
+        for err in _cantor_errors([part[:-1] for part in with_large], alone, lams):
+            assert err.max() <= 1e-14
 
 
 class TestCharMatrix:

@@ -7,11 +7,11 @@ from delaylab.scenarios import _cantor_coupling, _mode_rightmost_real_root
 
 
 def _delay_coupling(lam):
-    """e^(-lam), the transform of a unit delay at -1, capped like the
-    Cantor coupling where it overflows."""
+    """e^(-lam), the transform of a unit delay at -1, and its derivative
+    -e^(-lam), capped like the Cantor coupling where they overflow."""
     with np.errstate(over="ignore"):
         value = np.exp(-lam)
-    return value if np.isfinite(value) else 1e300
+    return (value, -value) if np.isfinite(value) else (1e300, -1e300)
 
 
 class TestLaplacian:
@@ -114,6 +114,19 @@ class TestModeDecoupling:
         assert top_mode == every_mode
         if kernel == "cantor":
             assert dl.rd_rightmost_root(n, c) == complex(every_mode, 0.0)
+
+
+    @pytest.mark.parametrize("kernel", ["cantor", "single_delay"])
+    @pytest.mark.parametrize("n", [15, 31])
+    def test_newton_roots_match_brentq(self, n, kernel):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        coupling = _cantor_coupling if kernel == "cantor" else _delay_coupling
+        lam1 = abs(dl.dirichlet_lambda1(n))
+        for eig in np.real(dl.laplacian_dirichlet_1d(n).eigenvalues):
+            for c in (0.5 * lam1, lam1, 1.4 * lam1):
+                root = _mode_rightmost_real_root(float(eig), coupling, c)
+                ref = brentq(lambda lam: lam - eig - c * coupling(lam)[0], root - 0.5, root + 0.5, xtol=1e-15)
+                assert abs(root - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
 class TestThresholdScan:
