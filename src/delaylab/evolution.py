@@ -6,14 +6,13 @@ interpolation of the already-computed trajectory.  The second is the
 semigroup construction: the unperturbed block action (flowed head,
 injected head plus shifted history) composed with the iterated Volterra
 terms whose sum is the perturbation series of the full evolution.  On
-the uniform grid both are constant-coefficient linear recurrences, and
-one block recurrence engine solves them a block of steps per product,
-as b independent blocks of size s: the n modal coordinates of A, one
-scalar equation per mode, when the route decouples, and otherwise u as
-one block of size n.  The eigendecomposition has one home, cached on
-``SpatialOperator``.  Both routes produce the same states up to
-discretisation error, which the test suite asserts; ``mild_residual``
-checks the integrated form of the equation directly on a trajectory.
+the uniform grid both are constant-coefficient linear recurrences, solved
+a block of steps per product through the Toeplitz of their impulse
+response (``_impulse_toeplitz``) as b independent blocks of size s: the
+n modes of A when the route decouples, else u as one block of size n.
+The eigendecomposition is cached on ``SpatialOperator``.  Both routes
+agree up to discretisation error, which the test suite asserts;
+``mild_residual`` checks the integrated equation on a trajectory.
 """
 
 from __future__ import annotations
@@ -308,9 +307,9 @@ def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 #: at 1/2, k4 at 1.
 _RK4_STAGES = (0.0, 0.5, 1.0)
 
-#: Entries of the block response in ``solve_steps``; the block length is
-#: capped so that the response stays about this size.
-_BLOCK_ENTRIES = 100_000
+#: Size of the c k^2-entry map that solves a block of k steps in ``solve_steps``
+#: and ``volterra_terms``: k = sqrt(_BLOCK_ENTRIES / c), at most the horizon.
+_BLOCK_ENTRIES = 40_000
 
 
 def _delay_stencil(
@@ -349,66 +348,60 @@ def _delay_stencil(
     return lags, weights
 
 
-def _step_recurrence(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
-    """Lags and coefficients C_l of one RK4 step, u_{j+1} = sum_l C_l u_{j-l}.
+def _rk4_profile(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
+    """Lags, profile (4, L, s, s) and weights (4, b, s, s) of one RK4 step
+    of z' = a z + g: z_{j+1} = sum_r weights[r] sum_l profile[r, l] z_{j - lags[l]}.
 
-    ``a_eff`` is the instantaneous term of b independent blocks as a
-    (b, s, s) stack; the stage weights of the delay stencil broadcast
-    against it, and every C_l is such a stack.  The stages are composed as
-    maps of the stored nodes: the current node u_j is the identity at lag 0
-    and the delay stencil supplies each stage's delayed values, so the
-    formulas are those of the stage-by-stage step.  Lag 0 is always
-    present and comes first; ``lags``, those of ``_delay_stencil``, are
-    unique, ascending and nonnegative.
+    With x = dt a and g_c the delay term at stage offset c, the composed
+    stages give z_{j+1} = R z_j + dt [q_0 g_0 + q_1/2 g_1/2 + g_1 / 6],
+    R = 1 + x + x^2/2 + x^3/6 + x^4/24, q_0 = (1 + x + x^2/2 + x^3/4)/6 and
+    q_1/2 = (4 + 2x + x^2/2)/6, matrix polynomials in the (b, s, s) stack
+    ``a_eff``.  The profile holds Id at lag 0 and the stage ``weights``.
     """
     all_lags = lags if lags.size and lags[0] == 0 else np.concatenate(([0], lags))
-    delay = np.zeros((len(_RK4_STAGES), len(all_lags)) + a_eff.shape, dtype=np.result_type(a_eff, weights))
-    delay[:, np.searchsorted(all_lags, lags)] = weights
-    node = np.zeros_like(delay[0])
-    node[0] = np.eye(a_eff.shape[-1])
-    half = 0.5 * dt
-    k1 = a_eff @ node + delay[0]
-    k2 = a_eff @ (node + half * k1) + delay[1]
-    k3 = a_eff @ (node + half * k2) + delay[1]
-    k4 = a_eff @ (node + dt * k3) + delay[2]
-    return all_lags, node + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    eye = np.eye(a_eff.shape[-1])
+    profile = np.zeros((4, len(all_lags)) + eye.shape, dtype=weights.dtype)
+    profile[0, 0] = eye
+    profile[1:, np.searchsorted(all_lags, lags)] = weights
+    x = dt * a_eff
+    x2, x3, sixth = x @ x, x @ x @ x, dt / 6.0
+    r, q0, q_half = eye + x + x2 / 2 + x3 / 6 + x3 @ x / 24, eye + x + x2 / 2 + x3 / 4, 4 * eye + 2 * x + x2 / 2
+    return all_lags, profile, np.stack([r, sixth * q0, sixth * q_half, np.broadcast_to(sixth * eye, x.shape)])
 
 
-def _stepping_basis(A: SpatialOperator, decouple: bool, steps: int):
-    """(basis, rates, V, V^-1, block) of a route stepping z = V^-1 u: with ``decouple``
-    and an eigenbasis A = V diag(mu) V^-1 that ``_eigen`` keeps, the n modes mu
-    as an (n, 1, 1) stack, else A as one (1, n, n) block with V = Id; blocks of
-    at most ``steps`` steps keep the block response near ``_BLOCK_ENTRIES`` entries."""
+def _impulse_toeplitz(lags: np.ndarray, coefs: np.ndarray, block: int) -> np.ndarray:
+    """Lower-triangular block Toeplitz of the impulse response of
+    z_{k+1} = sum_l C_l z_{k - lags[l]} + f_k over a block of steps.
+
+    With C_l the (L, b, s, s) stack ``coefs`` and the nodes before the block
+    zero, z_{i+1} = sum_{m <= i} H_{i-m} f_m for H_0 = Id and H_k = sum_l
+    C_l H_{k-1-lags[l]}: (b, block s, block s), H_{i-m} at block (i, m).
+    By doubling, H_K..H_{2K-1} read H_0..H_{K-1} through the lags and each
+    other through the Toeplitz of the first K.
+    """
+    b, s = coefs.shape[1:3]
+
+    def lower(h, count):  # h ends in a zero block, read above the diagonal
+        offset = np.arange(count)[:, None] - np.arange(count)
+        return h[np.where(offset >= 0, offset, -1)]
+
+    h = np.zeros((2, b, s, s), dtype=coefs.dtype)
+    h[0] = np.eye(s)
+    while len(h) <= block:
+        known = len(h) - 1
+        back = np.arange(known, min(2 * known, block))[:, None] - 1 - lags
+        forcing = (coefs @ h[np.where((back >= 0) & (back < known), back, -1)]).sum(axis=1)
+        h = np.concatenate((h[:-1], (lower(h, len(forcing)) @ forcing).sum(axis=1), h[-1:]))
+    return np.ascontiguousarray(lower(h, block).transpose(2, 0, 3, 1, 4)).reshape(b, block * s, -1)
+
+
+def _stepping_basis(A: SpatialOperator, decouple: bool):
+    """(basis, rates, V, V^-1) of a route stepping z = V^-1 u: with ``decouple`` and an eigenbasis
+    A = V diag(mu) V^-1 that ``_eigen`` keeps, the modes as (n, 1, 1), else A as (1, n, n), V = Id."""
     mu, v, vinv, _ = A._eigen()
     if decouple and v is not None:
-        basis, rates = "modal", mu[:, None, None]
-    else:
-        basis, rates, v, vinv = "matrix", A.matrix[None], np.eye(A.n), np.eye(A.n)
-    return basis, rates, v, vinv, max(1, min(steps, int(np.sqrt(1.0 + _BLOCK_ENTRIES / rates.size) - 1.0)))
-
-
-def _block_response(c0: np.ndarray, c1: np.ndarray, block: int) -> np.ndarray:
-    """Response of s_{k+1} = C_0 s_k + C_1 s_{k-1} + f_k over a block.
-
-    C_0 and C_1 are (b, s, s) stacks of independent blocks: the two newest
-    lags of ``solve_steps``, or exp(dt A) and 0 in ``volterra_terms``.  Row
-    k s + i of block b holds the coefficients with which entry i of s_{k+1}
-    reads entry j of input c of (s_0, s_{-1}, f_0, ..., f_{block-1}), at
-    column c s + j.  With P_k and Q_k the responses of s_k to s_0 and to
-    s_{-1}, s_{k+1} reads f_i through P_{k-i}: the forcing part is the
-    lower-triangular Toeplitz of P, whose row k (P_k, ..., P_0, 0, ..., 0)
-    is a window of (P_{block-1}, ..., P_0, 0, ..., 0) read backwards.
-    """
-    # seq[k + 1] = (P_k, Q_k), from P_-1 = 0 and Q_-1 = Id
-    seq = np.zeros((block + 2, 2) + c0.shape, dtype=c0.dtype)
-    seq[1, 0] = seq[0, 1] = np.eye(c0.shape[-1])
-    for k in range(1, block + 1):
-        seq[k + 1] = c0 @ seq[k] + c1 @ seq[k - 1]
-    reversed_p = np.concatenate((seq[block:0:-1, 0], np.zeros_like(seq[2:-1, 0])))
-    toeplitz = sliding_window_view(reversed_p, block, axis=0)[::-1]
-    out = np.concatenate((seq[2:], np.moveaxis(toeplitz, -1, 1)), axis=1)
-    b, s = c0.shape[:2]
-    return out.transpose(2, 0, 3, 1, 4).reshape(b, block * s, (block + 2) * s)
+        return "modal", mu[:, None, None], v, vinv
+    return "matrix", A.matrix[None], np.eye(A.n), np.eye(A.n)
 
 
 def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None = None) -> Trajectory:
@@ -422,18 +415,18 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     A before stepping.  Aborts with BlowUpError when the solution norm
     exceeds 1e12, reporting the first node past the guard.
 
-    On the uniform grid every stage reads the same lags with the same
-    weights at every step, so one step is the fixed linear map
-    u_{j+1} = sum_l C_l u_{j-l}, assembled once from the delay stencil as
-    (b, s, s) stacks in the basis of ``_stepping_basis``: (b, s) = (n, 1)
-    modes when ``SystemModel.scalar_symbol`` holds.  Blocks of steps no
-    longer than the shortest lag above 1 read those lags only before the
-    block: one gather and one batched product give the forcing, and one
-    more with ``_block_response`` the block's nodes.  Once per unit of
-    time and at the horizon the new nodes are mapped back to
-    u = Re(V z), on which the guard is checked.  The frontier
-    extrapolation is part of the map, so the result is that of the
-    stage-by-stage sweep up to rounding.
+    On the uniform grid one step is a fixed linear map of the stored
+    nodes, built by ``_rk4_profile`` in the basis of ``_stepping_basis``
+    ((b, s) = (n, 1) modes when ``SystemModel.scalar_symbol`` holds): a
+    lag profile shared by the b blocks and four RK4 weights per block,
+    folded into the profile when b = 1.  z is stored time major and zero
+    past the frontier, so a block reads its lags in one gather of row
+    windows and one product with the profile; the lags shorter than the
+    block act through ``_impulse_toeplitz``, fused with the weights into
+    one batched product.  Once per unit of time and at the horizon the
+    new nodes are mapped back to u = Re(V z) and the guard is checked.
+    The frontier extrapolation is part of the map, so the result is that
+    of the stage-by-stage sweep up to rounding.
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")
@@ -455,44 +448,48 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     history = init.history.value_at(-1.0 + np.arange(hist_steps + 1) * dt)
     history[-1] = init.head
 
-    basis, rates, v, vinv, block = _stepping_basis(model.A, model.scalar_symbol, steps)
+    basis, rates, v, vinv = _stepping_basis(model.A, model.scalar_symbol)
     b, s = rates.shape[:2]
     atoms = _atoms(model.phi, init.history.m)
     # one s x s weight per atom, shared by the b blocks
-    folded, atoms = _fold_instantaneous(atoms._replace(weights=_as_matrices(atoms.weights, s)[:, None]))
-    lags, weights = _delay_stencil(atoms, hist_steps)
-    lags, coefs = _step_recurrence(rates + folded, lags, weights, dt)
-
-    far_lags = lags[lags > 1]
-    # f_k = sum_l C_l z_{k-l}: (b, s, L s) against the gathered lags
-    far_coefs = coefs[lags > 1].transpose(1, 2, 0, 3).reshape(b, s, -1)
-    c1 = coefs[lags == 1].sum(axis=0)  # zero when no stage reads lag 1
-    block = min(int(far_lags[0]), block) if far_lags.size else block
-    response = _block_response(coefs[0], c1, block)
+    folded, atoms = _fold_instantaneous(atoms._replace(weights=_as_matrices(atoms.weights, s)))
+    lags, profile, rk4 = _rk4_profile(rates + folded, *_delay_stencil(atoms, hist_steps), dt)
+    coefs = (rk4[:, None] @ profile[:, :, None]).sum(axis=0)
+    if b == 1:
+        # one block: its weights fold into the profile, a single row of C_l
+        profile, rk4 = coefs.transpose(1, 0, 2, 3), np.eye(s)[None, None]
+    nrows = len(profile)
+    block = max(1, min(steps, int(np.sqrt(_BLOCK_ENTRIES / (nrows * b * s * s)))))
+    # fused[:, (i, a), (r, c, k)] = (H_{i-k} rk4[r])[a, c]
+    fused = _impulse_toeplitz(lags, coefs, block).reshape(b, 1, -1, s) @ rk4.transpose(1, 0, 2, 3)
+    fused = np.ascontiguousarray(fused.reshape(b, nrows, block * s, block, s).transpose(0, 2, 1, 4, 3))
+    fused = fused.reshape(b, block * s, -1)
+    dtype = np.result_type(vinv, fused)
+    # rows (r, i) and columns (l, j) of the profile: one product reads every lag
+    profile = profile.transpose(0, 2, 1, 3).reshape(nrows * s, -1).astype(dtype)
     logger.debug(
         "solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
         basis, n, dt, steps, block, len(lags),
     )
 
     # the last block runs whole; rows past the horizon are dropped
-    z = np.empty((b, hist_steps + -(-steps // block) * block + 1, s), dtype=np.result_type(vinv, coefs))
-    z[:, : hist_steps + 1] = (history @ vinv.T).reshape(-1, b, s).transpose(1, 0, 2)
+    z = np.zeros((hist_steps + -(-steps // block) * block + 1, n), dtype=dtype)
+    z[: hist_steps + 1] = history @ vinv.T
     values = np.empty((total, n))
     values[: hist_steps + 1] = history
-    # windows[:, r, j, k] = z[:, r + k, j]: a lag reads one window, contiguous when s = 1
-    windows = sliding_window_view(z, block, axis=1)
-    inputs = np.zeros((b, block + 2, s), dtype=z.dtype)
+    # windows[r] = z[r : r + block], one contiguous run of the flat array
+    windows = sliding_window_view(z.reshape(-1), block * n)[::n]
     done = hist_steps  # rows of values filled
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(hist_steps, total - 1, block):
-            inputs[:, 0], inputs[:, 1] = z[:, j0], z[:, j0 - 1]
-            gathered = windows[:, j0 - far_lags].reshape(b, -1, block)  # empty without far lags
-            np.matmul(far_coefs, gathered, out=inputs[:, 2:].transpose(0, 2, 1))
-            np.matmul(response, inputs.reshape(b, -1, 1), out=z[:, j0 + 1 : j0 + block + 1].reshape(b, -1, 1))
+            gathered = windows[j0 - lags].reshape(len(lags), block * b, s).transpose(0, 2, 1)
+            reads = profile @ gathered.reshape(-1, block * b)
+            reads = reads.reshape(nrows * s, block, b).transpose(2, 0, 1).reshape(b, -1, 1)
+            z[j0 + 1 : j0 + block + 1] = (fused @ reads).reshape(b, block, s).transpose(1, 0, 2).reshape(block, n)
             stop = min(j0 + block, total - 1)
             if stop - done < hist_steps and stop < total - 1:
                 continue
-            rows = np.real(z[:, done + 1 : stop + 1].transpose(1, 0, 2).reshape(-1, n) @ v.T)
+            rows = np.real(z[done + 1 : stop + 1] @ v.T)
             values[done + 1 : stop + 1] = rows
             # a NaN or infinite row fails the comparison too
             bad = ~(np.linalg.norm(rows, axis=1) <= BLOWUP_GUARD)
@@ -588,8 +585,9 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     term v of every node reads the previous term's rows through the
     stage-0 delay stencil of ``solve_steps``, in one product per term.
     Its forcing is then known, and for any Phi the recurrence decouples
-    into the modes of A (``_stepping_basis``): ``_block_response`` solves
-    each term a block of steps per product, mapped back once per term.
+    into the modes of A (``_stepping_basis``); through the impulse
+    response E^k of its one lag (``_impulse_toeplitz``) each term is
+    solved a block of steps per product, mapped back once per term.
     """
     if not t >= 0:
         raise PreconditionError("time must be nonnegative")
@@ -623,24 +621,26 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, stages=(0.0,))
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
     stencil = _as_matrices(weights[0], n).transpose(0, 2, 1).reshape(-1, n)
-    basis, rates, v, vinv, block = _stepping_basis(model.A, True, r_steps)
+    basis, rates, v, vinv = _stepping_basis(model.A, True)
     b, size = rates.shape[:2]
+    block = max(1, min(r_steps, int(np.sqrt(_BLOCK_ENTRIES / (b * size * size)))))
     prop = np.exp(dt * rates) if basis == "modal" else model.A.expm(dt)[None]
-    response = _block_response(prop, np.zeros_like(prop), block)
+    response = _impulse_toeplitz(np.zeros(1, dtype=int), prop[None], block)
     logger.debug(
         "volterra_terms: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, terms = %d",
         basis, n, dt, r_steps, block, N,
     )
     # the last block runs whole on zero forcing; rows past t are dropped
     forcing = np.zeros((b, -(-r_steps // block) * block, size), dtype=np.result_type(prop, vinv))
-    inputs = np.zeros((b, block + 2, size), dtype=forcing.dtype)
     for _ in range(1, N + 1):
         w = (rows[reads].reshape(r_steps + 1, -1) @ stencil @ vinv.T).reshape(-1, b, size).transpose(1, 0, 2)
         forcing[:, :r_steps] = 0.5 * dt * (w[:, :-1] @ prop.transpose(0, 2, 1) + w[:, 1:])
         z = np.zeros((b, forcing.shape[1] + 1, size), dtype=forcing.dtype)
         for j0 in range(0, r_steps, block):
-            inputs[:, 0], inputs[:, 2:] = z[:, j0], forcing[:, j0 : j0 + block]
-            np.matmul(response, inputs.reshape(b, -1, 1), out=z[:, j0 + 1 : j0 + block + 1].reshape(b, -1, 1))
+            # the node before the block enters as E z_j0 in the first forcing
+            forcing[:, j0] += (prop @ z[:, j0, :, None])[..., 0]
+            inputs = forcing[:, j0 : j0 + block].reshape(b, -1, 1)
+            np.matmul(response, inputs, out=z[:, j0 + 1 : j0 + block + 1].reshape(b, -1, 1))
         rows = np.zeros((total, n))
         rows[hist_steps + 1 :] = np.real(z[:, 1 : r_steps + 1].transpose(1, 0, 2).reshape(-1, n) @ v.T)
         terms.append(DelayState(rows[-1].copy(), segment(Trajectory(rows, dt, m, s.history.p), t)))

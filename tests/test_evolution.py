@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import scipy.linalg
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
+from delaylab.evolution import _delay_stencil, _impulse_toeplitz
+from delaylab.functional import _atoms
 from reference_loops import reference_solve_steps, reference_volterra_terms
 
 
@@ -299,22 +302,94 @@ class TestModalStepping:
             (np.diag([2.0, 40.0]), 4.0),
             (np.diag([2.0, 8.0]), 3.5),
         ]
-        for a, horizon in cases:
-            model = dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(3.0))
+        runs = [(dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(3.0)), init, horizon, 1e-3) for a, horizon in cases]
+        # the shipped n = 15 scenario at c = 40, rightmost root +3.49, from the
+        # state of `stability --seed 42`: the guard trips at t = 8.447, inside a
+        # block of 25 steps that the far lags 15 and 16 act in
+        rd = dl.reaction_diffusion_scenario(15, 40.0)
+        runs.append((rd, dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(42)), 10.0, rd.default_dt()))
+        for model, state, horizon, dt in runs:
             with pytest.raises(dl.BlowUpError) as got:
-                dl.solve_steps(model, init, horizon, 1e-3)
+                dl.solve_steps(model, state, horizon, dt)
             with pytest.raises(dl.BlowUpError) as want:
-                reference_solve_steps(model, init, horizon, 1e-3)
+                reference_solve_steps(model, state, horizon, dt)
             assert str(got.value) == str(want.value)
 
     def test_logs_the_stepping_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             dl.solve_steps(dl.scalar_dde(-0.3, -0.8), constant_state(1.0), 3.0, 1e-3)
-        # lags 0, 999 and 1000; the far lags allow blocks of 999 steps and
-        # the cap on the block response splits them into blocks of 315
+        # lags 0, 999 and 1000; a single mode folds its four RK4 weights into
+        # the lag profile, and blocks of 200 keep its block map of block^2
+        # entries near 40 000
         assert caplog.messages == [
-            "solve_steps: modal basis, n = 1, dt = 0.001, steps = 3000, block = 315, lags = 3"
+            "solve_steps: modal basis, n = 1, dt = 0.001, steps = 3000, block = 200, lags = 3"
         ]
+
+
+# model, dt, horizon, history nodes m and the basis; every case steps in
+# blocks longer than its shortest lag above 1
+LONG_BLOCK_CASES = {
+    # off-grid Cantor nodes: 298 lags, the shortest above 1 is 9
+    "cantor_rd_m100": lambda: (dl.reaction_diffusion_scenario(15, 4.918968), 1.0 / 1024, 2.0, 100, "modal"),
+    "three_steps": lambda: (
+        dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -2e-3)), 1e-3, 3e-3, 64, "matrix"
+    ),
+    # 777 steps in blocks of 200
+    "ragged_horizon": lambda: (
+        dl.SystemModel(dl.scalar_operator(-0.3), dl.single_delay(np.array([[-0.8]]), -0.0123)), 1e-3, 0.777, 64, "modal"
+    ),
+    # the delays commute neither with A nor with each other
+    "non_commuting_two_delays": lambda: (
+        dl.SystemModel(
+            _coupled_operator(), dl.DiscreteDelays(np.stack([_coupling(), 0.5 * _coupling().T]), np.array([-0.0237, -0.61]))
+        ),
+        1e-3,
+        2.0,
+        64,
+        "matrix",
+    ),
+    "cantor_rotation_m100": lambda: (dl.SystemModel(_rotation_operator(), dl.CantorKernel(0.8)), 1e-3, 2.0, 100, "modal"),
+    "cantor_non_normal_m100": lambda: (
+        dl.SystemModel(_nonnormal_operator(), dl.CantorKernel(0.6)), 1e-3, 2.0, 100, "modal"
+    ),
+}
+
+
+class TestLongBlocks:
+    """Blocks in which short lags act, against the stage-by-stage sweep."""
+
+    @pytest.mark.parametrize("case", sorted(LONG_BLOCK_CASES))
+    def test_matches_stage_by_stage_sweep(self, case, caplog):
+        model, dt, horizon, m, basis = LONG_BLOCK_CASES[case]()
+        init = dl.random_compatible_state(model.n, m, 2.0, np.random.default_rng(8))
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            got = dl.solve_steps(model, init, horizon, dt).values
+        assert f"{basis} basis" in caplog.text
+        block = int(re.search(r"block = (\d+)", caplog.text).group(1))
+        lags, _ = _delay_stencil(_atoms(model.phi, m), round(1.0 / dt))
+        assert block > lags[lags > 1].min()
+        want = reference_solve_steps(model, init, horizon, dt).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_toeplitz_matches_one_step_at_a_time(self):
+        rng = np.random.default_rng(11)
+        b, s, block = 3, 2, 16
+        lags = np.array([0, 1, 3, 7])
+
+        def draw(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        coefs = 0.4 * draw(len(lags), b, s, s)
+        forcing = draw(block, b, s)
+        # zero nodes before the block, then z_{k+1} = sum_l C_l z_{k-l} + f_k
+        z = np.zeros((lags.max() + 1 + block, b, s), dtype=complex)
+        for k in range(block):
+            j = lags.max() + k
+            z[j + 1] = (coefs @ z[j - lags][..., None])[..., 0].sum(axis=0) + forcing[k]
+        want = z[lags.max() + 1 :].transpose(1, 0, 2).reshape(b, -1)
+        got = _impulse_toeplitz(lags, coefs, block) @ forcing.transpose(1, 0, 2).reshape(b, -1, 1)
+        assert np.abs(got[..., 0] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def ode_model_2d():
@@ -502,9 +577,9 @@ class TestVolterraTerms:
     @pytest.mark.parametrize(
         "a,line",
         [
-            ([[-0.3]], "modal basis, n = 1, dt = 0.001, steps = 1500, block = 315, terms = 8"),
+            ([[-0.3]], "modal basis, n = 1, dt = 0.001, steps = 1500, block = 200, terms = 8"),
             # a Jordan block keeps no eigenbasis: one block of size 2
-            ([[-1.0, 1.0], [0.0, -1.0]], "matrix basis, n = 2, dt = 0.001, steps = 1500, block = 157, terms = 8"),
+            ([[-1.0, 1.0], [0.0, -1.0]], "matrix basis, n = 2, dt = 0.001, steps = 1500, block = 100, terms = 8"),
         ],
     )
     def test_logs_the_stepping_path(self, a, line, caplog):
