@@ -51,11 +51,11 @@ VOLTERRA_BUDGET = 4_000_000
 class SpatialOperator:
     """The instantaneous operator A as an n x n matrix.
 
-    When ``eigenvalues`` are supplied they must match the matrix spectrum
-    to 1e-8.  One eigendecomposition of A is computed on first use and
-    cached; the spectrum, the exponentials and their norms, the smallest
-    singular values of lam - A and the modal coordinates of
-    ``solve_steps`` all read it.
+    One eigendecomposition of A is computed on first use and cached; the
+    spectrum, the exponentials and their norms, the smallest singular
+    values of lam - A, the modal coordinates of ``solve_steps`` and the
+    check of supplied ``eigenvalues`` at construction (sorted, to 1e-8
+    (1 + max |tag|)) all read it; ``spectrum`` returns the tags exactly.
     """
 
     matrix: np.ndarray
@@ -67,14 +67,14 @@ class SpatialOperator:
             raise ValueError("spatial operator must be a square matrix")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("spatial operator has non-finite entries")
+        self._eig = None
         if self.eigenvalues is not None:
             self.eigenvalues = np.asarray(self.eigenvalues, dtype=complex)
-            got = np.sort_complex(np.linalg.eigvals(self.matrix))
+            got = np.sort_complex(self._eigen()[0])
             tagged = np.sort_complex(self.eigenvalues)
             scale = 1.0 + np.abs(tagged).max() if tagged.size else 1.0
             if len(got) != len(tagged) or np.abs(got - tagged).max() > 1e-8 * scale:
                 raise ValueError("tagged eigenvalues do not match the matrix spectrum")
-        self._eig = None
 
     @property
     def n(self) -> int:
@@ -404,6 +404,17 @@ def _stepping_basis(A: SpatialOperator, decouple: bool):
     return "matrix", A.matrix[None], np.eye(A.n), np.eye(A.n)
 
 
+def _unit_steps(model: SystemModel, dt: float | None) -> tuple[float, int]:
+    """The step (``model.default_dt()`` when None) and 1/dt, which must be a positive integer."""
+    if dt is None:
+        dt = model.default_dt()
+    inv = 1.0 / dt if dt > 0 else 0.0
+    hist_steps = round(inv)
+    if hist_steps < 1 or abs(inv - hist_steps) > 1e-6:
+        raise PreconditionError(f"1/dt must be an integer, got dt={dt}")
+    return dt, hist_steps
+
+
 def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None = None) -> Trajectory:
     """Advance the equation by the method of steps with RK4 stages.
 
@@ -430,12 +441,7 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")
-    if dt is None:
-        dt = model.default_dt()
-    inv = 1.0 / dt
-    hist_steps = round(inv)
-    if abs(inv - hist_steps) > 1e-6:
-        raise PreconditionError(f"1/dt must be an integer, got dt={dt}")
+    dt, hist_steps = _unit_steps(model, dt)
     if init.n != model.n:
         raise ValueError("initial state dimension does not match the model")
     if not init.is_compatible():
@@ -593,12 +599,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
         raise PreconditionError("time must be nonnegative")
     if N < 0:
         raise PreconditionError(f"term count must be nonnegative, got N = {N}")
-    if dt is None:
-        dt = model.default_dt()
-    inv = 1.0 / dt
-    hist_steps = round(inv)
-    if abs(inv - hist_steps) > 1e-6:
-        raise PreconditionError(f"1/dt must be an integer, got dt={dt}")
+    dt, hist_steps = _unit_steps(model, dt)
     r_steps = round(t / dt)
     if abs(t - r_steps * dt) > 1e-9:
         raise PreconditionError("t must be a multiple of dt for the Volterra quadrature")

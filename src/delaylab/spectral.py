@@ -1,21 +1,22 @@
 """Frequency-domain analysis of the delay equation.
 
 Covers the characteristic matrix M(lam) = lam - A - Phi(e^(lam .)), root
-location by grid-seeded Newton iteration on log det M, audited by an
+location by grid-seeded Newton iteration on log det M, an
 argument-principle count of the same log-derivative tr(M^-1 M') (Jacobi's
 formula; with a scalar delay symbol s(lam) both factor over the
-eigenvalues mu_k of A into sums of log(lam - s(lam) - mu_k)), the explicit
-resolvent of the block delay operator, the integral smallness estimate
-for the perturbation, and the frequency-domain stability certificate
-that compares the delay term's norm along a vertical line with the
-reciprocal resolvent norm of A (for normal A the distance to its
-spectrum, with no SVD).
+eigenvalues mu_k of A into sums of log(lam - s(lam) - mu_k)) run beside
+the search as an independent oracle (``find_roots`` does not call it),
+the explicit resolvent of the block delay operator, the integral
+smallness estimate for the perturbation, and the frequency-domain
+stability certificate that compares the delay term's norm along a
+vertical line with the reciprocal resolvent norm of A (for normal A the
+distance to its spectrum, with no SVD).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -154,17 +155,7 @@ class StabilityReport:
     a_normal: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "criterion_holds": self.criterion_holds,
-            "s0_estimate": self.s0_estimate,
-            "omega0_estimate": self.omega0_estimate,
-            "p": self.p,
-            "lhs_analytic_bound": self.lhs_analytic_bound,
-            "a_normal": self.a_normal,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "StabilityReport":
@@ -624,14 +615,15 @@ _MOVED_ENTRIES = 100_000
 
 def miyadera_estimate(
     model: SystemModel,
-    t0: float,
+    t0: float | list[float] | np.ndarray,
     samples: int = 200,
     *,
     seed: int = 42,
     r_nodes: int = 65,
     state_m: int = 64,
-) -> tuple[float, float]:
-    """Empirical and analytic smallness constants of the delay term.
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
+    """Empirical and analytic smallness constants of the delay term: two
+    floats for a float t0, two arrays for a sequence of them.
 
     q_emp is the maximum over random unit-product-norm compatible states
     of the trapezoid quadrature of r -> ||Phi(S_r x + T_0(r) f)|| over
@@ -640,12 +632,14 @@ def miyadera_estimate(
     and p' the conjugate exponent.  The bound dominates the sample for
     every admissible state.
 
-    The linear map (x, f) -> Phi(S_r x + T_0(r) f) is assembled for all r
-    at once: the node weights of Phi folded through every shift S_r, and
-    the head maps sum_l N_l exp((r + sigma_l) A) over the nodes the flowed
-    head has entered, through the eigenbasis of A (``expm`` if it has none).
+    The states, the eigenbasis of A and M are computed once per call; per
+    t0 the map (x, f) -> Phi(S_r x + T_0(r) f) is assembled for all r at
+    once: the node weights of Phi folded through every shift S_r, and the
+    head maps sum_l N_l exp((r + sigma_l) A) over the nodes the flowed head
+    has entered, through the eigenbasis of A (``expm`` if it has none).
     """
-    if not (0.0 < t0 < 1.0):
+    t0s = np.asarray(t0, dtype=float)
+    if not np.all((0.0 < t0s) & (t0s < 1.0)):
         raise PreconditionError("t0 must lie in (0, 1)")
     if samples < 1:
         raise PreconditionError(f"need at least one sample state, got {samples}")
@@ -653,45 +647,50 @@ def miyadera_estimate(
         raise PreconditionError(f"need r_nodes >= 2 and state_m >= 2, got {r_nodes} and {state_m}")
     n, m = model.n, state_m
     heads, histories = _random_compatible_states(samples, n, m, model.p, np.random.default_rng(seed))
-    rs = np.linspace(0.0, t0, r_nodes)
-    w = _trapezoid_weights(r_nodes, rs[1] - rs[0])
-    times = rs[:, None] + (-1.0 + np.arange(m + 1) / m)
-    # at r = 0 the history already holds x at sigma = 0
-    entered = (times >= 0) & (rs[:, None] > 0)
-
     scalar = model.scalar_symbol
     node_mats = _grid_node_matrices(model.phi, m, n)
     node_w = node_mats[:, 0, 0] if scalar else node_mats
-    # Phi(S_r f) = sum_q hist_map[r, q] f(sigma_q), with scalar or n x n weights
-    hist_map = _shifted_weights(node_w, rs, m)
-    if not scalar:
-        hist_map = hist_map.transpose(0, 2, 1, 3).reshape(r_nodes, 1, n, (m + 1) * n)
     mu, v, vinv, orthonormal = model.A._eigen()
-    if v is None:
-        flows = np.zeros((r_nodes, m + 1, n, n))
-        flows[entered] = model.A.expm(times[entered])
-        head_map = np.einsum("lij,rljk->rik", node_mats, flows)
-    else:
-        # sum_l (N_l V) diag(growth[r, l]) V^-1: one product per column k of V
-        growth = np.exp(np.where(entered, times, 0.0)[..., None] * mu) * entered[..., None]
-        summed = growth.transpose(2, 0, 1) @ (node_mats @ v).transpose(2, 0, 1)
-        head_map = np.real(summed.transpose(1, 2, 0) @ vinv)
-
+    node_modes = None if v is None else (node_mats @ v).transpose(2, 0, 1)
     chunk = max(1, _MOVED_ENTRIES // (r_nodes * n))
-    q_emp = 0.0
-    for start in range(0, samples, chunk):
-        x, f = heads[start : start + chunk], histories[start : start + chunk]
-        # products per state (per node and state for matrix weights): no sum depends on the chunk
-        moved = (head_map.reshape(-1, n) @ x[..., None]).reshape(len(x), r_nodes, n)
-        hist = hist_map @ f if scalar else (hist_map @ f.reshape(len(x), -1, 1)).swapaxes(0, 1)
-        moved += hist.reshape(moved.shape)
-        q_emp = max(q_emp, float(np.max((np.linalg.norm(moved, axis=2) * w).sum(axis=1))))
+    sup_norm = float(model.A.expm_norm(np.linspace(0.0, 1.0, 1000)).max())
+    eta = total_variation(model.phi)
+
+    q_emp, q_bound = [], []
+    for t in np.atleast_1d(t0s).tolist():
+        rs = np.linspace(0.0, t, r_nodes)
+        w = _trapezoid_weights(r_nodes, rs[1] - rs[0])
+        times = rs[:, None] + (-1.0 + np.arange(m + 1) / m)
+        # at r = 0 the history already holds x at sigma = 0
+        entered = (times >= 0) & (rs[:, None] > 0)
+        # Phi(S_r f) = sum_q hist_map[r, q] f(sigma_q), with scalar or n x n weights
+        hist_map = _shifted_weights(node_w, rs, m)
+        if not scalar:
+            hist_map = hist_map.transpose(0, 2, 1, 3).reshape(r_nodes, 1, n, (m + 1) * n)
+        if v is None:
+            flows = np.zeros((r_nodes, m + 1, n, n))
+            flows[entered] = model.A.expm(times[entered])
+            head_map = np.einsum("lij,rljk->rik", node_mats, flows)
+        else:
+            # sum_l (N_l V) diag(growth[r, l]) V^-1: one product per column k of V
+            growth = np.exp(np.where(entered, times, 0.0)[..., None] * mu) * entered[..., None]
+            summed = growth.transpose(2, 0, 1) @ node_modes
+            head_map = np.real(summed.transpose(1, 2, 0) @ vinv)
+
+        best = 0.0
+        for start in range(0, samples, chunk):
+            x, f = heads[start : start + chunk], histories[start : start + chunk]
+            # products per state (per node and state for matrix weights): no sum depends on the chunk
+            moved = (head_map.reshape(-1, n) @ x[..., None]).reshape(len(x), r_nodes, n)
+            hist = hist_map @ f if scalar else (hist_map @ f.reshape(len(x), -1, 1)).swapaxes(0, 1)
+            moved += hist.reshape(moved.shape)
+            best = max(best, float(np.max((np.linalg.norm(moved, axis=2) * w).sum(axis=1))))
+        q_emp.append(best)
+        q_bound.append(t ** (1.0 - 1.0 / model.p) * sup_norm * eta)  # t0^(1/p')
     basis = "expm" if v is None else "modal" if orthonormal else "eigenbasis"
     logger.debug("miyadera_estimate: %s basis, samples = %d, r_nodes = %d, m = %d, chunks = %d",
                  basis, samples, r_nodes, m, -(-samples // chunk))
-    sup_norm = float(model.A.expm_norm(np.linspace(0.0, 1.0, 1000)).max())
-    q_bound = t0 ** (1.0 - 1.0 / model.p) * sup_norm * total_variation(model.phi)  # t0^(1/p')
-    return q_emp, q_bound
+    return (q_emp[0], q_bound[0]) if t0s.ndim == 0 else (np.array(q_emp), np.array(q_bound))
 
 
 # ---------------------------------------------------------------------------

@@ -349,6 +349,21 @@ class TestReproduceRdCommand:
         assert main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--depth", "99"]) == 4
         assert capsys.readouterr().err.startswith("precondition violated:")
 
+    def test_one_decomposition_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        out = tmp_path / "out"
+        assert main(["reproduce-rd", "--out", str(out), "--n", "31", "--decay-horizon", "2"]) == 0
+        assert calls == [(31, 31)]
+        doc = json.loads((out / "reproduce_rd.json").read_text())
+        assert doc["decay_rate_below"] < 0.0 < doc["decay_rate_above"]
+
     def test_range_without_crossing_exits_3(self, tmp_path):
         code = main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--c-min", "1", "--c-max", "3", "--decay-horizon", "0"])
         assert code == 3

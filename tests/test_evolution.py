@@ -30,6 +30,26 @@ class TestSpatialOperator:
         with pytest.raises(ValueError):
             dl.SpatialOperator(np.diag([-1.0, -2.0]), eigenvalues=np.array([-1.0, -3.0]))
 
+    def test_tag_check_reads_the_one_decomposition(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a):
+            calls.append(a.shape)
+            return eigh(a)
+
+        def no_eigvals(a):
+            raise AssertionError("the tag check decomposed A a second time")
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+        A = dl.laplacian_dirichlet_1d(31)
+        assert A.spectrum() is A.eigenvalues
+        assert A.modes() is not None
+        model = dl.SystemModel(A, dl.CantorKernel(1.0))
+        dl.solve_steps(model, dl.random_compatible_state(31, 64, 2.0, np.random.default_rng(0)), 0.05)
+        assert calls == [(31, 31)]
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             dl.SpatialOperator(np.ones((2, 3)))
@@ -177,8 +197,12 @@ class TestSolveSteps:
             dl.solve_steps(ode_model(-1.0), bad, 1.0)
 
     def test_rejects_step_not_dividing_unit_delay(self):
-        with pytest.raises(dl.PreconditionError):
-            dl.solve_steps(ode_model(-1.0), constant_state(1.0), 1.0, 0.3)
+        # both time-domain routes share one step-grid rule
+        for dt in (0.3, 0.0, -1e-3, 2.0):
+            with pytest.raises(dl.PreconditionError, match="1/dt must be an integer"):
+                dl.solve_steps(ode_model(-1.0), constant_state(1.0), 1.0, dt)
+            with pytest.raises(dl.PreconditionError, match="1/dt must be an integer"):
+                dl.volterra_terms(ode_model(-1.0), 2, 0.0, constant_state(1.0), dt)
 
     def test_blowup_guard(self):
         with pytest.raises(dl.BlowUpError):

@@ -493,6 +493,7 @@ MIYADERA_MODELS = {
         "modal",
     ),
     "scalar_n1": lambda: (dl.scalar_dde(-0.6, 0.8), "modal"),
+    "rd_n15": lambda: (dl.reaction_diffusion_scenario(15, 4.918968), "modal"),
     # a Jordan block has no usable eigenbasis
     "jordan_cantor": lambda: (
         dl.SystemModel(dl.SpatialOperator([[-1.0, 1.0], [0.0, -1.0]]), dl.CantorKernel(0.5), 2.0),
@@ -536,6 +537,7 @@ class TestMiyaderaEstimate:
     def test_cantor_kernel_dominated_by_bound(self):
         model = dl.SystemModel(dl.scalar_operator(-1.0), dl.CantorKernel(0.9), 2.0)
         q_emp, q_bound = dl.miyadera_estimate(model, 0.25, samples=50)
+        assert isinstance(q_emp, float) and isinstance(q_bound, float)
         assert q_emp <= q_bound + 1e-8
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
@@ -568,6 +570,26 @@ class TestMiyaderaEstimate:
             monkeypatch.setattr("delaylab.spectral._MOVED_ENTRIES", entries)
             assert dl.miyadera_estimate(model, 0.25, samples=20, seed=3) == whole
 
+    @pytest.mark.parametrize("name", ["rd_n15", "discrete", "jordan_cantor"])
+    def test_grid_equals_scalar_calls_with_one_draw(self, name, monkeypatch):
+        from delaylab.spectral import _random_compatible_states
+
+        model = MIYADERA_MODELS[name]()[0]
+        grid = [0.1, 0.25, 0.5]
+        want = [dl.miyadera_estimate(model, t0, samples=30, seed=5) for t0 in grid]
+        draws = []
+
+        def counted_draw(*args):
+            draws.append(args[0])
+            return _random_compatible_states(*args)
+
+        monkeypatch.setattr("delaylab.spectral._random_compatible_states", counted_draw)
+        q_emp, q_bound = dl.miyadera_estimate(model, grid, samples=30, seed=5)
+        assert draws == [30]
+        assert q_emp.shape == q_bound.shape == (3,)
+        assert q_emp.tolist() == [w[0] for w in want]
+        assert q_bound.tolist() == [w[1] for w in want]
+
     def test_logs_basis_and_chunks(self, caplog):
         model = MIYADERA_MODELS["laplacian_cantor"]()[0]
         with caplog.at_level(logging.DEBUG, logger="delaylab.spectral"):
@@ -579,7 +601,7 @@ class TestMiyaderaEstimate:
 
     def test_rejects_bad_window(self):
         model = dl.scalar_dde(-1.0, 0.1)
-        for t0 in (0.0, 1.0, 1.5, -0.2):
+        for t0 in (0.0, 1.0, 1.5, -0.2, [0.1, 0.5, 1.5], [0.25, np.nan]):
             with pytest.raises(dl.PreconditionError):
                 dl.miyadera_estimate(model, t0, samples=1)
         for sizes in ({"r_nodes": 1}, {"r_nodes": 0}, {"state_m": 1}):
