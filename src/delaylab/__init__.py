@@ -37,7 +37,6 @@ from .functional import (
     apply,
     cantor_grid_weights,
     cantor_transform,
-    cantor_transform_grid,
     char_matrix,
     char_norm_profile,
     single_delay,
@@ -67,7 +66,6 @@ from .spectral import (
     Region,
     RootReport,
     StabilityReport,
-    char_det,
     count_roots_argument_principle,
     criterion_profile,
     decay_rate,

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, BudgetError, PreconditionError
-from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, apply, char_matrix
+from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, _delay_stencil, _grid_position, apply
 from .history import (
     COMPAT_TOL,
     DelayState,
@@ -47,6 +47,12 @@ BLOWUP_GUARD = 1e12
 VOLTERRA_BUDGET = 4_000_000
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """The array itself, marked read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass
 class SpatialOperator:
     """The instantaneous operator A as an n x n matrix.
@@ -56,20 +62,22 @@ class SpatialOperator:
     values of lam - A, the modal coordinates of ``solve_steps`` and the
     check of supplied ``eigenvalues`` at construction (sorted, to 1e-8
     (1 + max |tag|)) all read it; ``spectrum`` returns the tags exactly.
+    The matrix and the tags are copied at construction, and they and the
+    cached decomposition are read-only.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        self.matrix = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        self.matrix = _frozen(np.atleast_2d(np.array(self.matrix, dtype=float)))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("spatial operator must be a square matrix")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("spatial operator has non-finite entries")
         self._eig = None
         if self.eigenvalues is not None:
-            self.eigenvalues = np.asarray(self.eigenvalues, dtype=complex)
+            self.eigenvalues = _frozen(np.array(self.eigenvalues, dtype=complex))
             got = np.sort_complex(self._eigen()[0])
             tagged = np.sort_complex(self.eigenvalues)
             scale = 1.0 + np.abs(tagged).max() if tagged.size else 1.0
@@ -106,6 +114,7 @@ class SpatialOperator:
                     self._eig = (w, v, np.linalg.inv(v), False)
                 else:
                     self._eig = (w, None, None, False)
+            self._eig = tuple(_frozen(x) if isinstance(x, np.ndarray) else x for x in self._eig)
         return self._eig
 
     def modes(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -211,9 +220,6 @@ class SystemModel:
         the grid only places the Cantor atoms)."""
         return _atoms(self.phi, 1).weights.ndim == 1
 
-    def char_matrix(self, lam: complex) -> np.ndarray:
-        return char_matrix(self.phi, lam, dim=self.n)
-
     def default_dt(self) -> float:
         # Explicit stepping limit dt <= 1/||A||_inf <= 1/rho(A), capped at 1e-3
         # and rounded down to 1/integer; h^2/4 for the Dirichlet Laplacian.
@@ -290,19 +296,6 @@ def _fold_instantaneous(atoms: _Atoms) -> tuple[np.ndarray | float, _Atoms]:
     return folded, atoms
 
 
-def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whole part and fraction of positions measured in grid steps.
-
-    Positions within 1e-9 of an integer snap to it, so a grid-aligned
-    delay reads exactly one node whatever the rounding of offset/dt.
-    """
-    rho = np.asarray(rho, dtype=float)
-    nearest = np.rint(rho)
-    rho = np.where(np.abs(rho - nearest) <= 1e-9, nearest, rho)
-    whole = np.floor(rho)
-    return whole.astype(int), rho - whole
-
-
 #: Offsets of the RK4 stages inside a step, in steps: k1 at 0, k2 and k3
 #: at 1/2, k4 at 1.
 _RK4_STAGES = (0.0, 0.5, 1.0)
@@ -310,42 +303,6 @@ _RK4_STAGES = (0.0, 0.5, 1.0)
 #: Size of the c k^2-entry map that solves a block of k steps in ``solve_steps``
 #: and ``volterra_terms``: k = sqrt(_BLOCK_ENTRIES / c), at most the horizon.
 _BLOCK_ENTRIES = 40_000
-
-
-def _delay_stencil(
-    atoms: _Atoms, steps_per_unit: int, stages: tuple[float, ...] = _RK4_STAGES
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lags and weights with which the atoms of the delay term read a
-    uniform trajectory.
-
-    With ``steps_per_unit`` nodes per unit time, the delay term at stage
-    offset c of the step leaving node j is sum_l weights[s, l] u_{j - lags[l]}
-    for c = stages[s]: the piecewise-linear interpolant at position
-    j + c + offset * steps_per_unit.  Positions past node j - 1 read the
-    interval (j - 1, j) with a fraction above 1, which extrapolates from
-    it, so a stage never reads a node that is not yet computed.  Only lags
-    that carry a nonzero weight in some stage are kept, in ascending order.
-    Each weight has the shape of one atom weight: a scalar standing for a
-    multiple of Id, or any stack of matrices.
-    """
-    offsets, values = atoms.offsets, atoms.weights
-    count = len(offsets)
-    lag, coef, atom, stage = [], [], [], []
-    for s, c in enumerate(stages):
-        whole, frac = _grid_position(c + offsets * steps_per_unit)
-        capped = np.minimum(whole, -1)
-        frac = frac + (whole - capped)
-        lag += [-capped, -capped - 1]
-        coef += [1.0 - frac, frac]
-        atom += [np.arange(count)] * 2
-        stage.append(np.full(2 * count, s))
-    lag, coef, atom, stage = (np.concatenate(v) for v in (lag, coef, atom, stage))
-    keep = coef != 0.0
-    lags, where = np.unique(lag[keep], return_inverse=True)
-    weights = np.zeros((len(stages), len(lags)) + values.shape[1:])
-    scale = coef[keep].reshape((-1,) + (1,) * (values.ndim - 1))
-    np.add.at(weights, (stage[keep], where), scale * values[atom[keep]])
-    return lags, weights
 
 
 def _rk4_profile(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
@@ -459,7 +416,7 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     atoms = _atoms(model.phi, init.history.m)
     # one s x s weight per atom, shared by the b blocks
     folded, atoms = _fold_instantaneous(atoms._replace(weights=_as_matrices(atoms.weights, s)))
-    lags, profile, rk4 = _rk4_profile(rates + folded, *_delay_stencil(atoms, hist_steps), dt)
+    lags, profile, rk4 = _rk4_profile(rates + folded, *_delay_stencil(atoms, hist_steps, _RK4_STAGES), dt)
     coefs = (rk4[:, None] @ profile[:, :, None]).sum(axis=0)
     if b == 1:
         # one block: its weights fold into the profile, a single row of C_l
@@ -619,7 +576,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     if N == 0:
         return terms
 
-    lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, stages=(0.0,))
+    lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, (0.0,))
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
     stencil = _as_matrices(weights[0], n).transpose(0, 2, 1).reshape(-1, n)
     basis, rates, v, vinv = _stepping_basis(model.A, True)

@@ -17,15 +17,20 @@ kernel, an empty functional, any 1 x 1 functional, or b Id stored as a
 matrix), and n x n matrices otherwise; the routines that read the atoms
 take the scalar path from that shape alone.  The atoms are the delays with
 their matrices, the trapezoid nodes of a density kernel's own grid, and the
-Cantor grid weights on the history grid.  ``apply``, ``total_variation``
-and the characteristic matrices of this module, and the delay stencils of
-the time-domain routes, all read the atoms; this is the only module that
-tells the variants apart.  The Cantor kernel keeps three exact overrides:
-``apply`` contracts the history samples with its grid weights directly,
-its total variation is |c|, and its characteristic matrices use the
-product form of the transform.  The lam-derivative of the characteristic
-stack, which the root search reads, comes from the same atoms (weights
-sigma_i W_i) and, for the Cantor kernel, from the product form.
+Cantor grid weights on the history grid.  This is the only module that
+tells the variants apart, and it reads the delay term one way per domain:
+
+* on a sampled history through ``_grid_weights``, the weights Q_l with
+  Phi(f) = sum_l Q_l f(sigma_l) on the history nodes, built by the stage-0
+  delay stencil (``_delay_stencil``, which the time-domain routes read
+  with their own stages); ``apply`` contracts the samples with them;
+* on exponentials through ``_symbol``, T(lam) = Phi(e^(lam .)) with its
+  lam-derivative (weights sigma_i W_i), read from the atoms, or from the
+  grid weights when the exponential is sampled on a history grid;
+  ``char_matrix`` and ``char_norm_profile`` read it.
+
+The Cantor kernel keeps two exact overrides: its total variation is |c|,
+and off the grid its symbol is the product form of its transform.
 
 The exponential transform of the Cantor measure is its infinite-product
 form g^(lam) = e^(-lam/2) prod_k cosh(lam / 3^k), read in one pass
@@ -44,7 +49,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .history import HistoryGrid, _trapezoid_weights, interp_uniform
+from .history import HistoryGrid, _trapezoid_weights
 
 _MAX_DEPTH = 40
 
@@ -168,7 +173,7 @@ def cantor_grid_weights(m: int, depth: int) -> np.ndarray:
     the piecewise-linear interpolant exactly against the atomic measure.
     The enumerated depth is capped once leaves resolve below the grid
     spacing, where further subdivision changes the weights by less than
-    1e-11.
+    1e-11.  The cached array is returned read-only.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -187,23 +192,20 @@ def cantor_grid_weights(m: int, depth: int) -> np.ndarray:
     w = np.zeros(m + 1)
     np.add.at(w, idx, (1.0 - frac) * mass)
     np.add.at(w, idx + 1, frac * mass)
+    w.setflags(write=False)
     _weights_cache[key] = w
     return w
 
 
-def cantor_transform(lam: complex) -> complex:
+def cantor_transform(lam):
     """Exponential transform of the Cantor function on [-1, 0].
 
-    Returns g^(lam) = integral of e^(lam * sigma) dg(sigma); the 0-d case
-    of ``cantor_transform_grid``.  An entire function of lam with
-    g^(0) = 1 and |g^(i omega)| <= 1.
+    Returns g^(lam) = integral of e^(lam * sigma) dg(sigma): a complex for
+    a scalar lam, an array of the same shape for an array.  An entire
+    function of lam with g^(0) = 1 and |g^(i omega)| <= 1.
     """
-    return complex(cantor_transform_grid(lam))
-
-
-def cantor_transform_grid(lams: np.ndarray) -> np.ndarray:
-    """``cantor_transform`` over an array of arguments (or a scalar)."""
-    return _cantor_product(lams)
+    out = _cantor_product(lam)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 #: Entries per pass of the level loop of ``_cantor_product``: its
@@ -332,36 +334,86 @@ def _norms(weights: np.ndarray) -> np.ndarray:
     return np.linalg.svd(weights, compute_uv=False)[:, 0]
 
 
-def _transform(phi: DelayFunctional, lams, m: int | None = None) -> np.ndarray:
-    """sum_i W_i e^(lam sigma_i) for every lam of a flat array: a stack of
-    matrices, or scalars standing for multiples of Id.
+def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whole part and fraction of positions measured in grid steps.
+
+    Positions within 1e-9 of an integer snap to it, so a grid-aligned
+    delay reads exactly one node whatever the rounding of offset/dt.
+    """
+    rho = np.asarray(rho, dtype=float)
+    nearest = np.rint(rho)
+    rho = np.where(np.abs(rho - nearest) <= 1e-9, nearest, rho)
+    whole = np.floor(rho)
+    return whole.astype(int), rho - whole
+
+
+def _delay_stencil(
+    atoms: _Atoms, steps_per_unit: int, stages: tuple[float, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lags and weights with which the atoms of the delay term read a
+    uniform trajectory.
+
+    With ``steps_per_unit`` nodes per unit time, the delay term at stage
+    offset c of the step leaving node j is sum_l weights[s, l] u_{j - lags[l]}
+    for c = stages[s]: the piecewise-linear interpolant at position
+    j + c + offset * steps_per_unit.  Positions past node j - 1 read the
+    interval (j - 1, j) with a fraction above 1, which extrapolates from
+    it, so a stage never reads a node that is not yet computed.  Only lags
+    that carry a nonzero weight in some stage are kept, in ascending order.
+    Each weight has the shape of one atom weight: a scalar standing for a
+    multiple of Id, or any stack of matrices.
+    """
+    offsets, values = atoms.offsets, atoms.weights
+    count = len(offsets)
+    lag, coef, atom, stage = [], [], [], []
+    for s, c in enumerate(stages):
+        whole, frac = _grid_position(c + offsets * steps_per_unit)
+        capped = np.minimum(whole, -1)
+        frac = frac + (whole - capped)
+        lag += [-capped, -capped - 1]
+        coef += [1.0 - frac, frac]
+        atom += [np.arange(count)] * 2
+        stage.append(np.full(2 * count, s))
+    lag, coef, atom, stage = (np.concatenate(v) for v in (lag, coef, atom, stage))
+    keep = coef != 0.0
+    lags, where = np.unique(lag[keep], return_inverse=True)
+    weights = np.zeros((len(stages), len(lags)) + values.shape[1:])
+    scale = coef[keep].reshape((-1,) + (1,) * (values.ndim - 1))
+    np.add.at(weights, (stage[keep], where), scale * values[atom[keep]])
+    return lags, weights
+
+
+def _grid_weights(phi: DelayFunctional, m: int) -> np.ndarray:
+    """Weights Q_l with Phi(f) = sum_l Q_l f(sigma_l) for every history f
+    sampled on the m + 1 nodes sigma_l = -1 + l/m, scalars or n x n
+    matrices as the atom weights are: the stage-0 delay stencil with one
+    step per node, whose lag l reads node m - l."""
+    lags, weights = _delay_stencil(_atoms(phi, m), m, (0.0,))
+    out = np.zeros((m + 1,) + weights.shape[2:])
+    out[m - lags] = weights[0]
+    return out
+
+
+def _symbol(phi: DelayFunctional, lams, m: int | None = None, derivative: bool = False):
+    """(T, T') with T(lam) = Phi(e^(lam .)) = sum_i W_i e^(lam sigma_i) and
+    T'(lam) = sum_i sigma_i W_i e^(lam sigma_i) (None unless ``derivative``)
+    for every lam of a flat array: stacks of matrices, or scalars standing
+    for multiples of Id.
 
     With m the exponential is read through its samples on the m-node grid,
-    as ``apply`` reads a sampled history; without m the Cantor kernel uses
-    the product form of its transform.
+    as ``apply`` reads a sampled history (``_grid_weights``); without m
+    the Cantor kernel uses the product form of its transform.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     if m is None and isinstance(phi, CantorKernel):
-        return phi.c * _cantor_product(lams)
-    offsets, weights, _ = _atoms(phi, m)
+        both = _cantor_product(lams, derivative)
+        return (phi.c * both[0], phi.c * both[1]) if derivative else (phi.c * both, None)
     if m is None:
-        profile = np.exp(np.outer(lams, offsets))
+        offsets, weights, _ = _atoms(phi)
     else:
-        nodes = -1.0 + np.arange(m + 1) / m
-        profile = interp_uniform(np.exp(np.outer(nodes, lams)), -1.0, 1.0 / m, offsets).T
-    return _contract(profile, weights)
-
-
-def _transform_and_derivative(phi: DelayFunctional, lams) -> tuple[np.ndarray, np.ndarray]:
-    """``_transform(phi, lams)`` and its lam-derivative sum_i sigma_i W_i
-    e^(lam sigma_i); the Cantor kernel reads both off its product form."""
-    lams = np.asarray(lams, dtype=complex).ravel()
-    if isinstance(phi, CantorKernel):
-        value, slope = _cantor_product(lams, derivative=True)
-        return phi.c * value, phi.c * slope
-    offsets, weights, _ = _atoms(phi)
+        offsets, weights = -1.0 + np.arange(m + 1) / m, _grid_weights(phi, m)
     profile = np.exp(np.outer(lams, offsets))
-    return _contract(profile, weights), _contract(profile * offsets, weights)
+    return _contract(profile, weights), (_contract(profile * offsets, weights) if derivative else None)
 
 
 def _contract(profile: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -372,17 +424,14 @@ def _contract(profile: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def apply(phi: DelayFunctional, f: HistoryGrid) -> np.ndarray:
-    """Evaluate Phi(f) for a sampled history.
-
-    The atoms read f by piecewise-linear interpolation; the Cantor kernel
-    contracts the samples with its grid weights directly.
-    """
+    """Evaluate Phi(f) for a sampled history: its samples contracted with
+    the grid weights of Phi (``_grid_weights``)."""
     if phi.dim not in (None, f.n):
         raise ValueError(f"history dimension {f.n} does not match functional dimension {phi.dim}")
-    if isinstance(phi, CantorKernel):
-        return phi.c * (cantor_grid_weights(f.m, phi.depth) @ f.samples)
-    offsets, weights, _ = _atoms(phi)
-    return np.einsum("kij,kj->i", _as_matrices(weights, f.n), f.value_at(offsets))
+    weights = _grid_weights(phi, f.m)
+    if weights.ndim == 1:
+        return weights @ f.samples
+    return np.einsum("lij,lj->i", weights, f.samples)
 
 
 def total_variation(phi: DelayFunctional) -> float:
@@ -405,7 +454,7 @@ def char_matrix(phi: DelayFunctional, lam: complex, dim: int | None = None) -> n
     dim = phi.dim if dim is None else dim
     if phi.dim not in (None, dim):
         raise ValueError(f"dimension {dim} does not match functional dimension {phi.dim}")
-    return _as_matrices(_transform(phi, [lam]), dim)[0]
+    return _as_matrices(_symbol(phi, [lam])[0], dim)[0]
 
 
 def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray) -> np.ndarray:
@@ -413,4 +462,4 @@ def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray) ->
     lams = alpha + 1j * np.asarray(omegas, dtype=float)
     if isinstance(phi, CantorKernel):
         return abs(phi.c) * np.abs(_cantor_product(lams))
-    return _norms(_transform(phi, lams))
+    return _norms(_symbol(phi, lams)[0])

@@ -65,6 +65,12 @@ def _number(obj, path: str) -> float:
     return value
 
 
+def _integer(obj, path: str, minimum: int) -> int:
+    if isinstance(obj, bool) or not isinstance(obj, int) or obj < minimum:
+        raise ScenarioError(f"{path}: expected an integer >= {minimum}")
+    return obj
+
+
 def _array(obj, path: str, ndim: int) -> np.ndarray:
     try:
         arr = np.asarray(obj, dtype=float)
@@ -120,7 +126,7 @@ def functional_from_dict(doc: dict, path: str = "phi") -> DelayFunctional:
         try:
             return CantorKernel(
                 _number(payload["c"], f"{path}.payload.c"),
-                int(_number(payload.get("depth", 24), f"{path}.payload.depth")),
+                _integer(payload.get("depth", 24), f"{path}.payload.depth", 1),
             )
         except ValueError as exc:
             raise ScenarioError(f"{path}: {exc}") from None
@@ -150,10 +156,7 @@ def operator_from_dict(doc: dict, path: str = "A") -> SpatialOperator:
             raise ScenarioError(f"{path}: {exc}") from None
     if kind == "laplacian1d":
         _check_keys(payload, {"n"}, set(), f"{path}.payload")
-        n = payload["n"]
-        if not isinstance(n, int) or n < 1:
-            raise ScenarioError(f"{path}.payload.n: expected a positive integer")
-        return laplacian_dirichlet_1d(n)
+        return laplacian_dirichlet_1d(_integer(payload["n"], f"{path}.payload.n", 1))
     if kind == "scalar":
         _check_keys(payload, {"a"}, set(), f"{path}.payload")
         return scalar_operator(_number(payload["a"], f"{path}.payload.a"))
@@ -222,9 +225,7 @@ def parse_scenario(doc: dict) -> Scenario:
 
     run_doc = _check_keys(doc["run"], {"T", "m"}, {"dt"}, "run")
     T = _number(run_doc["T"], "run.T")
-    m = run_doc["m"]
-    if not isinstance(m, int) or m < 2:
-        raise ScenarioError("run.m: expected an integer >= 2")
+    m = _integer(run_doc["m"], "run.m", 2)
     dt = None if run_doc.get("dt") is None else _number(run_doc["dt"], "run.dt")
 
     initial_doc = _check_keys(doc["initial"], {"head", "history"}, set(), "initial")

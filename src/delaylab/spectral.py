@@ -1,12 +1,14 @@
 """Frequency-domain analysis of the delay equation.
 
-Covers the characteristic matrix M(lam) = lam - A - Phi(e^(lam .)), root
+Covers the characteristic matrix M(lam) = lam - A - T(lam), T(lam) =
+Phi(e^(lam .)) the symbol of ``functional._symbol``, built in one place
+(``_char_matrix_stack``) from symbol values its caller computes once, root
 location by grid-seeded Newton iteration on log det M, an
 argument-principle count of the same log-derivative tr(M^-1 M') (Jacobi's
 formula; with a scalar delay symbol s(lam) both factor over the
 eigenvalues mu_k of A into sums of log(lam - s(lam) - mu_k)) run beside
-the search as an independent oracle (``find_roots`` does not call it),
-the explicit resolvent of the block delay operator, the integral
+the search as an independent oracle (``find_roots`` does not call it;
+it refuses to count when a root lies next to the contour), the explicit resolvent of the block delay operator, the integral
 smallness estimate for the perturbation, and the frequency-domain
 stability certificate that compares the delay term's norm along a
 vertical line with the reciprocal resolvent norm of A (for normal A the
@@ -22,17 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, NearSpectrumError, NoResultError, PreconditionError
-from .evolution import SystemModel, Trajectory, _delay_stencil, solve_steps
-from .functional import (
-    DelayFunctional,
-    _as_matrices,
-    _atoms,
-    _transform,
-    _transform_and_derivative,
-    apply,
-    char_norm_profile,
-    total_variation,
-)
+from .evolution import SystemModel, Trajectory, solve_steps
+from .functional import _as_matrices, _grid_weights, _symbol, apply, char_norm_profile, total_variation
 from .history import (
     DelayState,
     HistoryGrid,
@@ -48,8 +41,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class FrequencyGrid:
-    """Uniform samples of [-omega_max, omega_max]; count is odd so that
-    omega = 0 is always included."""
+    """Uniform samples of [-omega_max, omega_max]; count is odd and at
+    least 3, so that omega = 0 is always included."""
 
     omega_max: float = 200.0
     count: int = 4001
@@ -57,8 +50,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if not 0 < self.omega_max < np.inf:
             raise PreconditionError(f"omega_max must be positive and finite, got {self.omega_max}")
-        if self.count < 1 or self.count % 2 == 0:
-            raise PreconditionError(f"count must be a positive odd integer, got {self.count}")
+        if self.count < 3 or self.count % 2 == 0:
+            raise PreconditionError(f"count must be an odd integer >= 3, got {self.count}")
 
     @property
     def samples(self) -> np.ndarray:
@@ -167,17 +160,10 @@ class StabilityReport:
 # ---------------------------------------------------------------------------
 
 
-def _char_matrix_stack(model: SystemModel, lams: np.ndarray) -> np.ndarray:
-    """Stack of lam - A - char_matrix(lam) over a flat array of lam."""
-    lams = np.asarray(lams, dtype=complex).ravel()
-    base = lams[:, None, None] * np.eye(model.n, dtype=complex) - model.A.matrix
-    base -= _as_matrices(_transform(model.phi, lams), model.n)
-    return base
-
-
-def char_det(model: SystemModel, lam: complex) -> complex:
-    """Determinant of the characteristic matrix at lam (complex LU)."""
-    return complex(np.linalg.det(_char_matrix_stack(model, np.array([lam]))[0]))
+def _char_matrix_stack(model: SystemModel, lams: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Stack of M(lam) = lam - A - T(lam) over a flat array of lam, from the
+    symbol values T(lam) (``_symbol``) the caller has computed."""
+    return lams[:, None, None] * np.eye(model.n) - model.A.matrix - _as_matrices(t, model.n)
 
 
 def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -186,7 +172,7 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     D is None unless ``derivative``.
 
     With a scalar symbol s(lam) (``SystemModel.scalar_symbol``: every
-    weight of Phi a multiple of Id, so that ``_transform`` returns scalars)
+    weight of Phi a multiple of Id, so that ``_symbol`` returns scalars)
     det M = prod_k (z - mu_k) with z = lam - s(lam) over the eigenvalues
     mu_k of A, exactly for any A, so L = sum_k log|z - mu_k| and D =
     (1 - s'(lam)) sum_k 1/(z - mu_k): O(n) per lam, without overflow.
@@ -205,17 +191,14 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
         for start in range(0, len(lams), chunk):
             sl = slice(start, start + chunk)
             lam = lams[sl]
-            if derivative:
-                t, tp = _transform_and_derivative(model.phi, lam)
-            else:
-                t = _transform(model.phi, lam)
+            t, tp = _symbol(model.phi, lam, derivative=derivative)
             if scalar:
                 gaps = (lam - t)[:, None] - model.A.spectrum()
                 L[sl] = np.log(np.abs(gaps)).sum(axis=1)
                 if derivative:
                     D[sl] = (1.0 - tp) * (1.0 / gaps).sum(axis=1)
                 continue
-            stack = lam[:, None, None] * eye - model.A.matrix - t
+            stack = _char_matrix_stack(model, lam, t)
             L[sl] = np.linalg.slogdet(stack)[1]
             if derivative:
                 ok = np.isfinite(L[sl])
@@ -345,7 +328,10 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
     intervals per edge; an oracle independent of the Newton search.
 
     Raises NoResultError when the boundary integral is not finite, for
-    example because a root lies on the contour.
+    example because a root lies on the contour, and when a root lies
+    within about one node spacing of it: where |dz| max |D| exceeds 1 on
+    an edge, the trapezoid rule cannot resolve the pole of D and the
+    rounded winding may be off by the roots nearby.
     """
     corners = [
         complex(region.re_min, -region.im_max),
@@ -354,15 +340,22 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
         complex(region.re_min, region.im_max),
     ]
     total = 0.0 + 0.0j
+    peak = 0.0
     with np.errstate(invalid="ignore"):
         for a, b in zip(corners, corners[1:] + corners[:1]):
             _, integrand = _log_det(model, a + (b - a) * np.linspace(0.0, 1.0, 2001))
             dz = (b - a) / 2000
             total += dz * (0.5 * (integrand[0] + integrand[-1]) + integrand[1:-1].sum())
+            peak = max(peak, abs(dz) * float(np.max(np.abs(integrand))))
     if not np.isfinite(total):
         raise NoResultError(
             "argument-principle integral is not finite: the integrand d/dlambda log det "
             "is not finite on the contour, for example because a root lies on it"
+        )
+    if peak > 1.0:
+        raise NoResultError(
+            f"a root lies within about one node spacing of the contour (|dz| max |D| = {peak:.3g} > 1); "
+            "the count is not reliable, move the contour"
         )
     return int(np.rint((total / (2j * np.pi)).real))
 
@@ -424,8 +417,8 @@ def resolvent_apply(
     if y.shape[0] != model.n or g.n != model.n:
         raise ValueError("right-hand side dimensions do not match the model")
     q = shift_resolvent_history(lam, g)
-    grid_char = _as_matrices(_transform(model.phi, [lam], g.m), model.n)[0]
-    head_matrix = lam * np.eye(model.n) - model.A.matrix - grid_char
+    lams = np.array([lam], dtype=complex)
+    head_matrix = _char_matrix_stack(model, lams, _symbol(model.phi, lams, g.m)[0])[0]
     svals = np.linalg.svd(head_matrix, compute_uv=False)
     # scale floor keeps the estimate meaningful for 1 x 1 systems, where
     # the plain condition number is identically 1
@@ -599,16 +592,6 @@ def stability_criterion(
 # ---------------------------------------------------------------------------
 
 
-def _grid_node_matrices(phi: DelayFunctional, m: int, n: int) -> np.ndarray:
-    """Matrices Q[l] with apply(phi, f) = sum_l Q[l] @ f(sigma_l) for every
-    history f sampled on m + 1 nodes: the stage-0 delay stencil with one
-    step per grid node, whose lag l reads node m - l."""
-    lags, weights = _delay_stencil(_atoms(phi, m), m, stages=(0.0,))
-    out = np.zeros((m + 1, n, n))
-    out[m - lags] = _as_matrices(weights[0], n)
-    return out
-
-
 #: ``miyadera_estimate`` moves its states in chunks of this many entries (r_nodes x n each).
 _MOVED_ENTRIES = 100_000
 
@@ -647,9 +630,9 @@ def miyadera_estimate(
         raise PreconditionError(f"need r_nodes >= 2 and state_m >= 2, got {r_nodes} and {state_m}")
     n, m = model.n, state_m
     heads, histories = _random_compatible_states(samples, n, m, model.p, np.random.default_rng(seed))
-    scalar = model.scalar_symbol
-    node_mats = _grid_node_matrices(model.phi, m, n)
-    node_w = node_mats[:, 0, 0] if scalar else node_mats
+    node_w = _grid_weights(model.phi, m)
+    scalar = node_w.ndim == 1
+    node_mats = _as_matrices(node_w, n)
     mu, v, vinv, orthonormal = model.A._eigen()
     node_modes = None if v is None else (node_mats @ v).transpose(2, 0, 1)
     chunk = max(1, _MOVED_ENTRIES // (r_nodes * n))

@@ -18,11 +18,15 @@ the level-by-level product form of the Cantor transform, a complex cosh
 package reads the same product in one pass with the exact triplication
 of cosh on the levels below the top ones.
 
-Two oracles that the package does not compute at all sit beside them:
+Three oracles that the package does not compute at all sit beside them:
 ``cantor_transform_recursive`` evaluates the Cantor transform by
 self-similar subdivision of the measure, the cross-check of the product
 formula; ``perturbed_resolvent_bound_check`` tests the perturbed
-resolvent inequality by a direct SVD.
+resolvent inequality by a direct SVD; ``char_det`` is the determinant of
+the characteristic matrix by complex LU, the oracle of ``_log_det``.
+``_delay_term`` reads a delay functional on a sampled trajectory by
+interpolating it at the atom offsets, apart from the grid weights that
+the package reads every sampled history with.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from delaylab import (
     Trajectory,
     apply,
     cantor_grid_weights,
+    char_matrix,
     history_injection,
     nilpotent_shift,
     segment,
@@ -335,7 +340,7 @@ def perturbed_resolvent_bound_check(model, lam: complex, delta: float) -> bool:
     min_sv = model.A.min_singular(lam)
     if min_sv <= 1e-14:
         raise PreconditionError(f"lambda = {lam} is not in the resolvent set of A")
-    disturbance = model.char_matrix(lam)
+    disturbance = char_matrix(model.phi, lam, dim=model.n)
     dist_norm = float(np.linalg.norm(disturbance, 2))
     if dist_norm > (1.0 - delta) * min_sv * (1.0 + 1e-12):
         raise PreconditionError(
@@ -344,3 +349,9 @@ def perturbed_resolvent_bound_check(model, lam: complex, delta: float) -> bool:
     shifted = lam * np.eye(model.n) - model.A.matrix - disturbance
     perturbed_norm = 1.0 / float(np.linalg.svd(shifted, compute_uv=False)[-1])
     return perturbed_norm <= (1.0 / min_sv) / delta
+
+
+def char_det(model, lam: complex) -> complex:
+    """Determinant of lam - A - char_matrix(lam) by complex LU."""
+    matrix = lam * np.eye(model.n, dtype=complex) - model.A.matrix - char_matrix(model.phi, lam, dim=model.n)
+    return complex(np.linalg.det(matrix))

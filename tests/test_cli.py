@@ -147,8 +147,10 @@ class TestNonFiniteScenario:
             ("solve", edited(scalar_scenario(-1.0, 0.5), MATRIX, [[float("inf")]]), "model.phi.payload.terms[0].matrix"),
             ("solve", edited(cantor_scenario(), ["model", "phi", "payload", "c"], float("nan")), "model.phi.payload.c"),
             ("solve", edited(scalar_scenario(-1.0, 0.5), ["run", "T"], float("nan")), "run.T"),
+            ("solve", edited(rd_scenario(n=5, c=0.5), ["model", "A", "payload", "n"], True), "model.A.payload.n"),
+            ("solve", edited(cantor_scenario(), ["model", "phi", "payload", "depth"], 13.9), "model.phi.payload.depth"),
         ],
-        ids=["nan_delay_solve", "nan_delay_spectrum", "inf_matrix", "nan_cantor_c", "nan_T"],
+        ids=["nan_delay_solve", "nan_delay_spectrum", "inf_matrix", "nan_cantor_c", "nan_T", "bool_n", "fractional_depth"],
     )
     def test_non_finite_value_exits_1(self, tmp_path, capsys, command, doc, field):
         path = write_scenario(tmp_path, doc)
@@ -237,8 +239,8 @@ class TestStabilityCommand:
 
     @pytest.mark.parametrize(
         "options",
-        [["--count", "4000"], ["--omega-max", "-1"], ["--omega-max", "inf"]],
-        ids=["even_count", "negative_omega_max", "infinite_omega_max"],
+        [["--count", "4000"], ["--count", "1"], ["--omega-max", "-1"], ["--omega-max", "inf"]],
+        ids=["even_count", "single_count", "negative_omega_max", "infinite_omega_max"],
     )
     def test_bad_frequency_grid_exits_4(self, tmp_path, capsys, options):
         path = write_scenario(tmp_path, rd_scenario(n=5, c=0.0))

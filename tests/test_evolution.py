@@ -7,8 +7,8 @@ import scipy.linalg
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
-from delaylab.evolution import _delay_stencil, _impulse_toeplitz
-from delaylab.functional import _atoms
+from delaylab.evolution import _RK4_STAGES, _impulse_toeplitz
+from delaylab.functional import _atoms, _delay_stencil
 from reference_loops import reference_solve_steps, reference_volterra_terms
 
 
@@ -53,6 +53,21 @@ class TestSpatialOperator:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             dl.SpatialOperator(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("a", [np.array([[-1.0, 0.0], [0.0, -2.0]]), np.array([[-1.0, 0.5], [0.0, -2.0]])])
+    def test_caller_array_cannot_change_the_operator(self, a):
+        tags = np.array([-1.0, -2.0], dtype=complex)
+        op = dl.SpatialOperator(a, eigenvalues=tags)
+        np.testing.assert_array_equal(op.spectrum(), [-1.0, -2.0])
+        a[0, 0] = 5.0
+        tags[0] = 9.0
+        assert op.matrix[0, 0] == -1.0
+        np.testing.assert_array_equal(op.spectrum(), [-1.0, -2.0])
+        arrays = [op.matrix, op.eigenvalues] + [x for x in op._eigen() if isinstance(x, np.ndarray)]
+        assert len(arrays) == 5
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] *= 2.0
 
     @pytest.mark.parametrize("seed,symmetric", [(0, True), (1, False), (2, False)])
     def test_propagate_matches_dense_exponential(self, seed, symmetric):
@@ -390,7 +405,7 @@ class TestLongBlocks:
             got = dl.solve_steps(model, init, horizon, dt).values
         assert f"{basis} basis" in caplog.text
         block = int(re.search(r"block = (\d+)", caplog.text).group(1))
-        lags, _ = _delay_stencil(_atoms(model.phi, m), round(1.0 / dt))
+        lags, _ = _delay_stencil(_atoms(model.phi, m), round(1.0 / dt), _RK4_STAGES)
         assert block > lags[lags > 1].min()
         want = reference_solve_steps(model, init, horizon, dt).values
         assert got.shape == want.shape

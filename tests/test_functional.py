@@ -161,7 +161,7 @@ class TestCantorTransform:
 
     def test_probability_transform_bounded_on_axis(self):
         omegas = np.arange(-100, 101, dtype=float)
-        vals = np.abs(dl.cantor_transform_grid(1j * omegas))
+        vals = np.abs(dl.cantor_transform(1j * omegas))
         assert np.all(vals <= 1.0 + 1e-14)
 
     @pytest.mark.parametrize("lam", CANTOR_CHECK_POINTS)
@@ -172,6 +172,12 @@ class TestCantorTransform:
         w = dl.cantor_grid_weights(64, 24)
         assert w.sum() == pytest.approx(1.0, abs=1e-13)
         assert np.all(w >= 0.0)
+
+    def test_cached_grid_weights_are_read_only(self):
+        w = dl.cantor_grid_weights(64, 24)
+        with pytest.raises(ValueError):
+            w *= 2.0
+        assert dl.cantor_grid_weights(64, 24).sum() == pytest.approx(1.0, abs=1e-13)
 
 
 class TestCantorProduct:
@@ -197,7 +203,7 @@ class TestCantorProduct:
         for lam in (0.0, np.zeros(3)):
             value, slope = _cantor_product(lam, derivative=True)
             assert np.all(value == 1.0) and np.all(slope == -0.5)
-        assert dl.cantor_transform_grid(np.zeros((2, 2))).shape == (2, 2)
+        assert dl.cantor_transform(np.zeros((2, 2))).shape == (2, 2)
 
     def test_non_finite_entries_stay_local(self):
         lams = np.array([1.0 + 1.0j, np.nan, -3.0, np.inf, 40.0j, complex(0.0, -np.inf)])

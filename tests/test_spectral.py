@@ -6,9 +6,13 @@ import pytest
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
+from delaylab.functional import _symbol
+from delaylab.history import interp_uniform
 from delaylab.spectral import _char_matrix_stack, _log_det
 from delaylab.scenario_io import load_scenario
 from reference_loops import (
+    _delay_term,
+    char_det,
     perturbed_resolvent_bound_check,
     reference_decay_rate,
     reference_miyadera_estimate,
@@ -17,6 +21,12 @@ from reference_loops import (
 )
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def char_stack(model, lams):
+    """lam - A - T(lam) over lams, with T read by ``_symbol``."""
+    lams = np.asarray(lams, dtype=complex)
+    return _char_matrix_stack(model, lams, _symbol(model.phi, lams)[0])
 
 
 def empty_functional():
@@ -41,7 +51,7 @@ class TestFrequencyGrid:
         grid = dl.FrequencyGrid(30.0, 301)
         assert 0.0 in grid.samples
 
-    @pytest.mark.parametrize("omega_max,count", [(0.0, 101), (-1.0, 101), (10.0, 100), (10.0, 0)])
+    @pytest.mark.parametrize("omega_max,count", [(0.0, 101), (-1.0, 101), (10.0, 100), (10.0, 0), (10.0, 1)])
     def test_rejects_bad_parameters(self, omega_max, count):
         with pytest.raises(ValueError):
             dl.FrequencyGrid(omega_max, count)
@@ -50,20 +60,20 @@ class TestFrequencyGrid:
 class TestCharacteristicOperator:
     def test_eigenvector_annihilated_without_delay(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
-        out = _char_matrix_stack(model, [-1.0])[0] @ np.array([1.0, 0.0])
+        out = char_stack(model, [-1.0])[0] @ np.array([1.0, 0.0])
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_scalar_closed_form(self):
         model = dl.scalar_dde(0.0, 0.7)
         for lam in (0.3, 1.0 + 2.0j, -0.5 - 1.0j):
-            got = (_char_matrix_stack(model, [lam])[0] @ np.array([1.0]))[0]
+            got = (char_stack(model, [lam])[0] @ np.array([1.0]))[0]
             assert got == pytest.approx(lam - 0.7 * np.exp(-lam), abs=1e-14)
 
     def test_linearity_in_vector(self):
         model = dl.scalar_dde(-1.0, 0.4)
         lam = 0.2 + 0.9j
         x1, x2 = np.array([1.7]), np.array([-0.6])
-        m = _char_matrix_stack(model, [lam])[0]
+        m = char_stack(model, [lam])[0]
         lhs = m @ (2.0 * x1 + 3.0 * x2)
         rhs = 2.0 * (m @ x1) + 3.0 * (m @ x2)
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
@@ -73,17 +83,17 @@ class TestCharacteristicOperator:
         model = dl.SystemModel(dl.diagonal_operator(eigs), empty_functional(), 2.0)
         for lam in (0.0, 1.0 + 1.0j, -2.0 + 0.3j):
             expected = np.prod(lam - eigs)
-            assert dl.char_det(model, lam) == pytest.approx(expected, rel=1e-12)
+            assert char_det(model, lam) == pytest.approx(expected, rel=1e-12)
 
     def test_det_scalar_at_origin(self):
         model = dl.scalar_dde(-1.5, 0.6)
-        assert dl.char_det(model, 0.0) == pytest.approx(1.5 - 0.6, abs=1e-14)
+        assert char_det(model, 0.0) == pytest.approx(1.5 - 0.6, abs=1e-14)
 
     def test_det_conjugate_symmetry(self):
         model = dl.scalar_dde(-0.5, -0.9)
         lam = 0.4 + 1.3j
-        assert dl.char_det(model, np.conj(lam)) == pytest.approx(
-            np.conj(dl.char_det(model, lam)), rel=1e-12
+        assert char_det(model, np.conj(lam)) == pytest.approx(
+            np.conj(char_det(model, lam)), rel=1e-12
         )
 
 
@@ -108,11 +118,11 @@ class TestLogDet:
     )
     def test_matches_slogdet_and_difference_of_char_det(self, model):
         L, D = _log_det(model, self.LAMS)
-        np.testing.assert_allclose(L, np.linalg.slogdet(_char_matrix_stack(model, self.LAMS))[1], rtol=1e-10)
+        np.testing.assert_allclose(L, np.linalg.slogdet(char_stack(model, self.LAMS))[1], rtol=1e-10)
         # fourth-order central difference of the LU determinant; h balances
         # the O(h^4) truncation against the LU rounding divided by h
         h = 2e-3
-        det = np.vectorize(lambda z: dl.char_det(model, z))
+        det = np.vectorize(lambda z: char_det(model, z))
         diff = (det(self.LAMS - 2 * h) - 8 * det(self.LAMS - h) + 8 * det(self.LAMS + h) - det(self.LAMS + 2 * h)) / (12 * h)
         np.testing.assert_allclose(D, diff / det(self.LAMS), rtol=1e-10)
 
@@ -152,6 +162,14 @@ class TestFindRoots:
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
         with pytest.raises(dl.NoResultError, match="not finite"):
             dl.count_roots_argument_principle(model, dl.Region(-1.0, 0.5, 2.0))
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, -1e-4, 3e-3])
+    def test_root_next_to_contour_is_reported(self, eps):
+        # the left edge passes eps right of the pair W_0(-1) = -0.3181315 +- 1.3372357i,
+        # where the rounded winding reads 1 for a true count of 0 (eps > 0) or 2
+        model = dl.scalar_dde(0.0, -1.0)
+        with pytest.raises(dl.NoResultError, match="within about one node spacing"):
+            dl.count_roots_argument_principle(model, dl.Region(-0.3181315052047641 + eps, 1.0, 4.0))
 
     @pytest.mark.parametrize("n", [120, 300])
     def test_large_n_matches_per_mode_root(self, n):
@@ -290,33 +308,39 @@ GRID_FUNCTIONALS = {
 
 
 class TestGridPaths:
-    """The grid characteristic matrix of ``resolvent_apply`` and the node
-    matrices of ``miyadera_estimate`` are assembled from the atoms, apart
-    from ``apply``; both must reproduce it on the history grid."""
+    """The grid weights of ``apply`` and ``miyadera_estimate`` and the grid
+    symbol of ``resolvent_apply`` come from the delay stencil; both must
+    reproduce the reference reader, which interpolates the history at the
+    atom offsets."""
+
+    @staticmethod
+    def reference(phi, f):
+        offsets, reduce_fn = _delay_term(phi, f.m)
+        return reduce_fn(interp_uniform(f.samples, -1.0, 1.0 / f.m, offsets))
 
     @pytest.mark.parametrize("name", list(GRID_FUNCTIONALS))
     def test_grid_char_matrix_matches_apply(self, name):
-        from delaylab.functional import _as_matrices, _transform
+        from delaylab.functional import _as_matrices
 
         phi, m = GRID_FUNCTIONALS[name], 64
         x = np.array([0.8, -1.3])
         nodes = -1.0 + np.arange(m + 1) / m
         for lam in (0.3 + 1.7j, -1.2 - 0.4j, 2.0):
-            got = _as_matrices(_transform(phi, [lam], m), 2)[0] @ x
-            want = dl.apply(phi, HistoryGrid(np.exp(lam * nodes)[:, None] * x, 2.0))
+            got = _as_matrices(_symbol(phi, [lam], m)[0], 2)[0] @ x
+            want = self.reference(phi, HistoryGrid(np.exp(lam * nodes)[:, None] * x, 2.0))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("name", list(GRID_FUNCTIONALS))
     def test_node_matrices_match_apply(self, name):
-        from delaylab.spectral import _grid_node_matrices
+        from delaylab.functional import _as_matrices, _grid_weights
 
         phi, m = GRID_FUNCTIONALS[name], 64
-        node_mats = _grid_node_matrices(phi, m, 2)
+        node_mats = _as_matrices(_grid_weights(phi, m), 2)
         rng = np.random.default_rng(8)
         for _ in range(5):
             f = HistoryGrid(rng.standard_normal((m + 1, 2)), 2.0)
             got = np.einsum("lij,lj->i", node_mats, f.samples)
-            np.testing.assert_allclose(got, dl.apply(phi, f), rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got, self.reference(phi, f), rtol=0.0, atol=1e-12)
 
 
 _ROTATION_373 = np.array([[-0.01, 3.73], [-3.73, -0.01]])
