@@ -51,8 +51,6 @@ def _out_dir(args) -> Path:
 def cmd_solve(args) -> int:
     scenario = load_scenario(args.scenario)
     traj = solve_steps(scenario.model, scenario.initial, scenario.run.T, scenario.run.dt)
-    out = _out_dir(args)
-    write_trajectory_csv(out / "trajectory.csv", traj)
     t_end = traj.t_end
     final_state = DelayState(traj.value_at(t_end), segment(traj, t_end))
     window = (t_end / 2.0, t_end)
@@ -64,6 +62,8 @@ def cmd_solve(args) -> int:
         "decay_window": list(window),
         "mild_residual": mild_residual(scenario.model, traj, t_end),
     }
+    out = _out_dir(args)
+    write_trajectory_csv(out / "trajectory.csv", traj)
     write_json(out / "summary.json", summary)
     return 0
 

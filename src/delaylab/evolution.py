@@ -9,10 +9,10 @@ terms whose sum is the perturbation series of the full evolution.  On
 the uniform grid both are constant-coefficient linear recurrences, solved
 a block of steps per product through the Toeplitz of their impulse
 response (``_impulse_toeplitz``) as b independent blocks of size s: the
-n modes of A when the route decouples, else u as one block of size n.
-The eigendecomposition is cached on ``SpatialOperator``.  Both routes
-agree up to discretisation error, which the test suite asserts;
-``mild_residual`` checks the integrated equation on a trajectory.
+n modes of A when the route splits (for the method of steps, when
+``SystemModel.decoupled`` says so), else u as one block of size n.
+Both routes agree up to discretisation error, which the test suite
+asserts; ``mild_residual`` checks the integrated equation on a trajectory.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, BudgetError, PreconditionError
-from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, _delay_stencil, _grid_position, apply
+from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, _delay_stencil, _frozen, _grid_position, apply
 from .history import (
     COMPAT_TOL,
     DelayState,
@@ -46,11 +46,11 @@ BLOWUP_GUARD = 1e12
 #: Work cap for the Volterra iteration, in term count times quadrature nodes.
 VOLTERRA_BUDGET = 4_000_000
 
+#: Work cap for the method of steps, in trajectory entries (nodes times n).
+STEPPING_BUDGET = 50_000_000
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """The array itself, marked read-only."""
-    arr.setflags(write=False)
-    return arr
+#: Off-diagonal part, relative to its largest entry, below which a weight is diagonal in A's eigenbasis.
+DIAGONAL_TOL = 1e-10
 
 
 @dataclass
@@ -213,12 +213,24 @@ class SystemModel:
     def n(self) -> int:
         return self.A.n
 
-    @property
-    def scalar_symbol(self) -> bool:
-        """Whether every weight of Phi, and so its characteristic matrix,
-        is a scalar times Id: whether its atoms hold scalars (``_atoms``;
-        the grid only places the Cantor atoms)."""
-        return _atoms(self.phi, 1).weights.ndim == 1
+    def decoupled(self):
+        """(mu, V, V^-1, diag) when the equation splits into one scalar delay equation
+        per eigenvalue mu_k of A (``_eigen``'s order), else None; cached, read-only.
+        Scalar weights give diag = None, and V = V^-1 = None when A keeps no
+        eigenbasis, as det M still factors.  Matrix weights W_i split when A keeps
+        an eigenbasis V and every V^-1 W_i V is diagonal up to DIAGONAL_TOL of its
+        largest entry: diag[i, k] = (V^-1 W_i V)_kk, read off the grid-free atoms."""
+        if not hasattr(self, "_split"):
+            mu, v, vinv, _ = self.A._eigen()
+            weights = _atoms(self.phi, 1).weights
+            self._split = (mu, v, vinv, None) if weights.ndim == 1 else None
+            if weights.ndim == 3 and v is not None:
+                modal = vinv @ weights @ v
+                diag = _frozen(np.diagonal(modal, axis1=1, axis2=2).copy())
+                off = np.abs(modal - diag[..., None] * np.eye(self.n)).max(axis=(1, 2))
+                if np.all(off <= DIAGONAL_TOL * np.abs(modal).max(axis=(1, 2))):
+                    self._split = (mu, v, vinv, diag)
+        return self._split
 
     def default_dt(self) -> float:
         # Explicit stepping limit dt <= 1/||A||_inf <= 1/rho(A), capped at 1e-3
@@ -306,8 +318,8 @@ _BLOCK_ENTRIES = 40_000
 
 
 def _rk4_profile(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
-    """Lags, profile (4, L, s, s) and weights (4, b, s, s) of one RK4 step
-    of z' = a z + g: z_{j+1} = sum_r weights[r] sum_l profile[r, l] z_{j - lags[l]}.
+    """Lags, profile (4, L, b', s, s), b' = 1 or b, and weights (4, b, s, s) of one RK4
+    step of z' = a z + g: z_{j+1} = sum_r weights[r] sum_l profile[r, l] z_{j - lags[l]}.
 
     With x = dt a and g_c the delay term at stage offset c, the composed
     stages give z_{j+1} = R z_j + dt [q_0 g_0 + q_1/2 g_1/2 + g_1 / 6],
@@ -317,7 +329,7 @@ def _rk4_profile(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: f
     """
     all_lags = lags if lags.size and lags[0] == 0 else np.concatenate(([0], lags))
     eye = np.eye(a_eff.shape[-1])
-    profile = np.zeros((4, len(all_lags)) + eye.shape, dtype=weights.dtype)
+    profile = np.zeros((4, len(all_lags)) + weights.shape[2:], dtype=weights.dtype)
     profile[0, 0] = eye
     profile[1:, np.searchsorted(all_lags, lags)] = weights
     x = dt * a_eff
@@ -352,15 +364,6 @@ def _impulse_toeplitz(lags: np.ndarray, coefs: np.ndarray, block: int) -> np.nda
     return np.ascontiguousarray(lower(h, block).transpose(2, 0, 3, 1, 4)).reshape(b, block * s, -1)
 
 
-def _stepping_basis(A: SpatialOperator, decouple: bool):
-    """(basis, rates, V, V^-1) of a route stepping z = V^-1 u: with ``decouple`` and an eigenbasis
-    A = V diag(mu) V^-1 that ``_eigen`` keeps, the modes as (n, 1, 1), else A as (1, n, n), V = Id."""
-    mu, v, vinv, _ = A._eigen()
-    if decouple and v is not None:
-        return "modal", mu[:, None, None], v, vinv
-    return "matrix", A.matrix[None], np.eye(A.n), np.eye(A.n)
-
-
 def _unit_steps(model: SystemModel, dt: float | None) -> tuple[float, int]:
     """The step (``model.default_dt()`` when None) and 1/dt, which must be a positive integer."""
     if dt is None:
@@ -381,20 +384,21 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     already-computed nodes (queries past the frontier extrapolate from
     the last interval).  Any point mass of Phi at delay 0 is folded into
     A before stepping.  Aborts with BlowUpError when the solution norm
-    exceeds 1e12, reporting the first node past the guard.
+    exceeds 1e12, reporting the first node past the guard, and with
+    BudgetError, before any allocation, past STEPPING_BUDGET entries.
 
     On the uniform grid one step is a fixed linear map of the stored
-    nodes, built by ``_rk4_profile`` in the basis of ``_stepping_basis``
-    ((b, s) = (n, 1) modes when ``SystemModel.scalar_symbol`` holds): a
-    lag profile shared by the b blocks and four RK4 weights per block,
-    folded into the profile when b = 1.  z is stored time major and zero
-    past the frontier, so a block reads its lags in one gather of row
-    windows and one product with the profile; the lags shorter than the
-    block act through ``_impulse_toeplitz``, fused with the weights into
-    one batched product.  Once per unit of time and at the horizon the
-    new nodes are mapped back to u = Re(V z) and the guard is checked.
-    The frontier extrapolation is part of the map, so the result is that
-    of the stage-by-stage sweep up to rounding.
+    nodes, built by ``_rk4_profile`` in z = V^-1 u: as (b, s) = (n, 1)
+    modes when ``SystemModel.decoupled`` keeps V, else (1, n) with V = Id:
+    a lag profile, shared by the b blocks or one per mode, and four RK4
+    weights per block, folded into the profile when b = 1.  z is stored
+    time major and zero past the frontier, so a block reads its lags in
+    one gather of row windows and one product with the profile; the lags
+    shorter than the block act through ``_impulse_toeplitz``, fused with
+    the weights into one batched product.  Once per unit of time and at
+    the horizon the new nodes are mapped back to u = Re(V z) and the
+    guard is checked.  The frontier extrapolation is part of the map, so
+    the result is that of the stage-by-stage sweep up to rounding.
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")
@@ -408,28 +412,36 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     steps = int(np.ceil(T / dt - 1e-9))
     total = hist_steps + steps + 1
     n = model.n
+    if total * n > STEPPING_BUDGET:
+        raise BudgetError(f"stepping work {total * n} (nodes x n) exceeds budget {STEPPING_BUDGET}")
     history = init.history.value_at(-1.0 + np.arange(hist_steps + 1) * dt)
     history[-1] = init.head
 
-    basis, rates, v, vinv = _stepping_basis(model.A, model.scalar_symbol)
-    b, s = rates.shape[:2]
+    split = model.decoupled()
     atoms = _atoms(model.phi, init.history.m)
-    # one s x s weight per atom, shared by the b blocks
-    folded, atoms = _fold_instantaneous(atoms._replace(weights=_as_matrices(atoms.weights, s)))
+    if split is not None and split[1] is not None:
+        basis, rates, v, vinv = "modal", split[0][:, None, None], split[1], split[2]
+        # weights (k, b', 1, 1): per mode (b' = n) or shared by the modes (b' = 1)
+        weights = (atoms.weights[:, None] if split[3] is None else split[3])[..., None, None]
+    else:
+        basis, rates, v, vinv = "matrix", model.A.matrix[None], np.eye(n), np.eye(n)
+        weights = _as_matrices(atoms.weights, n)[:, None]
+    b, s = rates.shape[:2]
+    folded, atoms = _fold_instantaneous(atoms._replace(weights=weights))
     lags, profile, rk4 = _rk4_profile(rates + folded, *_delay_stencil(atoms, hist_steps, _RK4_STAGES), dt)
-    coefs = (rk4[:, None] @ profile[:, :, None]).sum(axis=0)
+    coefs = (rk4[:, None] @ profile).sum(axis=0)
     if b == 1:
         # one block: its weights fold into the profile, a single row of C_l
-        profile, rk4 = coefs.transpose(1, 0, 2, 3), np.eye(s)[None, None]
-    nrows = len(profile)
+        profile, rk4 = coefs[None], np.eye(s)[None, None]
+    nrows, shared = len(profile), profile.shape[2]
     block = max(1, min(steps, int(np.sqrt(_BLOCK_ENTRIES / (nrows * b * s * s)))))
     # fused[:, (i, a), (r, c, k)] = (H_{i-k} rk4[r])[a, c]
     fused = _impulse_toeplitz(lags, coefs, block).reshape(b, 1, -1, s) @ rk4.transpose(1, 0, 2, 3)
     fused = np.ascontiguousarray(fused.reshape(b, nrows, block * s, block, s).transpose(0, 2, 1, 4, 3))
     fused = fused.reshape(b, block * s, -1)
     dtype = np.result_type(vinv, fused)
-    # rows (r, i) and columns (l, j) of the profile: one product reads every lag
-    profile = profile.transpose(0, 2, 1, 3).reshape(nrows * s, -1).astype(dtype)
+    # per block of the profile, rows (r, i) and columns (l, j): one product reads every lag
+    profile = profile.transpose(2, 0, 3, 1, 4).reshape(shared, nrows * s, -1).astype(dtype)
     logger.debug(
         "solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
         basis, n, dt, steps, block, len(lags),
@@ -445,9 +457,9 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     done = hist_steps  # rows of values filled
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(hist_steps, total - 1, block):
-            gathered = windows[j0 - lags].reshape(len(lags), block * b, s).transpose(0, 2, 1)
-            reads = profile @ gathered.reshape(-1, block * b)
-            reads = reads.reshape(nrows * s, block, b).transpose(2, 0, 1).reshape(b, -1, 1)
+            gathered = windows[j0 - lags].reshape(len(lags), block, shared, -1, s).transpose(2, 0, 4, 1, 3)
+            reads = profile @ gathered.reshape(shared, len(lags) * s, -1)
+            reads = reads.reshape(shared, nrows * s, block, -1).transpose(0, 3, 1, 2).reshape(b, -1, 1)
             z[j0 + 1 : j0 + block + 1] = (fused @ reads).reshape(b, block, s).transpose(1, 0, 2).reshape(block, n)
             stop = min(j0 + block, total - 1)
             if stop - done < hist_steps and stop < total - 1:
@@ -547,8 +559,8 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     evaluates the same quadrature sums without re-nesting them.  The delay
     term v of every node reads the previous term's rows through the
     stage-0 delay stencil of ``solve_steps``, in one product per term.
-    Its forcing is then known, and for any Phi the recurrence decouples
-    into the modes of A (``_stepping_basis``); through the impulse
+    Its forcing is then known, and for any Phi, split or not, the recurrence
+    decouples into the modes of an eigenbasis that ``_eigen`` keeps; through the impulse
     response E^k of its one lag (``_impulse_toeplitz``) each term is
     solved a block of steps per product, mapped back once per term.
     """
@@ -579,10 +591,12 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, (0.0,))
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
     stencil = _as_matrices(weights[0], n).transpose(0, 2, 1).reshape(-1, n)
-    basis, rates, v, vinv = _stepping_basis(model.A, True)
-    b, size = rates.shape[:2]
+    mu, v, vinv, _ = model.A._eigen()
+    basis, prop = ("modal", np.exp(dt * mu)[:, None, None]) if v is not None else ("matrix", model.A.expm(dt)[None])
+    if v is None:
+        v = vinv = np.eye(n)
+    b, size = prop.shape[:2]
     block = max(1, min(r_steps, int(np.sqrt(_BLOCK_ENTRIES / (b * size * size)))))
-    prop = np.exp(dt * rates) if basis == "modal" else model.A.expm(dt)[None]
     response = _impulse_toeplitz(np.zeros(1, dtype=int), prop[None], block)
     logger.debug(
         "volterra_terms: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, terms = %d",

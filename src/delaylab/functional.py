@@ -54,16 +54,22 @@ from .history import HistoryGrid, _trapezoid_weights
 _MAX_DEPTH = 40
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """The array itself, marked read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass
 class DiscreteDelays:
-    """Point-mass functional sum_k B_k f(h_k), delays h_k in [-1, 0]."""
+    """Point-mass functional sum_k B_k f(h_k), delays h_k in [-1, 0]; arrays copied, read-only."""
 
     matrices: np.ndarray
     delays: np.ndarray
 
     def __post_init__(self):
-        self.matrices = np.asarray(self.matrices, dtype=float)
-        self.delays = np.atleast_1d(np.asarray(self.delays, dtype=float))
+        self.matrices = _frozen(np.array(self.matrices, dtype=float))
+        self.delays = _frozen(np.atleast_1d(np.array(self.delays, dtype=float)))
         if self.matrices.size == 0:
             self.matrices = self.matrices.reshape(0, 0, 0)
             self.delays = self.delays.reshape(0)
@@ -113,13 +119,13 @@ class DensityKernel:
     """Absolutely continuous kernel, Phi(f) = integral K(sigma) f(sigma).
 
     ``samples[l]`` is the n x n matrix K(sigma_l) on the uniform grid
-    sigma_l = -1 + l/m; integrals use the composite trapezoid rule.
+    sigma_l = -1 + l/m; integrals use the composite trapezoid rule.  Samples copied, read-only.
     """
 
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
+        self.samples = _frozen(np.array(self.samples, dtype=float))
         if self.samples.ndim != 3 or self.samples.shape[1] != self.samples.shape[2]:
             raise ValueError("density kernel samples must be a (m+1, n, n) stack")
         if len(self.samples) < 3:
@@ -192,8 +198,7 @@ def cantor_grid_weights(m: int, depth: int) -> np.ndarray:
     w = np.zeros(m + 1)
     np.add.at(w, idx, (1.0 - frac) * mass)
     np.add.at(w, idx + 1, frac * mass)
-    w.setflags(write=False)
-    _weights_cache[key] = w
+    _weights_cache[key] = _frozen(w)
     return w
 
 
@@ -360,8 +365,8 @@ def _delay_stencil(
     interval (j - 1, j) with a fraction above 1, which extrapolates from
     it, so a stage never reads a node that is not yet computed.  Only lags
     that carry a nonzero weight in some stage are kept, in ascending order.
-    Each weight has the shape of one atom weight: a scalar standing for a
-    multiple of Id, or any stack of matrices.
+    Each weight has the shape and dtype of one atom weight: a scalar
+    standing for a multiple of Id, or any stack of matrices.
     """
     offsets, values = atoms.offsets, atoms.weights
     count = len(offsets)
@@ -377,7 +382,7 @@ def _delay_stencil(
     lag, coef, atom, stage = (np.concatenate(v) for v in (lag, coef, atom, stage))
     keep = coef != 0.0
     lags, where = np.unique(lag[keep], return_inverse=True)
-    weights = np.zeros((len(stages), len(lags)) + values.shape[1:])
+    weights = np.zeros((len(stages), len(lags)) + values.shape[1:], dtype=values.dtype)
     scale = coef[keep].reshape((-1,) + (1,) * (values.ndim - 1))
     np.add.at(weights, (stage[keep], where), scale * values[atom[keep]])
     return lags, weights

@@ -5,8 +5,8 @@ Phi(e^(lam .)) the symbol of ``functional._symbol``, built in one place
 (``_char_matrix_stack``) from symbol values its caller computes once, root
 location by grid-seeded Newton iteration on log det M, an
 argument-principle count of the same log-derivative tr(M^-1 M') (Jacobi's
-formula; with a scalar delay symbol s(lam) both factor over the
-eigenvalues mu_k of A into sums of log(lam - s(lam) - mu_k)) run beside
+formula; when the model splits, ``SystemModel.decoupled``, both factor
+over the eigenvalues mu_k of A into sums of log(lam - T_k(lam) - mu_k)) run beside
 the search as an independent oracle (``find_roots`` does not call it;
 it refuses to count when a root lies next to the contour), the explicit resolvent of the block delay operator, the integral
 smallness estimate for the perturbation, and the frequency-domain
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetError, NearSpectrumError, NoResultError, PreconditionError
 from .evolution import SystemModel, Trajectory, solve_steps
-from .functional import _as_matrices, _grid_weights, _symbol, apply, char_norm_profile, total_variation
+from .functional import _as_matrices, _atoms, _grid_weights, _symbol, apply, char_norm_profile, total_variation
 from .history import (
     DelayState,
     HistoryGrid,
@@ -171,14 +171,14 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     = tr(M^-1 M') for every lam of a flat array, M(lam) = lam - A - T(lam);
     D is None unless ``derivative``.
 
-    With a scalar symbol s(lam) (``SystemModel.scalar_symbol``: every
-    weight of Phi a multiple of Id, so that ``_symbol`` returns scalars)
-    det M = prod_k (z - mu_k) with z = lam - s(lam) over the eigenvalues
-    mu_k of A, exactly for any A, so L = sum_k log|z - mu_k| and D =
-    (1 - s'(lam)) sum_k 1/(z - mu_k): O(n) per lam, without overflow.
-    Otherwise L comes from ``slogdet`` of the matrix stack and D from one
-    solve with M' = I - T'(lam); D is NaN where M is singular or not
-    finite.  Batches hold about 4M matrix entries.
+    When the model splits (``SystemModel.decoupled``) det M = prod_k g_k,
+    g_k = lam - T_k(lam) - mu_k, so L = sum_k log|g_k| and D = sum_k (1 -
+    T_k'(lam)) / g_k: O(n) per lam, without overflow.  T_k is the scalar
+    symbol (``_symbol``) over ``A.spectrum()``, or sum_i diag[i, k]
+    e^(lam sigma_i) over the split's own mu_k.  Otherwise L comes from
+    ``slogdet`` of the matrix stack and D from one solve with M' = I -
+    T'(lam); D is NaN where M is singular or not finite.  Batches hold
+    about 4M matrix entries.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     n = model.n
@@ -186,17 +186,23 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     L = np.empty(lams.shape)
     D = np.empty(lams.shape, dtype=complex) if derivative else None
     chunk = max(256, 4_000_000 // (n * n))
-    scalar = model.scalar_symbol
+    split = model.decoupled()
+    diag = None if split is None else split[3]
+    offsets = None if diag is None else _atoms(model.phi).offsets
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(lams), chunk):
             sl = slice(start, start + chunk)
             lam = lams[sl]
-            t, tp = _symbol(model.phi, lam, derivative=derivative)
-            if scalar:
-                gaps = (lam - t)[:, None] - model.A.spectrum()
+            if diag is None:
+                t, tp = _symbol(model.phi, lam, derivative=derivative)
+            else:
+                profile = np.exp(np.outer(lam, offsets))
+                t, tp = profile @ diag, (profile * offsets) @ diag
+            if split is not None:
+                gaps = (lam[:, None] - t.reshape(len(lam), -1)) - (model.A.spectrum() if diag is None else split[0])
                 L[sl] = np.log(np.abs(gaps)).sum(axis=1)
                 if derivative:
-                    D[sl] = (1.0 - tp) * (1.0 / gaps).sum(axis=1)
+                    D[sl] = ((1.0 - tp.reshape(len(lam), -1)) / gaps).sum(axis=1)
                 continue
             stack = _char_matrix_stack(model, lam, t)
             L[sl] = np.linalg.slogdet(stack)[1]
@@ -315,7 +321,7 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "find_roots: %s log det, grid %d x %d, seeds %d, converged %d, dropped %d, roots %d",
-            "factored" if model.scalar_symbol else "slogdet", re_count, im_count,
+            "factored" if model.decoupled() is not None else "slogdet", re_count, im_count,
             len(seeds), len(seeds) - dropped, dropped, len(roots),
         )
     return RootReport(roots, residuals, region, rightmost)

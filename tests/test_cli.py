@@ -118,6 +118,29 @@ class TestSolveCommand:
         path = write_scenario(tmp_path, scalar_scenario(40.0, 0.0, T=1.0))
         assert main(["solve", "--scenario", path, "--out", str(tmp_path / "o")]) == 2
 
+    def test_vanishing_trajectory_leaves_no_report(self, tmp_path):
+        # the decay fit fails after stepping: no trajectory.csv without its summary
+        path = write_scenario(tmp_path, scalar_scenario(-1.0, 0.5, head=0.0))
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", path, "--out", str(out)]) == 4
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--scenario", "huge_T.json"],
+            ["stability", "--scenario", "scenario.json", "--horizon", "1e12"],
+            ["reproduce-rd", "--n", "3", "--decay-horizon", "1e12"],
+        ],
+        ids=["solve", "stability", "reproduce_rd"],
+    )
+    def test_huge_horizon_exits_4_on_the_stepping_budget(self, tmp_path, capsys, argv):
+        write_scenario(tmp_path, scalar_scenario(-1.0, 0.5, T=1e12), "huge_T.json")
+        write_scenario(tmp_path, scalar_scenario(-1.0, 0.5))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+        assert "exceeds budget" in capsys.readouterr().err
+
     def test_laplacian_entries_step_like_the_tagged_laplacian(self, tmp_path):
         # dt: null reads the step off the matrix alone, tags or not; at
         # dt = 1e-3 the n = 31 Laplacian blows up

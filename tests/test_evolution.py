@@ -6,10 +6,12 @@ import pytest
 import scipy.linalg
 
 import delaylab as dl
-from delaylab import DelayState, HistoryGrid
+from delaylab import DelayState, HistoryGrid, evolution
 from delaylab.evolution import _RK4_STAGES, _impulse_toeplitz
 from delaylab.functional import _atoms, _delay_stencil
 from reference_loops import reference_solve_steps, reference_volterra_terms
+from split_models import COUPLED_MODELS, SPLIT_MODELS
+from split_models import rotation_operator as _rotation_operator
 
 
 def empty_functional():
@@ -278,14 +280,6 @@ class TestStepRecurrence:
         assert str(got.value) == str(want.value)
 
 
-def _rotation_operator():
-    # normal but not symmetric: two rotation blocks, complex eigenbasis
-    a = np.zeros((4, 4))
-    a[:2, :2] = [[-0.3, 2.0], [-2.0, -0.3]]
-    a[2:, 2:] = [[-0.7, 0.9], [-0.9, -0.7]]
-    return dl.SpatialOperator(a)
-
-
 def _nonnormal_operator():
     return dl.SpatialOperator(np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -2.0]]))
 
@@ -312,6 +306,11 @@ MODAL_CASES = {
     "scaled_identity_delay": lambda: (
         dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.single_delay(0.9 * np.eye(7), -1.0)), 1e-3, 2.0, "modal"
     ),
+    # weights diagonal in the eigenbasis of A, one per mode
+    "delayed_diffusion": lambda: (SPLIT_MODELS["delayed_diffusion"](), 1.0 / 1024, 2.0, "modal"),
+    "rotation_commuting_delays": lambda: (SPLIT_MODELS["rotation_commuting_delays"](), 1e-3, 2.0, "modal"),
+    "commuting_density": lambda: (SPLIT_MODELS["commuting_density"](), 1e-3, 2.0, "modal"),
+    "commuting_atom_at_zero": lambda: (SPLIT_MODELS["commuting_atom_at_zero"](), 1e-3, 2.0, "modal"),
 }
 
 
@@ -363,6 +362,61 @@ class TestModalStepping:
         assert caplog.messages == [
             "solve_steps: modal basis, n = 1, dt = 0.001, steps = 3000, block = 200, lags = 3"
         ]
+
+
+class TestSplitDecision:
+    """``SystemModel.decoupled``, the one decision that the stepper and the
+    determinant read."""
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    def test_weights_are_the_diagonal_in_the_eigenbasis(self, name):
+        model = SPLIT_MODELS[name]()
+        split = model.decoupled()
+        assert split is model.decoupled()
+        mu, v, vinv, diag = split
+        np.testing.assert_array_equal(mu, model.A._eigen()[0])
+        weights = _atoms(model.phi, 1).weights
+        modal = vinv @ weights @ v
+        assert np.abs(modal - diag[..., None] * np.eye(model.n)).max() <= 1e-12 * np.abs(weights).max()
+        for arr in split:
+            with pytest.raises(ValueError):
+                arr[0] *= 2.0
+
+    @pytest.mark.parametrize("name", sorted(COUPLED_MODELS))
+    def test_coupled_models_step_on_the_matrix_path(self, name, caplog):
+        model = COUPLED_MODELS[name]()
+        assert model.decoupled() is None
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(6))
+        dt = model.default_dt()
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            got = dl.solve_steps(model, init, 1.0, dt).values
+        assert "matrix basis" in caplog.text
+        want = reference_solve_steps(model, init, 1.0, dt).values
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_scalar_weights_split_without_an_eigenbasis(self):
+        # a Jordan block keeps no eigenbasis: det still factors over its
+        # eigenvalues with a scalar weight, but a matrix weight couples
+        jordan = dl.SpatialOperator(np.array([[-1.0, 1.0], [0.0, -1.0]]))
+        mu, v, vinv, diag = dl.SystemModel(jordan, dl.CantorKernel(0.8)).decoupled()
+        np.testing.assert_array_equal(mu, [-1.0, -1.0])
+        assert v is None and vinv is None and diag is None
+        assert dl.SystemModel(jordan, dl.single_delay(np.diag([0.3, 0.4]))).decoupled() is None
+
+
+class TestSteppingBudget:
+    def test_checked_on_trajectory_entries(self, monkeypatch):
+        model, init = dl.scalar_dde(-0.3, -0.8), constant_state(1.0)
+        # 1000 history steps, the node at 0 and 1000 steps: 2001 entries at n = 1
+        monkeypatch.setattr(evolution, "STEPPING_BUDGET", 2001)
+        assert len(dl.solve_steps(model, init, 1.0, 1e-3).values) == 2001
+        with pytest.raises(dl.BudgetError, match="stepping work 2002 "):
+            dl.solve_steps(model, init, 1.001, 1e-3)
+
+    def test_huge_horizon_is_rejected_before_allocation(self):
+        # 1e15 nodes would ask for 8 PB
+        with pytest.raises(dl.BudgetError, match="exceeds budget 50000000"):
+            dl.solve_steps(dl.scalar_dde(-0.3, -0.8), constant_state(1.0), 1e12, 1e-3)
 
 
 # model, dt, horizon, history nodes m and the basis; every case steps in

@@ -86,6 +86,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CantorKernel(1.0, 41)
 
+    def test_caller_arrays_cannot_change_the_functional(self):
+        mats, delays = np.array([[[0.5, 0.1], [0.0, -0.3]]]), np.array([-0.5])
+        samples = np.ones((5, 2, 2))
+        phis = [DiscreteDelays(mats, delays), dl.single_delay(mats[0], -0.5), DensityKernel(samples)]
+        mats *= 2.0
+        delays[0] = -1.0
+        samples[0] = 7.0
+        for phi in phis[:2]:
+            np.testing.assert_array_equal(phi.matrices, [[[0.5, 0.1], [0.0, -0.3]]])
+            np.testing.assert_array_equal(phi.delays, [-0.5])
+        np.testing.assert_array_equal(phis[2].samples, np.ones((5, 2, 2)))
+        for arr in (phis[0].matrices, phis[0].delays, phis[1].matrices, phis[2].samples):
+            with pytest.raises(ValueError):
+                arr[0] *= 2.0
+
     def test_total_variation_by_variant(self):
         b1, b2 = 2.0 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])
         phi = DiscreteDelays(np.stack([b1, b2]), np.array([-1.0, -0.5]))

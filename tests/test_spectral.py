@@ -19,6 +19,7 @@ from reference_loops import (
     reference_random_compatible_state,
     reference_shift_resolvent_history,
 )
+from split_models import COUPLED_MODELS, SPLIT_MODELS
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -126,6 +127,30 @@ class TestLogDet:
         diff = (det(self.LAMS - 2 * h) - 8 * det(self.LAMS - h) + 8 * det(self.LAMS + h) - det(self.LAMS + 2 * h)) / (12 * h)
         np.testing.assert_allclose(D, diff / det(self.LAMS), rtol=1e-10)
 
+    @pytest.mark.parametrize("name", list(SPLIT_MODELS) + list(COUPLED_MODELS))
+    def test_split_models_factor_and_coupled_ones_take_slogdet(self, name, monkeypatch):
+        model = {**SPLIT_MODELS, **COUPLED_MODELS}[name]()
+        want_L = np.log(np.abs([char_det(model, z) for z in self.LAMS]))
+        # tr(M^-1 M') by LU, M' the fourth-order central difference of M(lam)
+        # = lam - A - char_matrix(lam): the entries stay smooth where det
+        # of these stiff models does not
+        h = 1e-3
+
+        def char(z):
+            return z * np.eye(model.n) - model.A.matrix - dl.char_matrix(model.phi, z, dim=model.n)
+
+        want_D = [
+            np.trace(np.linalg.solve(char(z), (char(z - 2 * h) - 8 * char(z - h) + 8 * char(z + h) - char(z + 2 * h)) / (12 * h)))
+            for z in self.LAMS
+        ]
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
+        L, D = _log_det(model, self.LAMS)
+        assert bool(calls) == (name in COUPLED_MODELS)
+        np.testing.assert_allclose(L, want_L, rtol=1e-10)
+        np.testing.assert_allclose(D, want_D, rtol=1e-10)
+
 
 class TestFindRoots:
     def test_recovers_eigenvalues_without_delay(self):
@@ -209,15 +234,20 @@ class TestFindRoots:
             dl.find_roots(model, dl.Region(-100.0, 100.0, 100.0), spacing=0.01)
 
     @pytest.mark.parametrize(
-        "name,path", [("scalar", "factored"), ("delays", "slogdet"), ("scaled_identity", "factored")]
+        "name,path",
+        [("scalar", "factored"), ("delays", "slogdet"), ("scaled_identity", "factored")]
+        + [(name, "factored") for name in SPLIT_MODELS]
+        + [(name, "slogdet") for name in COUPLED_MODELS],
     )
     def test_debug_line_names_log_det_path(self, caplog, name, path):
         if name == "scalar":
             model = load_scenario(SCENARIOS / "scalar_single_delay.json").model
         elif name == "delays":
             model = list(log_det_models())[2]  # non-commuting 2 x 2 delays
-        else:
+        elif name == "scaled_identity":
             model = list(log_det_models())[3]  # 0.9 Id stored as a 7 x 7 matrix
+        else:
+            model = {**SPLIT_MODELS, **COUPLED_MODELS}[name]()
         with caplog.at_level("DEBUG", logger="delaylab.spectral"):
             report = dl.find_roots(model, dl.Region(-1.0, 1.0, 4.0))
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_roots:")]
@@ -225,6 +255,15 @@ class TestFindRoots:
         assert lines[0].startswith(f"find_roots: {path} log det, grid 41 x 161, seeds ")
         assert lines[0].endswith(f", roots {len(report.roots)}")
 
+    def test_split_roots_match_the_matrix_path(self, monkeypatch):
+        # delayed diffusion: per-mode factors against slogdet Newton at n = 15
+        model = SPLIT_MODELS["delayed_diffusion"]()
+        region = dl.Region(-3.0, 1.0, 8.0)
+        factored = dl.find_roots(model, region)
+        monkeypatch.setattr(dl.SystemModel, "decoupled", lambda self: None)
+        matrix = dl.find_roots(SPLIT_MODELS["delayed_diffusion"](), region)
+        assert len(factored.roots) == len(matrix.roots) > 0
+        np.testing.assert_allclose(factored.roots, matrix.roots, rtol=0, atol=1e-10)
 
 class TestResolvent:
     def test_zero_history_gives_pure_exponential(self):
