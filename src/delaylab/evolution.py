@@ -1,8 +1,8 @@
 """Time evolution of u'(t) = A u(t) + Phi(u_t) by two independent routes.
 
-The first route is the method of steps: a classical 4-stage explicit
-Runge-Kutta sweep where delayed values come from piecewise-linear
-interpolation of the already-computed trajectory.  The second is the
+The first route is the method of steps by the exponential trapezoid ETD2:
+exp(dt A) exactly, the delay term read at both ends of each step from the
+piecewise-linear interpolant of the computed trajectory.  The second is the
 semigroup construction: the unperturbed block action (flowed head,
 injected head plus shifted history) composed with the iterated Volterra
 terms whose sum is the perturbation series of the full evolution.  On
@@ -40,7 +40,7 @@ from .history import (
 
 logger = logging.getLogger(__name__)
 
-#: Abort threshold for the explicit integrator.
+#: Abort threshold for the method of steps.
 BLOWUP_GUARD = 1e12
 
 #: Work cap for the Volterra iteration, in term count times quadrature nodes.
@@ -51,6 +51,9 @@ STEPPING_BUDGET = 50_000_000
 
 #: Off-diagonal part, relative to its largest entry, below which a weight is diagonal in A's eigenbasis.
 DIAGONAL_TOL = 1e-10
+
+#: Default step of both time-domain routes, for any n; the m = 64 history nodes lie on its grid.
+DEFAULT_DT = 2.0**-10
 
 
 @dataclass
@@ -232,11 +235,6 @@ class SystemModel:
                     self._split = (mu, v, vinv, diag)
         return self._split
 
-    def default_dt(self) -> float:
-        # Explicit stepping limit dt <= 1/||A||_inf <= 1/rho(A), capped at 1e-3
-        # and rounded down to 1/integer; h^2/4 for the Dirichlet Laplacian.
-        return 1.0 / np.ceil(max(1000.0, np.abs(self.A.matrix).sum(axis=1).max()))
-
 
 @dataclass
 class Trajectory:
@@ -308,34 +306,47 @@ def _fold_instantaneous(atoms: _Atoms) -> tuple[np.ndarray | float, _Atoms]:
     return folded, atoms
 
 
-#: Offsets of the RK4 stages inside a step, in steps: k1 at 0, k2 and k3
-#: at 1/2, k4 at 1.
-_RK4_STAGES = (0.0, 0.5, 1.0)
-
 #: Size of the c k^2-entry map that solves a block of k steps in ``solve_steps``
 #: and ``volterra_terms``: k = sqrt(_BLOCK_ENTRIES / c), at most the horizon.
 _BLOCK_ENTRIES = 40_000
 
+def _phi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^x, phi_1(x) = (e^x - 1)/x and phi_2(x) = (e^x - 1 - x)/x^2 of a (b, s, s) stack.
 
-def _rk4_profile(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
-    """Lags, profile (4, L, b', s, s), b' = 1 or b, and weights (4, b, s, s) of one RK4
+    s = 1 elementwise: by exp and expm1 for |x| >= 1/2, below by phi_2 = sum_{j < 15} x^j/(j + 2)!,
+    phi_1 = 1 + x phi_2 and e^x = 1 + x phi_1 (exact at x = 0).  s > 1: the top block row of
+    exp([[x, I, 0], [0, 0, I], [0, 0, 0]]) (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011).
+    """
+    s = x.shape[-1]
+    if s > 1:
+        import scipy.linalg
+
+        aug = np.zeros(x.shape[:-2] + (3 * s, 3 * s), dtype=x.dtype)
+        aug[..., :s, :s], aug[..., : 2 * s, s:] = x, np.eye(2 * s)
+        return tuple(np.split(scipy.linalg.expm(aug)[..., :s, :], 3, axis=-1))
+    small = np.abs(x) < 0.5
+    near, far = np.where(small, x, 0.0), np.where(small, 1.0, x)
+    phi2 = np.polyval(1.0 / np.cumprod(np.arange(2.0, 17.0))[::-1], near)
+    phi1, em1 = 1.0 + near * phi2, np.expm1(far)
+    e = np.where(small, 1.0 + near * phi1, np.exp(far))
+    return e, np.where(small, phi1, em1 / far), np.where(small, phi2, (em1 - far) / far**2)
+
+
+def _etd2_profile(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
+    """Lags, profile (3, L, b', s, s), b' = 1 or b, and weights (3, b, s, s) of one ETD2
     step of z' = a z + g: z_{j+1} = sum_r weights[r] sum_l profile[r, l] z_{j - lags[l]}.
 
-    With x = dt a and g_c the delay term at stage offset c, the composed
-    stages give z_{j+1} = R z_j + dt [q_0 g_0 + q_1/2 g_1/2 + g_1 / 6],
-    R = 1 + x + x^2/2 + x^3/6 + x^4/24, q_0 = (1 + x + x^2/2 + x^3/4)/6 and
-    q_1/2 = (4 + 2x + x^2/2)/6, matrix polynomials in the (b, s, s) stack
-    ``a_eff``.  The profile holds Id at lag 0 and the stage ``weights``.
+    With x = dt a (``a_eff``) and g_0, g_1 the delay term at both ends of the step, the
+    exponential trapezoid (Cox & Matthews, J. Comput. Phys. 176, 2002) is z_{j+1} = e^x z_j
+    + dt [(phi_1 - phi_2)(x) g_0 + phi_2(x) g_1], exact for g linear over the step.  The
+    profile holds Id at lag 0 and the ``weights`` of the stencils at offsets 0 and 1.
     """
     all_lags = lags if lags.size and lags[0] == 0 else np.concatenate(([0], lags))
-    eye = np.eye(a_eff.shape[-1])
-    profile = np.zeros((4, len(all_lags)) + weights.shape[2:], dtype=weights.dtype)
-    profile[0, 0] = eye
+    profile = np.zeros((3, len(all_lags)) + weights.shape[2:], dtype=weights.dtype)
+    profile[0, 0] = np.eye(a_eff.shape[-1])
     profile[1:, np.searchsorted(all_lags, lags)] = weights
-    x = dt * a_eff
-    x2, x3, sixth = x @ x, x @ x @ x, dt / 6.0
-    r, q0, q_half = eye + x + x2 / 2 + x3 / 6 + x3 @ x / 24, eye + x + x2 / 2 + x3 / 4, 4 * eye + 2 * x + x2 / 2
-    return all_lags, profile, np.stack([r, sixth * q0, sixth * q_half, np.broadcast_to(sixth * eye, x.shape)])
+    e, phi1, phi2 = _phi(dt * a_eff)
+    return all_lags, profile, np.stack([e, dt * (phi1 - phi2), dt * phi2])
 
 
 def _impulse_toeplitz(lags: np.ndarray, coefs: np.ndarray, block: int) -> np.ndarray:
@@ -364,10 +375,9 @@ def _impulse_toeplitz(lags: np.ndarray, coefs: np.ndarray, block: int) -> np.nda
     return np.ascontiguousarray(lower(h, block).transpose(2, 0, 3, 1, 4)).reshape(b, block * s, -1)
 
 
-def _unit_steps(model: SystemModel, dt: float | None) -> tuple[float, int]:
-    """The step (``model.default_dt()`` when None) and 1/dt, which must be a positive integer."""
-    if dt is None:
-        dt = model.default_dt()
+def _unit_steps(dt: float | None) -> tuple[float, int]:
+    """The step (DEFAULT_DT when None) and 1/dt, which must be a positive integer."""
+    dt = DEFAULT_DT if dt is None else dt
     inv = 1.0 / dt if dt > 0 else 0.0
     hist_steps = round(inv)
     if hist_steps < 1 or abs(inv - hist_steps) > 1e-6:
@@ -376,21 +386,21 @@ def _unit_steps(model: SystemModel, dt: float | None) -> tuple[float, int]:
 
 
 def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None = None) -> Trajectory:
-    """Advance the equation by the method of steps with RK4 stages.
+    """Advance the equation by the method of steps with ETD2 steps.
 
-    The initial state must satisfy the compatibility condition f(0) = x
-    within COMPAT_TOL and 1/dt must be an integer.  Delayed values at
-    stage times are read from the piecewise-linear interpolant of the
-    already-computed nodes (queries past the frontier extrapolate from
-    the last interval).  Any point mass of Phi at delay 0 is folded into
-    A before stepping.  Aborts with BlowUpError when the solution norm
-    exceeds 1e12, reporting the first node past the guard, and with
-    BudgetError, before any allocation, past STEPPING_BUDGET entries.
+    The initial state must satisfy f(0) = x within COMPAT_TOL and 1/dt
+    must be an integer (DEFAULT_DT when None).  Each step applies exp(dt A)
+    exactly and reads the delay term at both ends from the piecewise-linear
+    interpolant of the computed nodes (past the frontier it extrapolates
+    from the last interval).  Point masses of Phi at delay 0 are folded
+    into A.  Aborts with BlowUpError when the solution norm exceeds 1e12,
+    reporting the first node past the guard, and with BudgetError, before
+    any allocation, past STEPPING_BUDGET entries.
 
     On the uniform grid one step is a fixed linear map of the stored
-    nodes, built by ``_rk4_profile`` in z = V^-1 u: as (b, s) = (n, 1)
+    nodes, built by ``_etd2_profile`` in z = V^-1 u: as (b, s) = (n, 1)
     modes when ``SystemModel.decoupled`` keeps V, else (1, n) with V = Id:
-    a lag profile, shared by the b blocks or one per mode, and four RK4
+    a lag profile, shared by the b blocks or one per mode, and three ETD2
     weights per block, folded into the profile when b = 1.  z is stored
     time major and zero past the frontier, so a block reads its lags in
     one gather of row windows and one product with the profile; the lags
@@ -402,7 +412,7 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")
-    dt, hist_steps = _unit_steps(model, dt)
+    dt, hist_steps = _unit_steps(dt)
     if init.n != model.n:
         raise ValueError("initial state dimension does not match the model")
     if not init.is_compatible():
@@ -428,15 +438,15 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
         weights = _as_matrices(atoms.weights, n)[:, None]
     b, s = rates.shape[:2]
     folded, atoms = _fold_instantaneous(atoms._replace(weights=weights))
-    lags, profile, rk4 = _rk4_profile(rates + folded, *_delay_stencil(atoms, hist_steps, _RK4_STAGES), dt)
-    coefs = (rk4[:, None] @ profile).sum(axis=0)
+    lags, profile, etd2 = _etd2_profile(rates + folded, *_delay_stencil(atoms, hist_steps, (0.0, 1.0)), dt)
+    coefs = (etd2[:, None] @ profile).sum(axis=0)
     if b == 1:
         # one block: its weights fold into the profile, a single row of C_l
-        profile, rk4 = coefs[None], np.eye(s)[None, None]
+        profile, etd2 = coefs[None], np.eye(s)[None, None]
     nrows, shared = len(profile), profile.shape[2]
     block = max(1, min(steps, int(np.sqrt(_BLOCK_ENTRIES / (nrows * b * s * s)))))
-    # fused[:, (i, a), (r, c, k)] = (H_{i-k} rk4[r])[a, c]
-    fused = _impulse_toeplitz(lags, coefs, block).reshape(b, 1, -1, s) @ rk4.transpose(1, 0, 2, 3)
+    # fused[:, (i, a), (r, c, k)] = (H_{i-k} etd2[r])[a, c]
+    fused = _impulse_toeplitz(lags, coefs, block).reshape(b, 1, -1, s) @ etd2.transpose(1, 0, 2, 3)
     fused = np.ascontiguousarray(fused.reshape(b, nrows, block * s, block, s).transpose(0, 2, 1, 4, 3))
     fused = fused.reshape(b, block * s, -1)
     dtype = np.result_type(vinv, fused)
@@ -478,10 +488,10 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
 def mild_residual(model: SystemModel, traj: Trajectory, t: float) -> float:
     """Defect of the integrated equation at time t.
 
-    Evaluates ||u(t) - x - A * int_0^t u - Phi(int_0^t u_s ds)|| with
-    trapezoid quadrature on the trajectory grid; the inner integral of
-    the segments is a history-grid-valued quantity.  Requires t to be a
-    grid node within the coverage.
+    Evaluates ||u(t) - x - A * int_0^t u - Phi(int_0^t u_s ds)|| with trapezoid
+    quadrature on the trajectory grid; the inner integral of the segments is a
+    history-grid-valued quantity.  Requires t to be a grid node within the coverage.
+    The quadrature error is O(dt^2 ||A||) when the start excites stiff modes, however exact u.
     """
     if t < -1e-12 or t > traj.t_end + 1e-9:
         raise PreconditionError(f"residual time {t} outside trajectory coverage")
@@ -568,7 +578,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
         raise PreconditionError("time must be nonnegative")
     if N < 0:
         raise PreconditionError(f"term count must be nonnegative, got N = {N}")
-    dt, hist_steps = _unit_steps(model, dt)
+    dt, hist_steps = _unit_steps(dt)
     r_steps = round(t / dt)
     if abs(t - r_steps * dt) > 1e-9:
         raise PreconditionError("t must be a multiple of dt for the Volterra quadrature")

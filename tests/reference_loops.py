@@ -1,8 +1,9 @@
 """Per-stage and per-state loops kept as references for the assembled maps.
 
-``reference_solve_steps`` is the RK4 method of steps that reads every
-stage's delayed values by interpolating the trajectory;
-``reference_volterra_terms`` evaluates the delay term node by node; and
+``reference_etd2_solve_steps`` is the ETD2 method of steps that reads
+the delay term at both ends of every step by interpolating the
+trajectory, with its exponential weights from ``scipy.linalg.expm`` of
+an augmented matrix; ``reference_volterra_terms`` evaluates the delay term node by node; and
 ``reference_miyadera_estimate`` builds the moved state of every sample
 at every quadrature node; ``reference_random_compatible_state`` draws
 one state at a time; ``reference_decay_rate`` rebuilds every
@@ -18,8 +19,10 @@ the level-by-level product form of the Cantor transform, a complex cosh
 package reads the same product in one pass with the exact triplication
 of cosh on the levels below the top ones.
 
-Three oracles that the package does not compute at all sit beside them:
-``cantor_transform_recursive`` evaluates the Cantor transform by
+Four oracles that the package does not compute at all sit beside them:
+``reference_solve_steps`` is the RK4 method of steps, reading the
+trajectory the same way at every stage, the accuracy oracle of the
+ETD2 step; ``cantor_transform_recursive`` evaluates the Cantor transform by
 self-similar subdivision of the measure, the cross-check of the product
 formula; ``perturbed_resolvent_bound_check`` tests the perturbed
 resolvent inequality by a direct SVD; ``char_det`` is the determinant of
@@ -32,6 +35,7 @@ the package reads every sampled history with.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from delaylab import (
     BlowUpError,
@@ -110,8 +114,10 @@ def _delay_term(phi, m):
     raise TypeError(f"unknown functional variant: {type(phi).__name__}")
 
 
-def reference_solve_steps(model, init, T, dt):
-    """RK4 method of steps with per-stage interpolation of the trajectory."""
+def _method_of_steps(model, init, T, dt, make_step):
+    """Sweep node by node: make_step(a_eff, delayed) gives the map
+    (u_j, t_j, cap) -> u_{j+1}, where delayed(s, cap) is the delay term at
+    time s read from the nodes up to cap + 1 (zero when Phi has no delay)."""
     inv = 1.0 / dt
     hist_steps = round(inv)
     steps = int(np.ceil(T / dt - 1e-9))
@@ -123,39 +129,26 @@ def reference_solve_steps(model, init, T, dt):
     vals[hist_steps] = init.head
 
     a_eff, phi_red = _fold_instantaneous(model)
-    term = _delay_term(phi_red, init.history.m) if phi_red is not None else None
+    if phi_red is None:
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    if term is not None:
-        offsets, reduce_fn = term
+        def delayed(s, cap):
+            return np.zeros(n)
 
-        def rhs(s, y, cap):
+    else:
+        offsets, reduce_fn = _delay_term(phi_red, init.history.m)
+
+        def delayed(s, cap):
             # delayed values from nodes computed so far; queries past the
             # frontier extrapolate from the last interval
             pos = (s + offsets + 1.0) * inv
             idx = np.minimum(pos.astype(int), cap)
             frac = (pos - idx)[:, None]
-            delayed = vals[idx] * (1.0 - frac) + vals[idx + 1] * frac
-            return a_eff @ y + reduce_fn(delayed)
+            return reduce_fn(vals[idx] * (1.0 - frac) + vals[idx + 1] * frac)
 
+    step = make_step(a_eff, delayed)
     for j in range(hist_steps, total - 1):
         t = -1.0 + j * dt
-        u = vals[j]
-
-        if term is None:
-            k1 = a_eff @ u
-            k2 = a_eff @ (u + half * k1)
-            k3 = a_eff @ (u + half * k2)
-            k4 = a_eff @ (u + dt * k3)
-        else:
-            cap = j - 1
-            k1 = rhs(t, u, cap)
-            k2 = rhs(t + half, u + half * k1, cap)
-            k3 = rhs(t + half, u + half * k2, cap)
-            k4 = rhs(t + dt, u + dt * k3, cap)
-
-        new = u + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+        new = step(vals[j], t, j - 1)
         if not np.all(np.isfinite(new)) or np.linalg.norm(new) > BLOWUP_GUARD:
             raise BlowUpError(
                 f"solution norm exceeded {BLOWUP_GUARD:.0e} at t = {t + dt:.6g}; aborting"
@@ -163,6 +156,45 @@ def reference_solve_steps(model, init, T, dt):
         vals[j + 1] = new
 
     return Trajectory(vals, dt, m=init.history.m, p=model.p)
+
+
+def reference_solve_steps(model, init, T, dt):
+    """RK4 method of steps with per-stage interpolation of the trajectory."""
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def make_step(a_eff, delayed):
+        def step(u, t, cap):
+            k1 = a_eff @ u + delayed(t, cap)
+            k2 = a_eff @ (u + half * k1) + delayed(t + half, cap)
+            k3 = a_eff @ (u + half * k2) + delayed(t + half, cap)
+            k4 = a_eff @ (u + dt * k3) + delayed(t + dt, cap)
+            return u + sixth * (k1 + 2.0 * (k2 + k3) + k4)
+
+        return step
+
+    return _method_of_steps(model, init, T, dt, make_step)
+
+
+def reference_etd2_solve_steps(model, init, T, dt):
+    """ETD2 method of steps with per-stage interpolation of the trajectory:
+    u_{j+1} = E u_j + dt [(P1 - P2) g_j + P2 g_{j+1}], where [E, P1, P2] is the
+    top block row of expm([[dt A, I, 0], [0, 0, I], [0, 0, 0]]) of the
+    folded A, in u coordinates."""
+    n = model.n
+
+    def make_step(a_eff, delayed):
+        aug = np.zeros((3 * n, 3 * n))
+        aug[:n, :n] = dt * a_eff
+        aug[:n, n : 2 * n] = aug[n : 2 * n, 2 * n :] = np.eye(n)
+        top = scipy.linalg.expm(aug)[:n]
+        e, p1, p2 = top[:, :n], top[:, n : 2 * n], top[:, 2 * n :]
+
+        def step(u, t, cap):
+            return e @ u + dt * ((p1 - p2) @ delayed(t, cap) + p2 @ delayed(t + dt, cap))
+
+        return step
+
+    return _method_of_steps(model, init, T, dt, make_step)
 
 
 def _segment_of_rows(rows, dt, t, m, p):

@@ -142,8 +142,7 @@ class TestSolveCommand:
         assert "exceeds budget" in capsys.readouterr().err
 
     def test_laplacian_entries_step_like_the_tagged_laplacian(self, tmp_path):
-        # dt: null reads the step off the matrix alone, tags or not; at
-        # dt = 1e-3 the n = 31 Laplacian blows up
+        # dt: null takes the one default step, tags or not
         n = 31
         tagged = rd_scenario(n=n, c=0.5 * abs(dl.dirichlet_lambda1(n)), T=1.0)
         entries = json.loads(json.dumps(tagged))
@@ -389,6 +388,15 @@ class TestReproduceRdCommand:
         doc = json.loads((out / "reproduce_rd.json").read_text())
         assert doc["decay_rate_below"] < 0.0 < doc["decay_rate_above"]
 
+    def test_n127_decay_rates_match_the_roots(self, tmp_path):
+        # the default step does not shrink with n, so the n = 127 trajectories
+        # fit in the stepping budget
+        out = tmp_path / "out"
+        assert main(["reproduce-rd", "--out", str(out), "--n", "127"]) == 0
+        doc = json.loads((out / "reproduce_rd.json").read_text())
+        for label, factor in (("decay_rate_below", 0.8), ("decay_rate_above", 1.2)):
+            assert abs(doc[label] - dl.rd_rightmost_root(127, factor * doc["c_star"]).real) <= 0.05
+
     def test_range_without_crossing_exits_3(self, tmp_path):
         code = main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "1", "--c-min", "1", "--c-max", "3", "--decay-horizon", "0"])
         assert code == 3
@@ -470,8 +478,8 @@ class TestScenarioRoundTrip:
                 np.testing.assert_array_equal(restored.samples, phi.samples)
 
 
-# Imports delaylab and its CLI, runs solve, spectrum, stability and
-# reproduce-rd on the shipped scenarios and prints the scipy modules that
+# Imports delaylab and its CLI, runs solve, spectrum, stability,
+# reproduce-rd and dyson on the shipped scenarios and prints the scipy modules that
 # got loaded, then whether numpy.ma did.
 NUMPY_ONLY_RUN = """
 import sys
@@ -482,6 +490,7 @@ for argv in (
     ["spectrum", "--scenario", scalar, "--re-min", "-1", "--re-max", "1", "--im-max", "2"],
     ["stability", "--scenario", rd, "--horizon", "4"],
     ["reproduce-rd", "--n", "15", "--decay-horizon", "0"],
+    ["dyson", "--scenario", scalar, "--t", "1.5", "--n-max", "8"],
 ):
     assert delaylab.cli.main(argv + ["--out", out + "/" + argv[0]]) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))

@@ -7,9 +7,9 @@ import scipy.linalg
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid, evolution
-from delaylab.evolution import _RK4_STAGES, _impulse_toeplitz
+from delaylab.evolution import DEFAULT_DT, _impulse_toeplitz, _phi
 from delaylab.functional import _atoms, _delay_stencil
-from reference_loops import reference_solve_steps, reference_volterra_terms
+from reference_loops import reference_etd2_solve_steps, reference_solve_steps, reference_volterra_terms
 from split_models import COUPLED_MODELS, SPLIT_MODELS
 from split_models import rotation_operator as _rotation_operator
 
@@ -150,29 +150,27 @@ class TestSpatialOperator:
         np.testing.assert_allclose(stack, [np.eye(5), scipy.linalg.expm(0.9 * a)], atol=1e-10)
 
 
+# models of every size: the default step is the same for each
+DEFAULT_STEP_MODELS = {
+    "scalar": lambda: dl.scalar_dde(0.0, -1.0),
+    **{f"rd{n}": (lambda n=n: dl.reaction_diffusion_scenario(n, 0.0)) for n in (1, 2, 15, 31, 63, 127)},
+    # the n = 31 Laplacian built from its entries alone, without tags
+    "untagged31": lambda: dl.SystemModel(dl.SpatialOperator(dl.laplacian_dirichlet_1d(31).matrix), dl.CantorKernel(1.0)),
+}
+
+
 class TestSystemModel:
     def test_dimension_agreement_enforced(self):
         with pytest.raises(ValueError):
             dl.SystemModel(dl.scalar_operator(-1.0), dl.single_delay(np.eye(2), -1.0), 2.0)
 
-    def test_default_step_for_diffusion(self):
-        model = dl.reaction_diffusion_scenario(31, 1.0)
-        # the same Laplacian built from its entries alone, without tags
-        untagged = dl.SystemModel(dl.SpatialOperator(dl.laplacian_dirichlet_1d(31).matrix), model.phi, model.p)
-        h = 1.0 / 32
-        for m in (model, untagged):
-            assert m.default_dt() <= h * h / 4.0
-            assert round(1.0 / m.default_dt()) == pytest.approx(1.0 / m.default_dt())
-        assert untagged.default_dt() == model.default_dt() == 1.0 / 4096
-
-    @pytest.mark.parametrize("n", [1, 2, 15, 31, 63, 127])
-    def test_default_step_of_laplacian_is_h2_over_4(self, n):
-        # ||A||_inf = 4/h^2 reproduces the rule 1/ceil(1/min(1e-3, h^2/4))
-        h = 1.0 / (n + 1)
-        assert dl.reaction_diffusion_scenario(n, 0.0).default_dt() == 1.0 / np.ceil(1.0 / min(1e-3, h * h / 4.0))
-
-    def test_default_step_scalar(self):
-        assert dl.scalar_dde(0.0, -1.0).default_dt() == 1e-3
+    @pytest.mark.parametrize("name", sorted(DEFAULT_STEP_MODELS))
+    def test_default_step_is_fixed(self, name):
+        # exp(dt A) is applied exactly, so the step does not shrink with ||A||
+        model = DEFAULT_STEP_MODELS[name]()
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(0))
+        assert DEFAULT_DT == 2.0**-10
+        assert dl.solve_steps(model, init, 0.01).dt == DEFAULT_DT
 
 
 class TestSolveSteps:
@@ -263,12 +261,22 @@ class TestStepRecurrence:
     @pytest.mark.parametrize("case", sorted(RECURRENCE_CASES))
     def test_matches_stage_by_stage_sweep(self, case):
         model, dt = RECURRENCE_CASES[case]()
-        dt = dt or model.default_dt()
+        dt = dt or DEFAULT_DT
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(5))
         got = dl.solve_steps(model, init, 2.0, dt).values
-        want = reference_solve_steps(model, init, 2.0, dt).values
+        want = reference_etd2_solve_steps(model, init, 2.0, dt).values
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_default_step_is_as_accurate_as_fine_rk4(self):
+        # RD n = 15 at 2^-10 against RK4 at 2^-14 on the shared nodes: 2.2e-5
+        # of the scale off, where RK4 at 2^-10 is 1.2e-3 off
+        model = dl.reaction_diffusion_scenario(15, 4.918968)
+        init = dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(1))
+        got = dl.solve_steps(model, init, 1.0).values
+        want = reference_solve_steps(model, init, 1.0, 2.0**-14).values[::16]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
     @pytest.mark.parametrize("model", [ode_model(40.0), dl.scalar_dde(30.0, 2.0)])
     def test_blowup_guard_reports_the_reference_time(self, model):
@@ -276,8 +284,23 @@ class TestStepRecurrence:
         with pytest.raises(dl.BlowUpError) as got:
             dl.solve_steps(model, init, 3.0, 1e-3)
         with pytest.raises(dl.BlowUpError) as want:
-            reference_solve_steps(model, init, 3.0, 1e-3)
+            reference_etd2_solve_steps(model, init, 3.0, 1e-3)
         assert str(got.value) == str(want.value)
+
+
+#: Both sides of the switch at |x| = 1/2, x = 0 of the scalar scenario,
+#: stiff decay and complex rotation modes.
+PHI_POINTS = [0.0, 1e-12, -1e-12, 0.4999, -0.4999, 0.5, -0.5, 0.5001, -0.5001, -1.0, -16.0, -1e4, 0.3 + 2j, -3 + 40j]
+
+
+class TestPhiFunctions:
+    @pytest.mark.parametrize("x", PHI_POINTS)
+    def test_matches_augmented_expm(self, x):
+        aug = np.zeros((3, 3), dtype=complex)
+        aug[0, 0], aug[0, 1], aug[1, 2] = x, 1.0, 1.0
+        want = scipy.linalg.expm(aug)[0]
+        got = [f[0, 0, 0] for f in _phi(np.array([[[x]]]))]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def _nonnormal_operator():
@@ -324,14 +347,14 @@ class TestModalStepping:
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             got = dl.solve_steps(model, init, horizon, dt).values
         assert f"{basis} basis" in caplog.text
-        want = reference_solve_steps(model, init, horizon, dt).values
+        want = reference_etd2_solve_steps(model, init, horizon, dt).values
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_blowup_message_matches_reference(self):
         init = dl.random_compatible_state(2, 64, 2.0, np.random.default_rng(7))
         # an orthonormal basis, and one that is not; the guard is checked once
-        # per unit of time (blocks of 14 steps, so after 1008, 2016 and 3024
+        # per unit of time (blocks of 81 steps, so after 1053, 2106 and 3159
         # steps) and at the horizon: the last two trip at t = 0.727, inside
         # the first check, and at t = 3.352, inside the final partial one
         cases = [
@@ -343,20 +366,20 @@ class TestModalStepping:
         runs = [(dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(3.0)), init, horizon, 1e-3) for a, horizon in cases]
         # the shipped n = 15 scenario at c = 40, rightmost root +3.49, from the
         # state of `stability --seed 42`: the guard trips at t = 8.447, inside a
-        # block of 25 steps that the far lags 15 and 16 act in
+        # block of 29 steps that the far lags 15 and 16 act in
         rd = dl.reaction_diffusion_scenario(15, 40.0)
-        runs.append((rd, dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(42)), 10.0, rd.default_dt()))
+        runs.append((rd, dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(42)), 10.0, DEFAULT_DT))
         for model, state, horizon, dt in runs:
             with pytest.raises(dl.BlowUpError) as got:
                 dl.solve_steps(model, state, horizon, dt)
             with pytest.raises(dl.BlowUpError) as want:
-                reference_solve_steps(model, state, horizon, dt)
+                reference_etd2_solve_steps(model, state, horizon, dt)
             assert str(got.value) == str(want.value)
 
     def test_logs_the_stepping_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             dl.solve_steps(dl.scalar_dde(-0.3, -0.8), constant_state(1.0), 3.0, 1e-3)
-        # lags 0, 999 and 1000; a single mode folds its four RK4 weights into
+        # lags 0, 999 and 1000; a single mode folds its three ETD2 weights into
         # the lag profile, and blocks of 200 keep its block map of block^2
         # entries near 40 000
         assert caplog.messages == [
@@ -387,11 +410,10 @@ class TestSplitDecision:
         model = COUPLED_MODELS[name]()
         assert model.decoupled() is None
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(6))
-        dt = model.default_dt()
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
-            got = dl.solve_steps(model, init, 1.0, dt).values
+            got = dl.solve_steps(model, init, 1.0, DEFAULT_DT).values
         assert "matrix basis" in caplog.text
-        want = reference_solve_steps(model, init, 1.0, dt).values
+        want = reference_etd2_solve_steps(model, init, 1.0, DEFAULT_DT).values
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_scalar_weights_split_without_an_eigenbasis(self):
@@ -459,9 +481,9 @@ class TestLongBlocks:
             got = dl.solve_steps(model, init, horizon, dt).values
         assert f"{basis} basis" in caplog.text
         block = int(re.search(r"block = (\d+)", caplog.text).group(1))
-        lags, _ = _delay_stencil(_atoms(model.phi, m), round(1.0 / dt), _RK4_STAGES)
+        lags, _ = _delay_stencil(_atoms(model.phi, m), round(1.0 / dt), (0.0, 1.0))
         assert block > lags[lags > 1].min()
-        want = reference_solve_steps(model, init, horizon, dt).values
+        want = reference_etd2_solve_steps(model, init, horizon, dt).values
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
