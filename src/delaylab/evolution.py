@@ -291,9 +291,8 @@ def _fold_instantaneous(atoms: _Atoms) -> tuple[np.ndarray | float, _Atoms]:
     """Split the point masses of Phi at delay 0 off the delay term.
 
     Returns their summed weight, which joins the instantaneous term (0.0
-    when there is none), and the atoms left to the delay term, none when
-    their weights all vanish.  Quadrature nodes at sigma = 0 stay atoms:
-    they read the frontier like any other node.
+    when there is none), and the atoms left to the delay term.  Quadrature
+    nodes at sigma = 0 stay atoms: they read the frontier like any other node.
     """
     folded = 0.0
     if atoms.point_masses:
@@ -301,8 +300,6 @@ def _fold_instantaneous(atoms: _Atoms) -> tuple[np.ndarray | float, _Atoms]:
         if at_zero.any():
             folded = atoms.weights[at_zero].sum(axis=0)
             atoms = atoms._replace(offsets=atoms.offsets[~at_zero], weights=atoms.weights[~at_zero])
-    if not np.any(atoms.weights):
-        atoms = atoms._replace(offsets=atoms.offsets[:0], weights=atoms.weights[:0])
     return folded, atoms
 
 

@@ -15,10 +15,10 @@ Phi(f) ~= sum_i W_i f(sigma_i).  The weights are scalars standing for
 multiples of Id whenever every one of them is such a multiple (the Cantor
 kernel, an empty functional, any 1 x 1 functional, or b Id stored as a
 matrix), and n x n matrices otherwise; the routines that read the atoms
-take the scalar path from that shape alone.  The atoms are the delays with
-their matrices, the trapezoid nodes of a density kernel's own grid, and the
-Cantor grid weights on the history grid.  This is the only module that
-tells the variants apart, and it reads the delay term one way per domain:
+take the scalar path from that shape alone.  The atoms, all of nonzero weight,
+are the delays with their matrices, the trapezoid nodes of a density kernel's
+own grid, and the Cantor-weighted history grid nodes.  This is the only module
+that tells the variants apart, and it reads the delay term one way per domain:
 
 * on a sampled history through ``_grid_weights``, the weights Q_l with
   Phi(f) = sum_l Q_l f(sigma_l) on the history nodes, built by the stage-0
@@ -291,8 +291,8 @@ def _cantor_levels(lams, direct: int, levels: int, derivative: bool):
 class _Atoms(NamedTuple):
     """Phi(f) ~= sum_i W_i f(sigma_i): offsets sigma_i in [-1, 0] and weights
     W_i, k scalars standing for multiples of Id or a (k, n, n) stack of
-    matrices.  ``point_masses`` is true when the atoms are the measure
-    itself rather than quadrature nodes of it."""
+    matrices, each nonzero in some entry.  ``point_masses`` is true when the
+    atoms are the measure itself rather than quadrature nodes of it."""
 
     offsets: np.ndarray
     weights: np.ndarray
@@ -300,13 +300,14 @@ class _Atoms(NamedTuple):
 
 
 def _atoms(phi: DelayFunctional, m: int | None = None) -> _Atoms:
-    """Atoms of phi; those of the Cantor kernel sit on the m-node history
-    grid, the others do not depend on m.  Matrix weights that are all
-    exact multiples of Id, as every 1 x 1 weight is, come back as their
-    scalars; ``phi.dim`` still holds the dimension."""
+    """Atoms of phi with a weight nonzero in some entry; those of the Cantor
+    kernel are the m-node history grid nodes of nonzero grid weight, the
+    others do not depend on m.  Matrix weights that are all exact multiples
+    of Id, as every 1 x 1 weight is and the empty stack of an all-zero phi,
+    come back as scalars; ``phi.dim`` still holds the dimension."""
     if isinstance(phi, CantorKernel):
-        return _Atoms(-1.0 + np.arange(m + 1) / m, phi.c * cantor_grid_weights(m, phi.depth), False)
-    if isinstance(phi, DiscreteDelays):
+        atoms = _Atoms(-1.0 + np.arange(m + 1) / m, phi.c * cantor_grid_weights(m, phi.depth), False)
+    elif isinstance(phi, DiscreteDelays):
         if phi.dim is None:
             return _Atoms(np.zeros(0), np.zeros(0), True)
         atoms = _Atoms(phi.delays, phi.matrices, True)
@@ -314,9 +315,10 @@ def _atoms(phi: DelayFunctional, m: int | None = None) -> _Atoms:
         atoms = _Atoms(phi.nodes, _trapezoid_weights(phi.m + 1, 1.0 / phi.m)[:, None, None] * phi.samples, False)
     else:
         raise TypeError(f"unknown functional variant: {type(phi).__name__}")
-    diagonal = atoms.weights[:, 0, 0]
-    if np.array_equal(atoms.weights, diagonal[:, None, None] * np.eye(phi.dim)):
-        return atoms._replace(weights=diagonal)
+    weighted = atoms.weights.reshape(len(atoms.weights), -1).any(axis=1)
+    atoms = _Atoms(atoms.offsets[weighted], atoms.weights[weighted], atoms.point_masses)
+    if atoms.weights.ndim == 3 and np.array_equal(atoms.weights, atoms.weights[:, :1, :1] * np.eye(phi.dim)):
+        return atoms._replace(weights=atoms.weights[:, 0, 0])
     return atoms
 
 

@@ -173,10 +173,14 @@ def lp_norm(f: HistoryGrid) -> float:
 def _lp_norms(samples: np.ndarray, p: float) -> np.ndarray:
     """``lp_norm`` of every history in a stack of samples, shape
     (..., m + 1, n)."""
+    return _lp_integrals(samples, p) ** (1.0 / p)
+
+
+def _lp_integrals(samples: np.ndarray, p: float) -> np.ndarray:
+    """The integral of ``lp_norm``, before its root, for a stack of samples."""
     g = np.linalg.norm(samples, axis=-1) ** p
     h = 1.0 / (samples.shape[-2] - 1)
-    integral = h * (0.5 * (g[..., 0] + g[..., -1]) + g[..., 1:-1].sum(axis=-1))
-    return integral ** (1.0 / p)
+    return h * (0.5 * (g[..., 0] + g[..., -1]) + g[..., 1:-1].sum(axis=-1))
 
 
 def state_norm(s: DelayState) -> float:

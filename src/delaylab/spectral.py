@@ -29,6 +29,7 @@ from .functional import _as_matrices, _atoms, _grid_weights, _symbol, apply, cha
 from .history import (
     DelayState,
     HistoryGrid,
+    _lp_integrals,
     _lp_norms,
     _shifted_weights,
     _trapezoid_weights,
@@ -540,8 +541,8 @@ def _random_compatible_states(count: int, n: int, m: int, p: float, rng: np.rand
     heads, coeffs = draws[:, :n], draws[:, n:].reshape(count, 4, n)
     samples = ((-1.0 + np.arange(m + 1) / m)[:, None] ** np.arange(4)[None, :]) @ coeffs
     samples += (heads - samples[:, -1])[:, None]
-    # state by state: a norm along an axis may round differently from state_norm
-    scale = np.array([np.linalg.norm(x) + _lp_norms(f, p) for x, f in zip(heads, samples)])
+    # rounded as state_norm: the head norm is the root of a dot, the history root a power of a numpy scalar
+    scale = np.sqrt(heads[:, None, :] @ heads[:, :, None]).ravel() + [q ** (1.0 / p) for q in _lp_integrals(samples, p)]
     return heads / scale[:, None], samples / scale[:, None, None]
 
 

@@ -9,6 +9,7 @@ import delaylab as dl
 from delaylab import DelayState, HistoryGrid, evolution
 from delaylab.evolution import DEFAULT_DT, _impulse_toeplitz, _phi
 from delaylab.functional import _atoms, _delay_stencil
+from delaylab.spectral import _log_det
 from reference_loops import reference_etd2_solve_steps, reference_solve_steps, reference_volterra_terms
 from split_models import COUPLED_MODELS, SPLIT_MODELS
 from split_models import rotation_operator as _rotation_operator
@@ -426,6 +427,58 @@ class TestSplitDecision:
         assert dl.SystemModel(jordan, dl.single_delay(np.diag([0.3, 0.4]))).decoupled() is None
 
 
+def _with_zero_delay(model, delay):
+    """The model with one more delay whose matrix is zero."""
+    phi, n = model.phi, model.n
+    return dl.SystemModel(
+        model.A, dl.DiscreteDelays(np.concatenate([phi.matrices, np.zeros((1, n, n))]), np.append(phi.delays, delay))
+    )
+
+
+ZERO_DELAY_MODELS = {
+    "coupled": lambda: dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -0.3337)),
+    "delayed_diffusion": SPLIT_MODELS["delayed_diffusion"],
+}
+
+
+class TestZeroWeightDelays:
+    """A delay with a zero matrix changes no reader of the functional, bit for bit."""
+
+    LAMS = np.array([0.3 + 0.5j, -0.7 + 2.1j, 1.2 - 0.4j, -2.5 + 0.1j])
+
+    @pytest.mark.parametrize("name", sorted(ZERO_DELAY_MODELS))
+    def test_every_reader_is_bitwise_unchanged(self, name):
+        model = ZERO_DELAY_MODELS[name]()
+        padded = _with_zero_delay(model, -0.6123)
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(12))
+        np.testing.assert_array_equal(
+            dl.solve_steps(padded, init, 2.0, DEFAULT_DT).values, dl.solve_steps(model, init, 2.0, DEFAULT_DT).values
+        )
+        for got, want in zip(
+            dl.volterra_terms(padded, 3, 1.5, init, DEFAULT_DT), dl.volterra_terms(model, 3, 1.5, init, DEFAULT_DT), strict=True
+        ):
+            np.testing.assert_array_equal(got.head, want.head)
+            np.testing.assert_array_equal(got.history.samples, want.history.samples)
+        for got, want in zip(_log_det(padded, self.LAMS), _log_det(model, self.LAMS)):
+            np.testing.assert_array_equal(got, want)
+        region = dl.Region(-2.0, 0.5, 4.0)
+        assert dl.find_roots(padded, region).roots == dl.find_roots(model, region).roots
+        assert dl.total_variation(padded.phi) == dl.total_variation(model.phi)
+        got, want = padded.decoupled(), model.decoupled()
+        assert (got is None) == (want is None)
+        for g, w in zip(got or (), want or (), strict=True):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("a", [_coupled_operator().matrix, -np.diag([1.0, 3.0])])
+    def test_all_zero_delays_act_as_the_empty_functional(self, a):
+        zero = dl.SystemModel(dl.SpatialOperator(a), dl.DiscreteDelays(np.zeros((2, 2, 2)), np.array([-1.0, -0.5])))
+        empty = dl.SystemModel(dl.SpatialOperator(a), empty_functional())
+        init = dl.random_compatible_state(2, 64, 2.0, np.random.default_rng(13))
+        np.testing.assert_array_equal(dl.solve_steps(zero, init, 2.0, 1e-3).values, dl.solve_steps(empty, init, 2.0, 1e-3).values)
+        region = dl.Region(-4.0, 0.5, 2.0)
+        assert dl.find_roots(zero, region).roots == dl.find_roots(empty, region).roots
+
+
 class TestSteppingBudget:
     def test_checked_on_trajectory_entries(self, monkeypatch):
         model, init = dl.scalar_dde(-0.3, -0.8), constant_state(1.0)
@@ -444,7 +497,7 @@ class TestSteppingBudget:
 # model, dt, horizon, history nodes m and the basis; every case steps in
 # blocks longer than its shortest lag above 1
 LONG_BLOCK_CASES = {
-    # off-grid Cantor nodes: 298 lags, the shortest above 1 is 9
+    # off-grid Cantor nodes: 128 lags, the shortest above 1 is 9
     "cantor_rd_m100": lambda: (dl.reaction_diffusion_scenario(15, 4.918968), 1.0 / 1024, 2.0, 100, "modal"),
     "three_steps": lambda: (
         dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -2e-3)), 1e-3, 3e-3, 64, "matrix"

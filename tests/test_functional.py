@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import delaylab as dl
 from delaylab import CantorKernel, DensityKernel, DiscreteDelays, HistoryGrid
-from delaylab.functional import _cantor_product
+from delaylab.functional import _atoms, _cantor_product, _delay_stencil, cantor_grid_weights
 from delaylab.scenarios import _cantor_coupling
 from reference_loops import cantor_transform_recursive, reference_cantor_derivative, reference_cantor_transform
 
@@ -168,6 +168,44 @@ class TestApply:
         ):
             bound = dl.total_variation(phi) * sup_f
             assert np.linalg.norm(dl.apply(phi, f)) <= bound + 1e-9
+
+
+class TestAtoms:
+    """Every atom carries a weight that is nonzero in some entry."""
+
+    @pytest.mark.parametrize("m, count", [(64, 36), (100, 44), (256, 86)])
+    def test_cantor_atoms_are_the_weighted_grid_nodes(self, m, count):
+        offsets, weights, _ = _atoms(CantorKernel(0.8), m)
+        grid = cantor_grid_weights(m, 24)
+        assert len(offsets) == count and np.all(weights != 0.0)
+        np.testing.assert_array_equal(offsets, (-1.0 + np.arange(m + 1) / m)[grid != 0.0])
+        np.testing.assert_array_equal(weights, 0.8 * grid[grid != 0.0])
+
+    def test_zero_delay_matrix_is_dropped(self):
+        b, corner = np.array([[0.4, -0.6], [0.3, 0.2]]), np.array([[0.0, 1e-300], [0.0, 0.0]])
+        phi = DiscreteDelays(np.stack([b, np.zeros((2, 2)), corner]), np.array([-1.0, -0.5, -0.3]))
+        offsets, weights, _ = _atoms(phi)
+        np.testing.assert_array_equal(offsets, [-1.0, -0.3])
+        np.testing.assert_array_equal(weights, [b, corner])
+
+    def test_density_nodes_where_samples_vanish_are_dropped(self):
+        nodes = -1.0 + np.arange(17) / 16
+        b = np.array([[0.5, 0.2], [-0.4, 0.3]])
+        offsets, weights, _ = _atoms(DensityKernel(np.where(nodes < -0.5, 0.0, np.cos(nodes))[:, None, None] * b))
+        np.testing.assert_array_equal(offsets, nodes[8:])
+        assert weights.shape == (9, 2, 2) and np.all(np.any(weights != 0.0, axis=(1, 2)))
+
+    def test_all_zero_functional_has_the_empty_atoms(self):
+        offsets, weights, point_masses = _atoms(DiscreteDelays(np.zeros((2, 3, 3)), np.array([-1.0, -0.5])))
+        empty = _atoms(empty_functional())
+        assert offsets.shape == weights.shape == empty.weights.shape == (0,) and point_masses
+
+    def test_rd_stencil_reads_only_weighted_lags(self):
+        # 130 lags when the 29 zero-weight Cantor nodes are read too
+        rd = dl.reaction_diffusion_scenario(15, 4.9)
+        lags, weights = _delay_stencil(_atoms(rd.phi, 64), 1024, (0.0, 1.0))
+        assert len(lags) == 72
+        assert np.all(np.any(weights != 0.0, axis=0))
 
 
 class TestCantorTransform:
