@@ -1,8 +1,9 @@
 """Time evolution of u'(t) = A u(t) + Phi(u_t) by two independent routes.
 
 The first route is the method of steps by the exponential trapezoid ETD2:
-exp(dt A) exactly, the delay term read at both ends of each step from the
-piecewise-linear interpolant of the computed trajectory.  The second is the
+exp(dt A) exactly, and the delay term at both ends of each step from the
+piecewise-linear interpolant of the computed trajectory, read once per
+node, as the end of one step is the start of the next.  The second is the
 semigroup construction: the unperturbed block action (flowed head,
 injected head plus shifted history) composed with the iterated Volterra
 terms whose sum is the perturbation series of the full evolution.  On
@@ -329,21 +330,39 @@ def _phi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return e, np.where(small, phi1, em1 / far), np.where(small, phi2, (em1 - far) / far**2)
 
 
-def _etd2_profile(a_eff: np.ndarray, lags: np.ndarray, weights: np.ndarray, dt: float):
-    """Lags, profile (3, L, b', s, s), b' = 1 or b, and weights (3, b, s, s) of one ETD2
-    step of z' = a z + g: z_{j+1} = sum_r weights[r] sum_l profile[r, l] z_{j - lags[l]}.
+def _mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # x @ y; for 1 x 1 blocks the broadcast product, far faster
+    return x * y if x.shape[-1] == 1 else x @ y
 
-    With x = dt a (``a_eff``) and g_0, g_1 the delay term at both ends of the step, the
-    exponential trapezoid (Cox & Matthews, J. Comput. Phys. 176, 2002) is z_{j+1} = e^x z_j
-    + dt [(phi_1 - phi_2)(x) g_0 + phi_2(x) g_1], exact for g linear over the step.  The
-    profile holds Id at lag 0 and the ``weights`` of the stencils at offsets 0 and 1.
+
+def _etd2_block(a_eff: np.ndarray, atoms: _Atoms, per_unit: int, dt: float, block: int):
+    """Lags and weights (b', s, L s), b' = 1 or b, of the stage-0 delay read D(p) = sum_l W_l z_{p - lags[l]}, and
+    the (b, block s, (block + 3) s) map of ETD2 from [D(j0..j0 + block), z_{j0-1}, z_j0], D read on the nodes up to
+    j0, to z_{j0+1..j0+block}.  ETD2 (Cox & Matthews, J. Comput. Phys. 176, 2002) is z_{j+1} = e^x z_j + alpha g_j +
+    beta g_{j+1}, x = dt a, alpha = dt (phi_1 - phi_2)(x), beta = dt phi_2(x), g_j = D(j), g_{j+1} = D(j+1) + sum_q
+    edge[q] z_{j+1-q}: the frontier atoms (sigma > -dt) extrapolate from (j - 1, j) instead of reading z_{j+1}.
     """
-    all_lags = lags if lags.size and lags[0] == 0 else np.concatenate(([0], lags))
-    profile = np.zeros((3, len(all_lags)) + weights.shape[2:], dtype=weights.dtype)
-    profile[0, 0] = np.eye(a_eff.shape[-1])
-    profile[1:, np.searchsorted(all_lags, lags)] = weights
+    lags, weights = _delay_stencil(atoms, per_unit, (0.0,))
+    front = atoms.offsets * per_unit > -1.0
+    q, (now, then) = _delay_stencil(_Atoms(atoms.offsets[front], atoms.weights[front], False), per_unit, (0.0, 1.0))
+    edge = np.zeros((3,) + weights.shape[2:], dtype=weights.dtype)
+    edge[q + 1] += then
+    edge[q] -= now
     e, phi1, phi2 = _phi(dt * a_eff)
-    return all_lags, profile, np.stack([e, dt * (phi1 - phi2), dt * phi2])
+    alpha, beta = dt * (phi1 - phi2), dt * phi2
+    near = np.stack([_mul(beta, edge[2]), e + _mul(beta, edge[1])])  # of z_{j-1} and z_j
+    # z_{j+1} = sum_q C_q z_{j-q}: D(j) reads lag l, D(j+1) lag l - 1 (-1 cancels); lags >= block do not act
+    back = np.concatenate((lags, lags - 1, [1, 0]))
+    acts = (back >= 0) & (back < block)
+    coefs, back = np.concatenate((_mul(alpha, weights[0]), _mul(beta, weights[0]), near))[acts], back[acts]
+    b, s = alpha.shape[:2]
+    # h[:, (i, a), m] = H_{i-m}[a, :] for m <= block, zero at m = block
+    h = _impulse_toeplitz(back, coefs, block + 1).reshape(b, block + 1, -1)[:, :block].reshape(b, block * s, -1, s)
+    # D(j0 + p) enters step p by alpha and step p - 1 by beta, z_j0 steps 0 and 1
+    ends = np.stack([_mul(h[:, :, 0], near[0]), _mul(h[:, :, 0], near[1]) + _mul(h[:, :, 1], near[0])], axis=2)
+    fused = np.concatenate((_mul(h.reshape(b, -1, s), alpha).reshape(h.shape), ends), axis=2)
+    fused[:, :, 1 : block + 1] += _mul(h.reshape(b, -1, s), beta).reshape(h.shape)[:, :, :block]
+    weights = weights[0].transpose(1, 2, 0, 3).reshape(weights.shape[2], s, len(lags) * s)
+    return lags, weights, fused.reshape(b, block * s, -1)
 
 
 def _impulse_toeplitz(lags: np.ndarray, coefs: np.ndarray, block: int) -> np.ndarray:
@@ -367,8 +386,8 @@ def _impulse_toeplitz(lags: np.ndarray, coefs: np.ndarray, block: int) -> np.nda
     while len(h) <= block:
         known = len(h) - 1
         back = np.arange(known, min(2 * known, block))[:, None] - 1 - lags
-        forcing = (coefs @ h[np.where((back >= 0) & (back < known), back, -1)]).sum(axis=1)
-        h = np.concatenate((h[:-1], (lower(h, len(forcing)) @ forcing).sum(axis=1), h[-1:]))
+        forcing = _mul(coefs, h[np.where((back >= 0) & (back < known), back, -1)]).sum(axis=1)
+        h = np.concatenate((h[:-1], _mul(lower(h, len(forcing)), forcing).sum(axis=1), h[-1:]))
     return np.ascontiguousarray(lower(h, block).transpose(2, 0, 3, 1, 4)).reshape(b, block * s, -1)
 
 
@@ -394,18 +413,14 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     reporting the first node past the guard, and with BudgetError, before
     any allocation, past STEPPING_BUDGET entries.
 
-    On the uniform grid one step is a fixed linear map of the stored
-    nodes, built by ``_etd2_profile`` in z = V^-1 u: as (b, s) = (n, 1)
-    modes when ``SystemModel.decoupled`` keeps V, else (1, n) with V = Id:
-    a lag profile, shared by the b blocks or one per mode, and three ETD2
-    weights per block, folded into the profile when b = 1.  z is stored
-    time major and zero past the frontier, so a block reads its lags in
-    one gather of row windows and one product with the profile; the lags
-    shorter than the block act through ``_impulse_toeplitz``, fused with
-    the weights into one batched product.  Once per unit of time and at
-    the horizon the new nodes are mapped back to u = Re(V z) and the
-    guard is checked.  The frontier extrapolation is part of the map, so
-    the result is that of the stage-by-stage sweep up to rounding.
+    On the uniform grid the steps are one linear recurrence (``_etd2_block``)
+    in z = V^-1 u: (b, s) = (n, 1) modes when ``SystemModel.decoupled`` keeps
+    V, else (1, n) with V = Id.  z is stored time major and zero past the
+    frontier, so a block of K steps reads the delay term at its K + 1 nodes
+    in one gather of row windows and one product, and its own nodes in one
+    more.  Once per unit of time and at the horizon the new nodes are mapped
+    back to u = Re(V z) and the guard is checked.  The frontier extrapolation
+    is part of the map: the result is the stage-by-stage sweep's up to rounding.
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")
@@ -435,39 +450,29 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
         weights = _as_matrices(atoms.weights, n)[:, None]
     b, s = rates.shape[:2]
     folded, atoms = _fold_instantaneous(atoms._replace(weights=weights))
-    lags, profile, etd2 = _etd2_profile(rates + folded, *_delay_stencil(atoms, hist_steps, (0.0, 1.0)), dt)
-    coefs = (etd2[:, None] @ profile).sum(axis=0)
-    if b == 1:
-        # one block: its weights fold into the profile, a single row of C_l
-        profile, etd2 = coefs[None], np.eye(s)[None, None]
-    nrows, shared = len(profile), profile.shape[2]
-    block = max(1, min(steps, int(np.sqrt(_BLOCK_ENTRIES / (nrows * b * s * s)))))
-    # fused[:, (i, a), (r, c, k)] = (H_{i-k} etd2[r])[a, c]
-    fused = _impulse_toeplitz(lags, coefs, block).reshape(b, 1, -1, s) @ etd2.transpose(1, 0, 2, 3)
-    fused = np.ascontiguousarray(fused.reshape(b, nrows, block * s, block, s).transpose(0, 2, 1, 4, 3))
-    fused = fused.reshape(b, block * s, -1)
-    dtype = np.result_type(vinv, fused)
-    # per block of the profile, rows (r, i) and columns (l, j): one product reads every lag
-    profile = profile.transpose(2, 0, 3, 1, 4).reshape(shared, nrows * s, -1).astype(dtype)
-    logger.debug(
-        "solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
-        basis, n, dt, steps, block, len(lags),
-    )
+    block = max(1, min(steps, int(np.sqrt(_BLOCK_ENTRIES / (b * s * s)))))
+    lags, weights, fused = _etd2_block(rates + folded, atoms, hist_steps, dt, block)
+    shared, per = len(weights), b // len(weights)
+    logger.debug("solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
+                 basis, n, dt, steps, block, len(lags))
 
     # the last block runs whole; rows past the horizon are dropped
-    z = np.zeros((hist_steps + -(-steps // block) * block + 1, n), dtype=dtype)
+    z = np.zeros((hist_steps + -(-steps // block) * block + 1, n), dtype=np.result_type(vinv, fused))
     z[: hist_steps + 1] = history @ vinv.T
     values = np.empty((total, n))
     values[: hist_steps + 1] = history
-    # windows[r] = z[r : r + block], one contiguous run of the flat array
-    windows = sliding_window_view(z.reshape(-1), block * n)[::n]
+    # windows[r] = z[r : r + block + 1], one contiguous run of the flat array
+    windows = sliding_window_view(z.reshape(-1), (block + 1) * n)[::n]
+    inputs = np.empty((shared, per, block + 3, s), dtype=z.dtype)
     done = hist_steps  # rows of values filled
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(hist_steps, total - 1, block):
-            gathered = windows[j0 - lags].reshape(len(lags), block, shared, -1, s).transpose(2, 0, 4, 1, 3)
-            reads = profile @ gathered.reshape(shared, len(lags) * s, -1)
-            reads = reads.reshape(shared, nrows * s, block, -1).transpose(0, 3, 1, 2).reshape(b, -1, 1)
-            z[j0 + 1 : j0 + block + 1] = (fused @ reads).reshape(b, block, s).transpose(1, 0, 2).reshape(block, n)
+            gathered = windows[j0 - lags].reshape(len(lags), block + 1, shared, per, s).transpose(2, 0, 4, 1, 3)
+            reads = weights @ gathered.reshape(shared, len(lags) * s, (block + 1) * per)
+            inputs[:, :, : block + 1] = reads.reshape(shared, s, block + 1, per).transpose(0, 3, 2, 1)
+            inputs[:, :, block + 1 :] = z[j0 - 1 : j0 + 1].reshape(2, shared, per, s).transpose(1, 2, 0, 3)
+            new = (fused @ inputs.reshape(b, -1, 1)).reshape(b, block, s)
+            z[j0 + 1 : j0 + block + 1] = new.transpose(1, 0, 2).reshape(block, n)
             stop = min(j0 + block, total - 1)
             if stop - done < hist_steps and stop < total - 1:
                 continue

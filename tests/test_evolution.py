@@ -289,6 +289,51 @@ class TestStepRecurrence:
         assert str(got.value) == str(want.value)
 
 
+
+def _frontier_model(basis, offsets):
+    """One point mass per offset, with weights that step in ``basis``:
+    scalars shared by the modes, polynomials in A (one weight per mode), or
+    matrices that couple the components."""
+    c = 0.5 * np.cos(np.arange(1.0, len(offsets) + 1.0))
+    if basis == "modal":
+        A, mats = dl.diagonal_operator([-1.0, -2.5, 0.3]), c[:, None, None] * np.eye(3)
+    elif basis == "per_mode":
+        A = dl.laplacian_dirichlet_1d(5)
+        mats = c[:, None, None] * np.eye(5) + (0.3 + c)[:, None, None] * A.matrix / 36.0
+    else:
+        A, mats = _coupled_operator(), c[:, None, None] * _coupling() + (1.0 - c)[:, None, None] * _coupling().T
+    return dl.SystemModel(A, dl.DiscreteDelays(mats, np.array(offsets)))
+
+
+#: offsets as functions of dt at the split between atoms whose end-of-step
+#: read is the stage-0 read one node later and frontier atoms, whose read
+#: extrapolates: an atom within one step of the frontier, atoms 1e-12 either
+#: side of that step's edge and of a grid node, and a point mass at 0 (folded
+#: into A) next to a sub-step atom
+FRONTIER_CASES = {
+    "sub_step": lambda dt: [-dt / 3.0, -0.6],
+    "one_step_noise": lambda dt: [-dt + 1e-12, -dt - 1e-12, -0.45],
+    "grid_node_noise": lambda dt: [-300.0 * dt + 1e-12, -300.0 * dt - 1e-12, -0.45],
+    "folded_zero_and_sub_step": lambda dt: [0.0, -dt / 3.0, -0.8],
+}
+
+
+class TestFrontierReads:
+    """Atoms whose end-of-step read extrapolates past the frontier, against the stage-by-stage sweep."""
+
+    @pytest.mark.parametrize("dt", [1e-3, DEFAULT_DT])
+    @pytest.mark.parametrize("basis", ["modal", "per_mode", "matrix"])
+    @pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
+    def test_matches_stage_by_stage_sweep(self, case, basis, dt, caplog):
+        model = _frontier_model(basis, FRONTIER_CASES[case](dt))
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(14))
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            got = dl.solve_steps(model, init, 2.0, dt).values
+        assert ("matrix basis" if basis == "matrix" else "modal basis") in caplog.text
+        want = reference_etd2_solve_steps(model, init, 2.0, dt).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
 #: Both sides of the switch at |x| = 1/2, x = 0 of the scalar scenario,
 #: stiff decay and complex rotation modes.
 PHI_POINTS = [0.0, 1e-12, -1e-12, 0.4999, -0.4999, 0.5, -0.5, 0.5001, -0.5001, -1.0, -16.0, -1e4, 0.3 + 2j, -3 + 40j]
@@ -355,19 +400,21 @@ class TestModalStepping:
     def test_blowup_message_matches_reference(self):
         init = dl.random_compatible_state(2, 64, 2.0, np.random.default_rng(7))
         # an orthonormal basis, and one that is not; the guard is checked once
-        # per unit of time (blocks of 81 steps, so after 1053, 2106 and 3159
-        # steps) and at the horizon: the last two trip at t = 0.727, inside
-        # the first check, and at t = 3.352, inside the final partial one
+        # per unit of time (blocks of 141 steps, so after 1128, 2256 and 3384
+        # steps) and at the horizon: the last three trip at t = 0.727, inside
+        # the first check, and at t = 3.352, inside the third and, with the
+        # horizon at 3.36, inside the final partial one
         cases = [
             (np.diag([2.0, 9.0]), 4.0),
             (np.array([[2.0, 5.0], [0.0, 9.0]]), 4.0),
             (np.diag([2.0, 40.0]), 4.0),
             (np.diag([2.0, 8.0]), 3.5),
+            (np.diag([2.0, 8.0]), 3.36),
         ]
         runs = [(dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(3.0)), init, horizon, 1e-3) for a, horizon in cases]
         # the shipped n = 15 scenario at c = 40, rightmost root +3.49, from the
         # state of `stability --seed 42`: the guard trips at t = 8.447, inside a
-        # block of 29 steps that the far lags 15 and 16 act in
+        # block of 51 steps that the lags 15, 16, 31, 32, 47 and 48 act in
         rd = dl.reaction_diffusion_scenario(15, 40.0)
         runs.append((rd, dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(42)), 10.0, DEFAULT_DT))
         for model, state, horizon, dt in runs:
@@ -380,11 +427,22 @@ class TestModalStepping:
     def test_logs_the_stepping_path(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             dl.solve_steps(dl.scalar_dde(-0.3, -0.8), constant_state(1.0), 3.0, 1e-3)
-        # lags 0, 999 and 1000; a single mode folds its three ETD2 weights into
-        # the lag profile, and blocks of 200 keep its block map of block^2
-        # entries near 40 000
+        # one stage-0 read, at lag 1000 (the end-of-step read is the same read
+        # one node later), and blocks of 200 keep its block map of
+        # block (block + 3) entries near 40 000
         assert caplog.messages == [
-            "solve_steps: modal basis, n = 1, dt = 0.001, steps = 3000, block = 200, lags = 3"
+            "solve_steps: modal basis, n = 1, dt = 0.001, steps = 3000, block = 200, lags = 1"
+        ]
+
+    def test_reads_each_weighted_cantor_node_once_per_node(self, caplog):
+        # the 36 weighted Cantor nodes at m = 64, each on the step grid; the
+        # end-of-step reads are the same lags one node later
+        model = dl.reaction_diffusion_scenario(15, 4.918968)
+        init = dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(1))
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            dl.solve_steps(model, init, 0.1)
+        assert caplog.messages == [
+            "solve_steps: modal basis, n = 15, dt = 0.000976562, steps = 103, block = 51, lags = 36"
         ]
 
 
