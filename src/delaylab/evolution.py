@@ -26,7 +26,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BlowUpError, BudgetError, PreconditionError
-from .functional import DelayFunctional, _as_matrices, _Atoms, _atoms, _delay_stencil, _frozen, _grid_position, apply
+from .functional import (
+    DelayFunctional,
+    _as_matrices,
+    _Atoms,
+    _atoms,
+    _delay_stencil,
+    _frozen,
+    _grid_position,
+    _real_array,
+    apply,
+)
 from .history import (
     COMPAT_TOL,
     DelayState,
@@ -74,7 +84,7 @@ class SpatialOperator:
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        self.matrix = _frozen(np.atleast_2d(np.array(self.matrix, dtype=float)))
+        self.matrix = _frozen(np.atleast_2d(_real_array(self.matrix, "spatial operator")))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("spatial operator must be a square matrix")
         if not np.all(np.isfinite(self.matrix)):
@@ -193,7 +203,7 @@ def scalar_operator(a: float) -> SpatialOperator:
 
 
 def diagonal_operator(eigs) -> SpatialOperator:
-    eigs = np.atleast_1d(np.asarray(eigs, dtype=float))
+    eigs = np.atleast_1d(_real_array(eigs, "diagonal entries"))
     return SpatialOperator(np.diag(eigs), eigenvalues=eigs.astype(complex))
 
 

@@ -60,6 +60,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """A float copy of values.  Complex data is rejected, not cast: the
+    cast would drop the imaginary part, and every model is real."""
+    arr = np.asarray(values)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{what} must be real, got complex values")
+    return np.array(arr, dtype=float)
+
+
 @dataclass
 class DiscreteDelays:
     """Point-mass functional sum_k B_k f(h_k), delays h_k in [-1, 0]; arrays copied, read-only."""
@@ -68,8 +77,8 @@ class DiscreteDelays:
     delays: np.ndarray
 
     def __post_init__(self):
-        self.matrices = _frozen(np.array(self.matrices, dtype=float))
-        self.delays = _frozen(np.atleast_1d(np.array(self.delays, dtype=float)))
+        self.matrices = _frozen(_real_array(self.matrices, "delay matrices"))
+        self.delays = _frozen(np.atleast_1d(_real_array(self.delays, "delays")))
         if self.matrices.size == 0:
             self.matrices = self.matrices.reshape(0, 0, 0)
             self.delays = self.delays.reshape(0)
@@ -125,7 +134,7 @@ class DensityKernel:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = _frozen(np.array(self.samples, dtype=float))
+        self.samples = _frozen(_real_array(self.samples, "density kernel samples"))
         if self.samples.ndim != 3 or self.samples.shape[1] != self.samples.shape[2]:
             raise ValueError("density kernel samples must be a (m+1, n, n) stack")
         if len(self.samples) < 3:
@@ -151,8 +160,7 @@ DelayFunctional = Union[DiscreteDelays, CantorKernel, DensityKernel]
 
 def single_delay(matrix, delay: float = -1.0) -> DiscreteDelays:
     """One-term functional B f(h)."""
-    b = np.atleast_2d(np.asarray(matrix, dtype=float))
-    return DiscreteDelays(b[None], np.array([delay]))
+    return DiscreteDelays(np.atleast_2d(matrix)[None], np.array([delay]))
 
 
 # ---------------------------------------------------------------------------

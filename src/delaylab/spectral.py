@@ -13,6 +13,12 @@ smallness estimate for the perturbation, and the frequency-domain
 stability certificate that compares the delay term's norm along a
 vertical line with the reciprocal resolvent norm of A (for normal A the
 distance to its spectrum, with no SVD).
+
+Every model is real (A, the delay weights and the density samples are
+float; the constructors reject complex data), so det M(conj lam) = conj
+det M(lam) and the roots are closed under conjugation: the root search
+and the count evaluate log det only where Im lam >= 0 and get the lower
+half-plane by conjugation.
 """
 
 from __future__ import annotations
@@ -261,10 +267,17 @@ def _newton_polish(model: SystemModel, seeds: np.ndarray) -> tuple[np.ndarray, n
 def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> RootReport:
     """Characteristic roots inside a rectangle.
 
-    Scans log|det| on a grid of the given seed spacing, polishes every
-    local minimum by damped Newton, discards iterates that leave the
-    rectangle or fail ``ROOT_TOL``, and merges duplicates within
-    ``MERGE_TOL``.  Roots are sorted by descending real part.
+    The model is real, so det M(conj lam) = conj det M(lam) and the roots
+    are closed under conjugation.  The seed grid is exactly symmetric
+    about the real axis: log|det| is evaluated on its columns with Im lam
+    >= 0 only and mirrored onto the lower ones, and every local minimum
+    of the full grid in the upper columns is polished by damped Newton.
+    Iterates that leave the rectangle or fail ``ROOT_TOL`` are discarded;
+    each accepted root off the real axis brings its conjugate with the
+    same residual, and one within MERGE_TOL / 2 of the axis is reported
+    real, so the listed roots are exactly closed under conjugation.
+    Duplicates within ``MERGE_TOL`` merge, the smallest residual kept.
+    Roots are sorted by descending real part.
     """
     if not spacing > 0:
         raise PreconditionError(f"seed-grid spacing must be positive, got {spacing}")
@@ -275,11 +288,17 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
             f"root search grid {re_count} x {im_count} exceeds budget {ROOT_BUDGET}; "
             "coarsen the spacing or shrink the region"
         )
+    # columns half.. have Im >= 0 (the middle one Im = 0 when im_count is
+    # odd); column j < half is the mirror of column im_count - 1 - j
+    half = im_count // 2
     res = np.linspace(region.re_min, region.re_max, re_count)
-    ims = np.linspace(-region.im_max, region.im_max, im_count)
-    lams = res[:, None] + 1j * ims[None, :]
-    level = _log_det(model, lams, derivative=False)[0].reshape(re_count, im_count)
-    level[np.isnan(level)] = np.inf
+    upper_ims = np.linspace(-region.im_max, region.im_max, im_count)[half:]
+    if im_count % 2:
+        upper_ims[0] = 0.0
+    upper = res[:, None] + 1j * upper_ims[None, :]
+    upper_level = _log_det(model, upper, derivative=False)[0].reshape(re_count, im_count - half)
+    upper_level[np.isnan(upper_level)] = np.inf
+    level = np.concatenate((upper_level[:, ::-1][:, :half], upper_level), axis=1)
 
     padded = np.full((re_count + 2, im_count + 2), np.inf)
     padded[1:-1, 1:-1] = level
@@ -290,9 +309,11 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
             if di == 0 and dj == 0:
                 continue
             is_min &= center <= padded[1 + di : 1 + di + re_count, 1 + dj : 1 + dj + im_count]
-    seeds = lams[is_min]
+    seeds = upper[is_min[:, half:]]
 
-    candidates: list[tuple[complex, float]] = []
+    # (root, residual, mirrored); a conjugate is listed before its root, as
+    # the mirrored seed came first on the full grid, so ties merge as there
+    candidates: list[tuple[complex, float, bool]] = []
     dropped = 0
     for seed, root, residual in zip(seeds, *_newton_polish(model, seeds)):
         if np.isnan(residual):
@@ -304,35 +325,47 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
             dropped += 1
             continue
         if region.contains(root):
-            candidates.append((complex(root), float(residual)))
+            root = complex(root)
+            if 0.0 < abs(root.imag) <= 0.5 * MERGE_TOL:
+                root = complex(root.real, 0.0)
+            if root.imag:
+                candidates.append((root.conjugate(), float(residual), True))
+            candidates.append((root, float(residual), False))
 
-    candidates.sort(key=lambda pair: pair[1])
-    roots: list[complex] = []
-    residuals: list[float] = []
-    for root, residual in candidates:
-        if any(abs(root - kept) <= MERGE_TOL for kept in roots):
-            continue
-        roots.append(root)
-        residuals.append(residual)
+    candidates.sort(key=lambda c: c[1])
+    points = np.array([c[0] for c in candidates], dtype=complex)
+    merged = np.zeros(len(candidates), dtype=bool)
+    kept = []
+    for i in range(len(candidates)):
+        if not merged[i]:
+            kept.append(i)
+            merged |= np.abs(points - points[i]) <= MERGE_TOL
 
-    order = sorted(range(len(roots)), key=lambda i: (-roots[i].real, roots[i].imag))
-    roots = [roots[i] for i in order]
-    residuals = [residuals[i] for i in order]
+    kept.sort(key=lambda i: (-candidates[i][0].real, candidates[i][0].imag))
+    roots = [candidates[i][0] for i in kept]
+    residuals = [candidates[i][1] for i in kept]
     rightmost = roots[0] if roots else None
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "find_roots: %s log det, grid %d x %d, seeds %d, converged %d, dropped %d, roots %d",
+            "find_roots: %s log det, grid %d x %d, seeds %d, converged %d, dropped %d, mirrored %d, roots %d",
             "factored" if model.decoupled() is not None else "slogdet", re_count, im_count,
-            len(seeds), len(seeds) - dropped, dropped, len(roots),
+            len(seeds), len(seeds) - dropped, dropped, sum(candidates[i][2] for i in kept), len(roots),
         )
     return RootReport(roots, residuals, region, rightmost)
 
 
 def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
     """Number of characteristic roots inside the rectangle, counted with
-    multiplicity by the winding of det along the boundary: trapezoid
-    quadrature of the log-derivative D = det'/det = tr(M^-1 M') with 2000
-    intervals per edge; an oracle independent of the Newton search.
+    multiplicity by the winding of det along the boundary; an oracle
+    independent of the Newton search.
+
+    The model is real, so D = det'/det = tr(M^-1 M') satisfies D(conj
+    lam) = conj D(lam): the lower half of the contour contributes minus
+    the conjugate of the upper half, and the winding is Im(I) / pi, with
+    I the integral of D along the upper half only, from (re_max, 0) up
+    the right edge, along the top and down the left edge to (re_min, 0).
+    Trapezoid quadrature with 1000, 2000 and 1000 intervals: the node
+    spacing of 2000 intervals per edge of the whole contour, 4003 nodes.
 
     Raises NoResultError when the boundary integral is not finite, for
     example because a root lies on the contour, and when a root lies
@@ -341,19 +374,21 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
     rounded winding may be off by the roots nearby.
     """
     corners = [
-        complex(region.re_min, -region.im_max),
-        complex(region.re_max, -region.im_max),
+        complex(region.re_max, 0.0),
         complex(region.re_max, region.im_max),
         complex(region.re_min, region.im_max),
+        complex(region.re_min, 0.0),
     ]
+    legs = list(zip(corners, corners[1:], (1000, 2000, 1000)))
+    nodes = [a + (b - a) * np.linspace(0.0, 1.0, k + 1) for a, b, k in legs]
+    integrands = np.split(_log_det(model, np.concatenate(nodes))[1], np.cumsum([len(z) for z in nodes])[:-1])
     total = 0.0 + 0.0j
     peak = 0.0
     with np.errstate(invalid="ignore"):
-        for a, b in zip(corners, corners[1:] + corners[:1]):
-            _, integrand = _log_det(model, a + (b - a) * np.linspace(0.0, 1.0, 2001))
-            dz = (b - a) / 2000
-            total += dz * (0.5 * (integrand[0] + integrand[-1]) + integrand[1:-1].sum())
-            peak = max(peak, abs(dz) * float(np.max(np.abs(integrand))))
+        for (a, b, k), leg in zip(legs, integrands):
+            dz = (b - a) / k
+            total += dz * (0.5 * (leg[0] + leg[-1]) + leg[1:-1].sum())
+            peak = max(peak, abs(dz) * float(np.max(np.abs(leg))))
     if not np.isfinite(total):
         raise NoResultError(
             "argument-principle integral is not finite: the integrand d/dlambda log det "
@@ -364,7 +399,7 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
             f"a root lies within about one node spacing of the contour (|dz| max |D| = {peak:.3g} > 1); "
             "the count is not reliable, move the contour"
         )
-    return int(np.rint((total / (2j * np.pi)).real))
+    return int(np.rint(total.imag / np.pi))
 
 
 # ---------------------------------------------------------------------------

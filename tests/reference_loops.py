@@ -27,6 +27,11 @@ self-similar subdivision of the measure, the cross-check of the product
 formula; ``perturbed_resolvent_bound_check`` tests the perturbed
 resolvent inequality by a direct SVD; ``char_det`` is the determinant of
 the characteristic matrix by complex LU, the oracle of ``_log_det``.
+``reference_find_roots`` and ``reference_count_roots_argument_principle``
+are the root search and the contour count over the whole rectangle:
+``log det`` on every column of the seed grid, every seed polished, all
+four edges integrated; the package evaluates the upper half only and
+gets the lower half by conjugation.
 ``_delay_term`` reads a delay functional on a sampled trajectory by
 interpolating it at the atom offsets, apart from the grid weights that
 the package reads every sampled history with.
@@ -45,6 +50,8 @@ from delaylab import (
     DensityKernel,
     DiscreteDelays,
     HistoryGrid,
+    NoResultError,
+    RootReport,
     Trajectory,
     apply,
     cantor_grid_weights,
@@ -57,6 +64,7 @@ from delaylab import (
     total_variation,
 )
 from delaylab.history import interp_uniform
+from delaylab.spectral import MERGE_TOL, ROOT_TOL, _log_det, _newton_polish
 
 BLOWUP_GUARD = 1e12
 
@@ -387,3 +395,58 @@ def char_det(model, lam: complex) -> complex:
     """Determinant of lam - A - char_matrix(lam) by complex LU."""
     matrix = lam * np.eye(model.n, dtype=complex) - model.A.matrix - char_matrix(model.phi, lam, dim=model.n)
     return complex(np.linalg.det(matrix))
+
+
+def reference_find_roots(model, region, spacing=0.05):
+    """Seed scan of log|det| on the whole grid, every local minimum
+    polished by damped Newton, duplicates merged pairwise."""
+    re_count = max(4, int(np.ceil((region.re_max - region.re_min) / spacing)) + 1)
+    im_count = max(4, int(np.ceil(2.0 * region.im_max / spacing)) + 1)
+    res = np.linspace(region.re_min, region.re_max, re_count)
+    ims = np.linspace(-region.im_max, region.im_max, im_count)
+    lams = res[:, None] + 1j * ims[None, :]
+    level = _log_det(model, lams, derivative=False)[0].reshape(re_count, im_count)
+    level[np.isnan(level)] = np.inf
+    padded = np.full((re_count + 2, im_count + 2), np.inf)
+    padded[1:-1, 1:-1] = level
+    is_min = np.ones(level.shape, dtype=bool)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di or dj:
+                is_min &= level <= padded[1 + di : 1 + di + re_count, 1 + dj : 1 + dj + im_count]
+    candidates = [
+        (complex(root), float(residual))
+        for root, residual in zip(*_newton_polish(model, lams[is_min]))
+        if residual <= ROOT_TOL and region.contains(root)
+    ]
+    candidates.sort(key=lambda pair: pair[1])
+    roots, residuals = [], []
+    for root, residual in candidates:
+        if not any(abs(root - kept) <= MERGE_TOL for kept in roots):
+            roots.append(root)
+            residuals.append(residual)
+    order = sorted(range(len(roots)), key=lambda i: (-roots[i].real, roots[i].imag))
+    roots = [roots[i] for i in order]
+    return RootReport(roots, [residuals[i] for i in order], region, roots[0] if roots else None)
+
+
+def reference_count_roots_argument_principle(model, region):
+    """Winding of det along all four edges, 2000 trapezoid intervals each."""
+    corners = [
+        complex(region.re_min, -region.im_max),
+        complex(region.re_max, -region.im_max),
+        complex(region.re_max, region.im_max),
+        complex(region.re_min, region.im_max),
+    ]
+    total, peak = 0.0 + 0.0j, 0.0
+    with np.errstate(invalid="ignore"):
+        for a, b in zip(corners, corners[1:] + corners[:1]):
+            integrand = _log_det(model, a + (b - a) * np.linspace(0.0, 1.0, 2001))[1]
+            dz = (b - a) / 2000
+            total += dz * (0.5 * (integrand[0] + integrand[-1]) + integrand[1:-1].sum())
+            peak = max(peak, abs(dz) * float(np.max(np.abs(integrand))))
+    if not np.isfinite(total):
+        raise NoResultError("argument-principle integral is not finite")
+    if peak > 1.0:
+        raise NoResultError(f"a root lies within about one node spacing of the contour (|dz| max |D| = {peak:.3g})")
+    return int(np.rint((total / (2j * np.pi)).real))

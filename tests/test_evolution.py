@@ -57,6 +57,11 @@ class TestSpatialOperator:
         with pytest.raises(ValueError):
             dl.SpatialOperator(np.ones((2, 3)))
 
+    def test_rejects_complex_matrix(self):
+        # a cast would give [[1.]]: the real part, with the imaginary dropped
+        with pytest.raises(ValueError, match="must be real"):
+            dl.SpatialOperator(np.array([[1.0 + 2.0j]]))
+
     @pytest.mark.parametrize("a", [np.array([[-1.0, 0.0], [0.0, -2.0]]), np.array([[-1.0, 0.5], [0.0, -2.0]])])
     def test_caller_array_cannot_change_the_operator(self, a):
         tags = np.array([-1.0, -2.0], dtype=complex)

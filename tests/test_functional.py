@@ -80,6 +80,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DensityKernel(np.where(nodes > -0.5, np.inf, nodes)[:, None, None] * np.ones((1, 1)))
 
+    def test_discrete_delays_reject_complex_matrices(self):
+        # a cast would keep the real part 1 and drop the imaginary 2
+        with pytest.raises(ValueError, match="must be real"):
+            DiscreteDelays(np.array([[[1.0 + 2.0j]]]), np.array([-1.0]))
+        with pytest.raises(ValueError, match="must be real"):
+            dl.single_delay(np.array([[1.0 + 2.0j]]), -1.0)
+
+    def test_density_kernel_rejects_complex_samples(self):
+        with pytest.raises(ValueError, match="must be real"):
+            DensityKernel(np.full((5, 1, 1), 1.0 + 2.0j))
+
     def test_rejects_bad_depth(self):
         with pytest.raises(ValueError):
             CantorKernel(1.0, 0)

@@ -14,7 +14,9 @@ from reference_loops import (
     _delay_term,
     char_det,
     perturbed_resolvent_bound_check,
+    reference_count_roots_argument_principle,
     reference_decay_rate,
+    reference_find_roots,
     reference_miyadera_estimate,
     reference_random_compatible_state,
     reference_shift_resolvent_history,
@@ -253,7 +255,9 @@ class TestFindRoots:
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_roots:")]
         assert len(lines) == 1
         assert lines[0].startswith(f"find_roots: {path} log det, grid 41 x 161, seeds ")
-        assert lines[0].endswith(f", roots {len(report.roots)}")
+        # on these models every root below the axis is the mirror of one polished above it
+        mirrored = sum(z.imag < 0 for z in report.roots)
+        assert lines[0].endswith(f", mirrored {mirrored}, roots {len(report.roots)}")
 
     def test_split_roots_match_the_matrix_path(self, monkeypatch):
         # delayed diffusion: per-mode factors against slogdet Newton at n = 15
@@ -264,6 +268,104 @@ class TestFindRoots:
         matrix = dl.find_roots(SPLIT_MODELS["delayed_diffusion"](), region)
         assert len(factored.roots) == len(matrix.roots) > 0
         np.testing.assert_allclose(factored.roots, matrix.roots, rtol=0, atol=1e-10)
+
+
+def coupled_density():
+    """A non-commuting 2 x 2 density kernel on 9 nodes: the slogdet path."""
+    sigma = -1.0 + np.arange(9) / 8
+    b = np.array([[0.4, -0.3], [0.2, 0.1]])
+    c = np.array([[0.0, 0.5], [0.0, -0.2]])
+    samples = np.cos(2.0 * sigma)[:, None, None] * b + sigma[:, None, None] * c
+    return dl.SystemModel(dl.SpatialOperator(np.array([[-1.0, 0.5], [0.2, -2.0]])), dl.DensityKernel(samples), 2.0)
+
+
+#: name -> builder of the models the upper-half search is checked on
+HALF_PLANE_MODELS = {
+    "scalar": lambda: load_scenario(SCENARIOS / "scalar_single_delay.json").model,
+    "rd_n15": lambda: dl.reaction_diffusion_scenario(15, 0.5 * abs(dl.dirichlet_lambda1(15))),
+    "rd_n64": lambda: dl.reaction_diffusion_scenario(64, 0.5 * abs(dl.dirichlet_lambda1(64))),
+    "delays": lambda: list(log_det_models())[2],  # non-commuting 2 x 2 delays
+    "density": coupled_density,
+    "delayed_diffusion": SPLIT_MODELS["delayed_diffusion"],
+}
+
+#: every search rectangle of TestFindRoots but the budget guard's, and one
+#: whose seed grid has an even column count, 162, so no row on the real axis
+HALF_PLANE_REGIONS = [
+    (-4.0, 0.5, 2.0),
+    (-1.0, 1.0, 4.0),
+    (-1.0, 1.0, 7.5),
+    (-3.0, 1.0, 9.0),
+    (-3.0, 1.0, 2.0),
+    (-1.0, 0.5, 2.0),
+    (-3.0, 1.0, 6.0),
+    (-3.0, 1.0, 8.0),
+] + [(-0.3181315052047641 + eps, 1.0, 4.0) for eps in (1e-4, 1e-6, -1e-4, 3e-3)] + [(-1.0, 1.0, 4.01)]
+
+
+class TestUpperHalfPlane:
+    """The model is real: det M(conj lam) = conj det M(lam), and the search
+    and the count read log det on the upper half-plane only."""
+
+    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS) + list(SPLIT_MODELS) + list(COUPLED_MODELS))
+    def test_log_det_is_conjugate_symmetric(self, name):
+        model = {**HALF_PLANE_MODELS, **SPLIT_MODELS, **COUPLED_MODELS}[name]()
+        rng = np.random.default_rng(22)
+        lams = rng.uniform(-3.0, 1.0, 50) + 1j * rng.uniform(0.05, 9.0, 50)
+        L, D = _log_det(model, lams)
+        conj_L, conj_D = _log_det(model, np.conj(lams))
+        np.testing.assert_allclose(conj_L, L, rtol=1e-12)
+        np.testing.assert_allclose(conj_D, np.conj(D), rtol=1e-12)
+
+    @pytest.mark.parametrize("region", HALF_PLANE_REGIONS, ids=str)
+    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS))
+    def test_roots_match_the_full_plane_search(self, name, region):
+        model = HALF_PLANE_MODELS[name]()
+        got = dl.find_roots(model, dl.Region(*region))
+        want = reference_find_roots(model, dl.Region(*region))
+        # the oracle polishes the lower root of a pair on its own, so its real
+        # part, and the order of the pair, may differ in the last bit
+        def paired(roots):
+            return sorted(roots, key=lambda z: (-round(z.real, 9), z.imag))
+
+        assert len(got.roots) == len(want.roots)
+        np.testing.assert_allclose(paired(got.roots), paired(want.roots), rtol=0, atol=1e-12)
+        assert {(z.real, z.imag) for z in got.roots} == {(z.real, -z.imag) for z in got.roots}
+
+    @pytest.mark.parametrize("region", HALF_PLANE_REGIONS, ids=str)
+    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS))
+    def test_count_matches_the_four_edge_count(self, name, region):
+        model = HALF_PLANE_MODELS[name]()
+        try:
+            want = reference_count_roots_argument_principle(model, dl.Region(*region))
+        except dl.NoResultError:
+            with pytest.raises(dl.NoResultError):
+                dl.count_roots_argument_principle(model, dl.Region(*region))
+        else:
+            assert dl.count_roots_argument_principle(model, dl.Region(*region)) == want
+
+    @pytest.mark.parametrize("im_max,im_count", [(4.0, 161), (4.01, 162)])
+    def test_log_det_reads_the_upper_half_only(self, monkeypatch, im_max, im_count):
+        model = HALF_PLANE_MODELS["scalar"]()
+        region = dl.Region(-1.0, 1.0, im_max)
+        calls = []
+        log_det = dl.spectral._log_det
+
+        def counted(model, lams, derivative=True):
+            calls.append((np.array(lams).ravel(), derivative))
+            return log_det(model, lams, derivative)
+
+        monkeypatch.setattr(dl.spectral, "_log_det", counted)
+        dl.find_roots(model, region)
+        scans = [lams for lams, derivative in calls if not derivative]
+        assert len(scans) == 1
+        assert scans[0].size == 41 * (im_count - im_count // 2)
+        assert scans[0].imag.min() == 0.0 if im_count % 2 else scans[0].imag.min() > 0.0
+        calls.clear()
+        dl.count_roots_argument_principle(model, region)
+        assert sum(lams.size for lams, _ in calls) == 4003
+        assert all(lams.imag.min() >= 0.0 for lams, _ in calls)
+
 
 class TestResolvent:
     def test_zero_history_gives_pure_exponential(self):
