@@ -17,15 +17,12 @@ from .errors import (
     ScenarioError,
 )
 from .evolution import (
-    DysonResult,
     SpatialOperator,
     SystemModel,
     Trajectory,
     diagonal_operator,
-    dyson_phillips,
     mild_residual,
     scalar_operator,
-    semigroup_action,
     solve_steps,
     t0_action,
     volterra_terms,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,7 +45,6 @@ from .history import (
     interp_uniform,
     nilpotent_shift,
     segment,
-    state_norm,
 )
 
 logger = logging.getLogger(__name__)
@@ -558,18 +556,6 @@ def t0_action(A: SpatialOperator, t: float, s: DelayState) -> DelayState:
     return DelayState(head, hist)
 
 
-def semigroup_action(model: SystemModel, t: float, s: DelayState, dt: float | None = None) -> DelayState:
-    """Full evolution (u(t), u_t) obtained from the method of steps."""
-    if t < 0:
-        raise PreconditionError("time must be nonnegative")
-    if t == 0:
-        hist = s.history.copy()
-        hist.samples[-1] = s.head
-        return DelayState(s.head.copy(), hist)
-    traj = solve_steps(model, s, t, dt)
-    return DelayState(traj.value_at(t), segment(traj, t))
-
-
 def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: float | None = None) -> list[DelayState]:
     """Iterated Volterra terms W_0(t) s, ..., W_N(t) s.
 
@@ -639,24 +625,3 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
         rows[hist_steps + 1 :] = np.real(z[:, 1 : r_steps + 1].transpose(1, 0, 2).reshape(-1, n) @ v.T)
         terms.append(DelayState(rows[-1].copy(), segment(Trajectory(rows, dt, m, s.history.p), t)))
     return terms
-
-
-class DysonResult(NamedTuple):
-    """Truncated perturbation series with its truncation indicator."""
-
-    state: DelayState
-    last_term_norm: float
-    term_norms: tuple[float, ...]
-
-
-def dyson_phillips(model: SystemModel, t: float, s: DelayState, N: int, dt: float | None = None) -> DysonResult:
-    """Partial sum of the perturbation series up to the N-th Volterra term.
-
-    The norm of the final term is reported as a truncation indicator.
-    """
-    terms = volterra_terms(model, N, t, s, dt)
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    norms = tuple(state_norm(term) for term in terms)
-    return DysonResult(total, norms[-1], norms)

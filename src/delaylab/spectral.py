@@ -120,13 +120,6 @@ class RootReport:
             "rightmost": None if self.rightmost is None else [self.rightmost.real, self.rightmost.imag],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RootReport":
-        region = Region(**d["region"])
-        roots = [complex(re, im) for re, im in d["roots"]]
-        rightmost = None if d["rightmost"] is None else complex(d["rightmost"][0], d["rightmost"][1])
-        return cls(roots, list(d["residuals"]), region, rightmost)
-
 
 @dataclass
 class StabilityReport:
@@ -156,10 +149,6 @@ class StabilityReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StabilityReport":
-        return cls(**d)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +259,9 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
     The model is real, so det M(conj lam) = conj det M(lam) and the roots
     are closed under conjugation.  The seed grid is exactly symmetric
     about the real axis: log|det| is evaluated on its columns with Im lam
-    >= 0 only and mirrored onto the lower ones, and every local minimum
-    of the full grid in the upper columns is polished by damped Newton.
+    >= 0 only, and every local minimum of the full grid in these columns
+    (their 3 x 3 neighbourhoods read one mirrored lower column) is
+    polished by damped Newton.
     Iterates that leave the rectangle or fail ``ROOT_TOL`` are discarded;
     each accepted root off the real axis brings its conjugate with the
     same residual, and one within MERGE_TOL / 2 of the axis is reported
@@ -291,25 +281,28 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
     # columns half.. have Im >= 0 (the middle one Im = 0 when im_count is
     # odd); column j < half is the mirror of column im_count - 1 - j
     half = im_count // 2
+    cols = im_count - half
     res = np.linspace(region.re_min, region.re_max, re_count)
     upper_ims = np.linspace(-region.im_max, region.im_max, im_count)[half:]
     if im_count % 2:
         upper_ims[0] = 0.0
     upper = res[:, None] + 1j * upper_ims[None, :]
-    upper_level = _log_det(model, upper, derivative=False)[0].reshape(re_count, im_count - half)
+    upper_level = _log_det(model, upper, derivative=False)[0].reshape(re_count, cols)
     upper_level[np.isnan(upper_level)] = np.inf
-    level = np.concatenate((upper_level[:, ::-1][:, :half], upper_level), axis=1)
 
-    padded = np.full((re_count + 2, im_count + 2), np.inf)
-    padded[1:-1, 1:-1] = level
+    # the 3 x 3 scan of the upper columns reads one lower column, the mirror
+    # of upper column im_count % 2 (for odd im_count the real axis mirrors itself)
+    padded = np.full((re_count + 2, cols + 2), np.inf)
+    padded[1:-1, 0] = upper_level[:, im_count % 2]
+    padded[1:-1, 1:-1] = upper_level
     center = padded[1:-1, 1:-1]
     is_min = np.ones_like(center, dtype=bool)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            is_min &= center <= padded[1 + di : 1 + di + re_count, 1 + dj : 1 + dj + im_count]
-    seeds = upper[is_min[:, half:]]
+            is_min &= center <= padded[1 + di : 1 + di + re_count, 1 + dj : 1 + dj + cols]
+    seeds = upper[is_min]
 
     # (root, residual, mirrored); a conjugate is listed before its root, as
     # the mirrored seed came first on the full grid, so ties merge as there

@@ -32,6 +32,9 @@ are the root search and the contour count over the whole rectangle:
 ``log det`` on every column of the seed grid, every seed polished, all
 four edges integrated; the package evaluates the upper half only and
 gets the lower half by conjugation.
+``stepped_state`` and ``series_head`` are the two routes to the solution
+semigroup as the tests read them: the state (u(t), u_t) of the method
+of steps, and the head of a partial sum of the Volterra terms.
 ``_delay_term`` reads a delay functional on a sampled trajectory by
 interpolating it at the atom offsets, apart from the grid weights that
 the package reads every sampled history with.
@@ -59,9 +62,11 @@ from delaylab import (
     history_injection,
     nilpotent_shift,
     segment,
+    solve_steps,
     state_norm,
     t0_action,
     total_variation,
+    volterra_terms,
 )
 from delaylab.history import interp_uniform
 from delaylab.spectral import MERGE_TOL, ROOT_TOL, _log_det, _newton_polish
@@ -243,6 +248,19 @@ def reference_volterra_terms(model, N, t, s, dt):
         terms.append(DelayState(new_rows[-1].copy(), _segment_of_rows(new_rows, dt, t, m, s.history.p)))
         rows = new_rows
     return terms
+
+
+def stepped_state(model, t, s, dt):
+    """The state (u(t), u_t) of the method of steps at t > 0."""
+    traj = solve_steps(model, s, t, dt)
+    return DelayState(traj.value_at(t), segment(traj, t))
+
+
+def series_head(model, t, s, N, dt):
+    """Head of the partial sum W_0(t) s + ... + W_N(t) s of the
+    Dyson-Phillips series, summed term by term."""
+    terms = volterra_terms(model, N, t, s, dt)
+    return sum((term.head for term in terms[1:]), terms[0].head)
 
 
 def reference_random_compatible_state(n, m, p, rng):

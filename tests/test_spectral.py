@@ -289,8 +289,9 @@ HALF_PLANE_MODELS = {
     "delayed_diffusion": SPLIT_MODELS["delayed_diffusion"],
 }
 
-#: every search rectangle of TestFindRoots but the budget guard's, and one
-#: whose seed grid has an even column count, 162, so no row on the real axis
+#: every search rectangle of TestFindRoots but the budget guard's, and two
+#: whose seed grids have an even column count (162 and 322), so no row on the
+#: real axis; (-3, 1, 8) and (-3, 1, 8.025) are one rectangle at both parities
 HALF_PLANE_REGIONS = [
     (-4.0, 0.5, 2.0),
     (-1.0, 1.0, 4.0),
@@ -300,7 +301,7 @@ HALF_PLANE_REGIONS = [
     (-1.0, 0.5, 2.0),
     (-3.0, 1.0, 6.0),
     (-3.0, 1.0, 8.0),
-] + [(-0.3181315052047641 + eps, 1.0, 4.0) for eps in (1e-4, 1e-6, -1e-4, 3e-3)] + [(-1.0, 1.0, 4.01)]
+] + [(-0.3181315052047641 + eps, 1.0, 4.0) for eps in (1e-4, 1e-6, -1e-4, 3e-3)] + [(-1.0, 1.0, 4.01), (-3.0, 1.0, 8.025)]
 
 
 class TestUpperHalfPlane:
