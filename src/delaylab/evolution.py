@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +32,6 @@ from .functional import (
     _Atoms,
     _atoms,
     _delay_stencil,
-    _frozen,
     _grid_position,
     _real_array,
     apply,
@@ -40,6 +40,7 @@ from .history import (
     COMPAT_TOL,
     DelayState,
     HistoryGrid,
+    _frozen,
     _trapezoid_weights,
     history_injection,
     interp_uniform,
@@ -65,7 +66,7 @@ DIAGONAL_TOL = 1e-10
 DEFAULT_DT = 2.0**-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpatialOperator:
     """The instantaneous operator A as an n x n matrix.
 
@@ -82,15 +83,14 @@ class SpatialOperator:
     eigenvalues: np.ndarray | None = None
 
     def __post_init__(self):
-        self.matrix = _frozen(np.atleast_2d(_real_array(self.matrix, "spatial operator")))
+        object.__setattr__(self, "matrix", _frozen(np.atleast_2d(_real_array(self.matrix, "spatial operator"))))
         if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
             raise ValueError("spatial operator must be a square matrix")
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("spatial operator has non-finite entries")
-        self._eig = None
         if self.eigenvalues is not None:
-            self.eigenvalues = _frozen(np.array(self.eigenvalues, dtype=complex))
-            got = np.sort_complex(self._eigen()[0])
+            object.__setattr__(self, "eigenvalues", _frozen(np.array(self.eigenvalues, dtype=complex)))
+            got = np.sort_complex(self._eigen[0])
             tagged = np.sort_complex(self.eigenvalues)
             scale = 1.0 + np.abs(tagged).max() if tagged.size else 1.0
             if len(got) != len(tagged) or np.abs(got - tagged).max() > 1e-8 * scale:
@@ -100,6 +100,7 @@ class SpatialOperator:
     def n(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
     def _eigen(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None, bool]:
         """A = V diag(mu) V^-1 as (mu, V, V^-1, orthonormal), computed once.
 
@@ -112,39 +113,37 @@ class SpatialOperator:
         condition number is below 1e8, and dropped (V = V^-1 = None) above,
         where exponentials fall back to scaling and squaring.
         """
-        if self._eig is None:
-            a = self.matrix
-            if np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max())):
-                w, q = np.linalg.eigh(a)
-                self._eig = (w, q, q.T, True)
+        a = self.matrix
+        if np.allclose(a, a.T, atol=1e-12 * (1.0 + np.abs(a).max())):
+            w, q = np.linalg.eigh(a)
+            eig = (w, q, q.T, True)
+        else:
+            w, v = np.linalg.eig(a)
+            q = np.linalg.qr(v)[0]
+            if np.linalg.norm(a @ q - q * w, 2) <= 1e-12 * (1.0 + np.linalg.norm(a, 2)):
+                eig = (w, q, q.conj().T, True)
+            elif np.linalg.cond(v) < 1e8:
+                eig = (w, v, np.linalg.inv(v), False)
             else:
-                w, v = np.linalg.eig(a)
-                q = np.linalg.qr(v)[0]
-                if np.linalg.norm(a @ q - q * w, 2) <= 1e-12 * (1.0 + np.linalg.norm(a, 2)):
-                    self._eig = (w, q, q.conj().T, True)
-                elif np.linalg.cond(v) < 1e8:
-                    self._eig = (w, v, np.linalg.inv(v), False)
-                else:
-                    self._eig = (w, None, None, False)
-            self._eig = tuple(_frozen(x) if isinstance(x, np.ndarray) else x for x in self._eig)
-        return self._eig
+                eig = (w, None, None, False)
+        return tuple(_frozen(x) if isinstance(x, np.ndarray) else x for x in eig)
 
     def modes(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(mu, Q) with A = Q diag(mu) Q^H and Q orthonormal, or None when
         A has no such basis (see ``_eigen``)."""
-        mu, q, _, orthonormal = self._eigen()
+        mu, q, _, orthonormal = self._eigen
         return (mu, q) if orthonormal else None
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues of A: the tagged ones, or those of the cached
         decomposition."""
-        return self.eigenvalues if self.eigenvalues is not None else self._eigen()[0]
+        return self.eigenvalues if self.eigenvalues is not None else self._eigen[0]
 
     def propagate(self, x: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Rows of exp(t A) x for each requested t."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        w, v, vinv, _ = self._eigen()
+        w, v, vinv, _ = self._eigen
         if v is None:
             import scipy.linalg
 
@@ -155,7 +154,7 @@ class SpatialOperator:
         """exp(t A); an array of times gives the stack of exponentials,
         shape t.shape + (n, n), from the same cached decomposition."""
         t = np.asarray(t, dtype=float)
-        w, v, vinv, _ = self._eigen()
+        w, v, vinv, _ = self._eigen
         if v is None:
             import scipy.linalg
 
@@ -205,7 +204,7 @@ def diagonal_operator(eigs) -> SpatialOperator:
     return SpatialOperator(np.diag(eigs), eigenvalues=eigs.astype(complex))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemModel:
     """One delay equation: the pair (A, Phi) plus the exponent p."""
 
@@ -225,30 +224,33 @@ class SystemModel:
     def n(self) -> int:
         return self.A.n
 
+    @cached_property
     def decoupled(self):
         """(mu, V, V^-1, diag) when the equation splits into one scalar delay equation
-        per eigenvalue mu_k of A (``_eigen``'s order), else None; cached, read-only.
+        per eigenvalue mu_k of A (``_eigen``'s order), else None; computed once, read-only.
         Scalar weights give diag = None, and V = V^-1 = None when A keeps no
         eigenbasis, as det M still factors.  Matrix weights W_i split when A keeps
         an eigenbasis V and every V^-1 W_i V is diagonal up to DIAGONAL_TOL of its
         largest entry: diag[i, k] = (V^-1 W_i V)_kk, read off the grid-free atoms."""
-        if not hasattr(self, "_split"):
-            mu, v, vinv, _ = self.A._eigen()
-            weights = _atoms(self.phi, 1).weights
-            self._split = (mu, v, vinv, None) if weights.ndim == 1 else None
-            if weights.ndim == 3 and v is not None:
-                modal = vinv @ weights @ v
-                diag = _frozen(np.diagonal(modal, axis1=1, axis2=2).copy())
-                off = np.abs(modal - diag[..., None] * np.eye(self.n)).max(axis=(1, 2))
-                if np.all(off <= DIAGONAL_TOL * np.abs(modal).max(axis=(1, 2))):
-                    self._split = (mu, v, vinv, diag)
-        return self._split
+        mu, v, vinv, _ = self.A._eigen
+        weights = _atoms(self.phi, 1).weights
+        if weights.ndim == 1:
+            return mu, v, vinv, None
+        if v is not None:
+            modal = vinv @ weights @ v
+            diag = _frozen(np.diagonal(modal, axis1=1, axis2=2).copy())
+            off = np.abs(modal - diag[..., None] * np.eye(self.n)).max(axis=(1, 2))
+            if np.all(off <= DIAGONAL_TOL * np.abs(modal).max(axis=(1, 2))):
+                return mu, v, vinv, diag
+        return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
     """Solution samples at t_j = -1 + j dt; the first 1/dt + 1 rows are
-    the initial history.  ``m`` and ``p`` set the grid used by ``segment``."""
+    the initial history, and 1/dt must be a positive integer (``_unit_steps``).
+    ``values`` is a read-only view of the given array, not a copy.
+    ``m`` and ``p`` set the grid used by ``segment``."""
 
     values: np.ndarray
     dt: float
@@ -256,13 +258,11 @@ class Trajectory:
     p: float = 2.0
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim == 1:
-            self.values = self.values[:, None]
-        inv = 1.0 / self.dt
-        if abs(inv - round(inv)) > 1e-6:
-            raise ValueError("1/dt must be an integer so the unit delay is grid aligned")
-        if len(self.values) < round(inv) + 1:
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", _frozen(values[:, None] if values.ndim == 1 else values.view()))
+        if self.dt is None:
+            raise PreconditionError("a trajectory needs its step dt")
+        if len(self.values) < _unit_steps(self.dt)[1] + 1:
             raise ValueError("trajectory must cover at least the initial history [-1, 0]")
 
     @property
@@ -447,7 +447,7 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     history = init.history.value_at(-1.0 + np.arange(hist_steps + 1) * dt)
     history[-1] = init.head
 
-    split = model.decoupled()
+    split = model.decoupled
     atoms = _atoms(model.phi, init.history.m)
     if split is not None and split[1] is not None:
         basis, rates, v, vinv = "modal", split[0][:, None, None], split[1], split[2]
@@ -548,7 +548,7 @@ def t0_action(A: SpatialOperator, t: float, s: DelayState) -> DelayState:
     if t < 0:
         raise PreconditionError("time must be nonnegative")
     if t == 0:
-        return s.copy()
+        return s
     head = A.propagate(s.head, np.array([t]))[0]
     hist = history_injection(t, s.head, A, m=s.history.m, p=s.history.p) + nilpotent_shift(
         t, s.history
@@ -599,7 +599,7 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, (0.0,))
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
     stencil = _as_matrices(weights[0], n).transpose(0, 2, 1).reshape(-1, n)
-    mu, v, vinv, _ = model.A._eigen()
+    mu, v, vinv, _ = model.A._eigen
     basis, prop = ("modal", np.exp(dt * mu)[:, None, None]) if v is not None else ("matrix", model.A.expm(dt)[None])
     if v is None:
         v = vinv = np.eye(n)
@@ -623,5 +623,5 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
             np.matmul(response, inputs, out=z[:, j0 + 1 : j0 + block + 1].reshape(b, -1, 1))
         rows = np.zeros((total, n))
         rows[hist_steps + 1 :] = np.real(z[:, 1 : r_steps + 1].transpose(1, 0, 2).reshape(-1, n) @ v.T)
-        terms.append(DelayState(rows[-1].copy(), segment(Trajectory(rows, dt, m, s.history.p), t)))
+        terms.append(DelayState(rows[-1], segment(Trajectory(rows, dt, m, s.history.p), t)))
     return terms

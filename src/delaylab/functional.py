@@ -44,20 +44,15 @@ S1(x) = x/3, S2(x) = (x+2)/3 on [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple, Union
 
 import numpy as np
 
 from .errors import PreconditionError
-from .history import HistoryGrid, _trapezoid_weights
+from .history import HistoryGrid, _frozen, _trapezoid_weights
 
 _MAX_DEPTH = 40
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """The array itself, marked read-only."""
-    arr.setflags(write=False)
-    return arr
 
 
 def _real_array(values, what: str) -> np.ndarray:
@@ -69,7 +64,7 @@ def _real_array(values, what: str) -> np.ndarray:
     return np.array(arr, dtype=float)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscreteDelays:
     """Point-mass functional sum_k B_k f(h_k), delays h_k in [-1, 0]; arrays copied, read-only."""
 
@@ -77,21 +72,21 @@ class DiscreteDelays:
     delays: np.ndarray
 
     def __post_init__(self):
-        self.matrices = _frozen(_real_array(self.matrices, "delay matrices"))
-        self.delays = _frozen(np.atleast_1d(_real_array(self.delays, "delays")))
-        if self.matrices.size == 0:
-            self.matrices = self.matrices.reshape(0, 0, 0)
-            self.delays = self.delays.reshape(0)
-            return
-        if self.matrices.ndim == 2:
-            self.matrices = self.matrices[None]
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
+        matrices = _real_array(self.matrices, "delay matrices")
+        delays = np.atleast_1d(_real_array(self.delays, "delays"))
+        if matrices.size == 0:
+            matrices, delays = matrices.reshape(0, 0, 0), delays.reshape(0)
+        elif matrices.ndim == 2:
+            matrices = matrices[None]
+        object.__setattr__(self, "matrices", _frozen(matrices))
+        object.__setattr__(self, "delays", _frozen(delays))
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise ValueError("delay matrices must be a stack of square matrices")
-        if len(self.delays) != len(self.matrices):
+        if len(delays) != len(matrices):
             raise ValueError("one delay per matrix required")
-        if not np.all(np.isfinite(self.matrices)):
+        if not np.all(np.isfinite(matrices)):
             raise ValueError("delay matrices have non-finite entries")
-        if not np.all((self.delays >= -1.0) & (self.delays <= 0.0)):
+        if not np.all((delays >= -1.0) & (delays <= 0.0)):
             raise ValueError("delays must lie in [-1, 0]")
 
     @property
@@ -99,7 +94,7 @@ class DiscreteDelays:
         return None if self.matrices.size == 0 else self.matrices.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CantorKernel:
     """Kernel c * g * Id with g the Cantor function; total variation |c|.
 
@@ -111,8 +106,8 @@ class CantorKernel:
     depth: int = 24
 
     def __post_init__(self):
-        self.c = float(self.c)
-        self.depth = int(self.depth)
+        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "depth", int(self.depth))
         if not np.isfinite(self.c):
             raise ValueError("Cantor kernel coefficient must be finite")
         if not 1 <= self.depth <= _MAX_DEPTH:
@@ -123,7 +118,7 @@ class CantorKernel:
         return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityKernel:
     """Absolutely continuous kernel, Phi(f) = integral K(sigma) f(sigma).
 
@@ -134,7 +129,7 @@ class DensityKernel:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = _frozen(_real_array(self.samples, "density kernel samples"))
+        object.__setattr__(self, "samples", _frozen(_real_array(self.samples, "density kernel samples")))
         if self.samples.ndim != 3 or self.samples.shape[1] != self.samples.shape[2]:
             raise ValueError("density kernel samples must be a (m+1, n, n) stack")
         if len(self.samples) < 3:
@@ -167,8 +162,6 @@ def single_delay(matrix, delay: float = -1.0) -> DiscreteDelays:
 # Cantor measure machinery
 # ---------------------------------------------------------------------------
 
-_weights_cache: dict[tuple[int, int], np.ndarray] = {}
-
 
 def _leaf_centers(depth: int) -> np.ndarray:
     """Centers of the 2^depth self-similar leaves of the Cantor set in [0, 1]."""
@@ -193,12 +186,13 @@ def cantor_grid_weights(m: int, depth: int) -> np.ndarray:
         raise ValueError("depth must be >= 1")
     if depth > _MAX_DEPTH:
         raise ValueError(f"depth {depth} exceeds guard ({_MAX_DEPTH})")
-    eff = min(depth, max(14, int(np.ceil(np.log2(max(m, 2)))) + 3))
-    key = (m, eff)
-    cached = _weights_cache.get(key)
-    if cached is not None:
-        return cached
-    pos = _leaf_centers(eff)
+    return _cantor_weights(m, min(depth, max(14, int(np.ceil(np.log2(max(m, 2)))) + 3)))
+
+
+@cache
+def _cantor_weights(m: int, depth: int) -> np.ndarray:
+    """``cantor_grid_weights`` at the capped depth, once per (m, depth)."""
+    pos = _leaf_centers(depth)
     t = pos * m  # node coordinate of sigma = pos - 1 on the grid
     idx = np.clip(np.floor(t).astype(int), 0, m - 1)
     frac = t - idx
@@ -206,8 +200,7 @@ def cantor_grid_weights(m: int, depth: int) -> np.ndarray:
     w = np.zeros(m + 1)
     np.add.at(w, idx, (1.0 - frac) * mass)
     np.add.at(w, idx + 1, frac * mass)
-    _weights_cache[key] = _frozen(w)
-    return w
+    return _frozen(w)
 
 
 def cantor_transform(lam):

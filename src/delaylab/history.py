@@ -27,15 +27,22 @@ if TYPE_CHECKING:
 COMPAT_TOL = 1e-9
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """The array itself, marked read-only."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_samples(values: np.ndarray) -> np.ndarray:
-    arr = np.asarray(values)
+    """A read-only copy of history samples, one row per node."""
+    arr = np.array(values)
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise ValueError(f"history samples must be a (m+1, n) array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("history samples contain non-finite entries")
-    return arr
+    return _frozen(arr)
 
 
 def interp_uniform(values: np.ndarray, left: float, dx: float, queries: np.ndarray) -> np.ndarray:
@@ -60,19 +67,20 @@ def _trapezoid_weights(count: int, h: float) -> np.ndarray:
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class HistoryGrid:
     """Sampled history on [-1, 0] with integrability exponent p.
 
     ``samples[j]`` is the value at sigma_j = -1 + j/m; the last row is the
-    value at sigma = 0.  Requires m >= 2 and 1 <= p < infinity.
+    value at sigma = 0.  Requires m >= 2 and 1 <= p < infinity.  The
+    samples are copied at construction and read-only.
     """
 
     samples: np.ndarray
     p: float = 2.0
 
     def __post_init__(self):
-        self.samples = _as_samples(self.samples)
+        object.__setattr__(self, "samples", _as_samples(self.samples))
         if len(self.samples) < 3:
             raise ValueError("history grid needs m >= 2 (at least 3 nodes)")
         if not (1.0 <= self.p < np.inf):
@@ -98,12 +106,11 @@ class HistoryGrid:
         out = interp_uniform(self.samples, -1.0, 1.0 / self.m, q)
         return out[0] if np.isscalar(sigma) else out
 
-    def copy(self) -> "HistoryGrid":
-        return HistoryGrid(self.samples.copy(), self.p)
-
     def __add__(self, other: "HistoryGrid") -> "HistoryGrid":
         if self.m != other.m or self.n != other.n:
             raise ValueError("history grids must share shape to be added")
+        if self.p != other.p:
+            raise ValueError(f"history grids must share the exponent to be added, got p = {self.p} and {other.p}")
         return HistoryGrid(self.samples + other.samples, self.p)
 
     def __mul__(self, scalar) -> "HistoryGrid":
@@ -122,17 +129,20 @@ class HistoryGrid:
         return cls(np.array([np.atleast_1d(fn(s)) for s in nodes], dtype=float), p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DelayState:
-    """Product state (head, history) with matching dimensions."""
+    """Product state (head, history) with matching dimensions; the head is
+    copied at construction and read-only."""
 
     head: np.ndarray
     history: HistoryGrid
 
     def __post_init__(self):
-        self.head = np.atleast_1d(np.asarray(self.head))
+        object.__setattr__(self, "head", _frozen(np.array(self.head, ndmin=1)))
         if self.head.ndim != 1:
             raise ValueError("head must be a vector")
+        if not np.all(np.isfinite(self.head)):
+            raise ValueError("head contains non-finite entries")
         if self.head.shape[0] != self.history.n:
             raise ValueError(
                 f"head dimension {self.head.shape[0]} does not match history dimension {self.history.n}"
@@ -148,9 +158,6 @@ class DelayState:
 
     def is_compatible(self) -> bool:
         return self.compat_defect() <= COMPAT_TOL
-
-    def copy(self) -> "DelayState":
-        return DelayState(self.head.copy(), self.history.copy())
 
     def __add__(self, other: "DelayState") -> "DelayState":
         return DelayState(self.head + other.head, self.history + other.history)
@@ -199,7 +206,7 @@ def nilpotent_shift(t: float, f: HistoryGrid) -> HistoryGrid:
     if t < 0:
         raise ValueError("shift time must be nonnegative")
     if t == 0:
-        return f.copy()
+        return f
     q = t + f.nodes
     out = np.zeros_like(f.samples)
     mask = q < 0

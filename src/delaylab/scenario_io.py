@@ -168,14 +168,14 @@ def operator_from_dict(doc: dict, path: str = "A") -> SpatialOperator:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunParams:
     T: float
     m: int
     dt: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     model: SystemModel
     initial: DelayState

@@ -46,7 +46,7 @@ from .history import (
 logger = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform samples of [-omega_max, omega_max]; count is odd and at
     least 3, so that omega = 0 is always included."""
@@ -65,7 +65,7 @@ class FrequencyGrid:
         return np.linspace(-self.omega_max, self.omega_max, self.count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Region:
     """Search rectangle [re_min, re_max] x [-im_max, im_max]."""
 
@@ -95,7 +95,7 @@ NEWTON_MAX_ITER = 50
 ROOT_BUDGET = 400_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class RootReport:
     """Characteristic roots found in a region.
 
@@ -121,7 +121,7 @@ class RootReport:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityReport:
     """Outcome of the frequency-domain stability certificate at Re = alpha.
 
@@ -182,7 +182,7 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     L = np.empty(lams.shape)
     D = np.empty(lams.shape, dtype=complex) if derivative else None
     chunk = max(256, 4_000_000 // (n * n))
-    split = model.decoupled()
+    split = model.decoupled
     diag = None if split is None else split[3]
     offsets = None if diag is None else _atoms(model.phi).offsets
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -341,7 +341,7 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "find_roots: %s log det, grid %d x %d, seeds %d, converged %d, dropped %d, mirrored %d, roots %d",
-            "factored" if model.decoupled() is not None else "slogdet", re_count, im_count,
+            "factored" if model.decoupled is not None else "slogdet", re_count, im_count,
             len(seeds), len(seeds) - dropped, dropped, sum(candidates[i][2] for i in kept), len(roots),
         )
     return RootReport(roots, residuals, region, rightmost)
@@ -668,7 +668,7 @@ def miyadera_estimate(
     node_w = _grid_weights(model.phi, m)
     scalar = node_w.ndim == 1
     node_mats = _as_matrices(node_w, n)
-    mu, v, vinv, orthonormal = model.A._eigen()
+    mu, v, vinv, orthonormal = model.A._eigen
     node_modes = None if v is None else (node_mats @ v).transpose(2, 0, 1)
     chunk = max(1, _MOVED_ENTRIES // (r_nodes * n))
     sup_norm = float(model.A.expm_norm(np.linspace(0.0, 1.0, 1000)).max())

@@ -245,7 +245,7 @@ def reference_volterra_terms(model, N, t, s, dt):
         for j in range(1, r_steps + 1):
             acc = e1 @ (acc + 0.5 * dt * v[j - 1]) + 0.5 * dt * v[j]
             new_rows[hist_steps + j] = acc
-        terms.append(DelayState(new_rows[-1].copy(), _segment_of_rows(new_rows, dt, t, m, s.history.p)))
+        terms.append(DelayState(new_rows[-1], _segment_of_rows(new_rows, dt, t, m, s.history.p)))
         rows = new_rows
     return terms
 

@@ -77,7 +77,7 @@ class TestSpatialOperator:
         tags[0] = 9.0
         assert op.matrix[0, 0] == -1.0
         np.testing.assert_array_equal(op.spectrum(), [-1.0, -2.0])
-        arrays = [op.matrix, op.eigenvalues] + [x for x in op._eigen() if isinstance(x, np.ndarray)]
+        arrays = [op.matrix, op.eigenvalues] + [x for x in op._eigen if isinstance(x, np.ndarray)]
         assert len(arrays) == 5
         for arr in arrays:
             with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestSpatialOperator:
         # a Jordan block: the two eig vectors are parallel up to rounding, so
         # the basis is dropped and exponentials come from scipy's expm
         op = dl.SpatialOperator(np.array([[-1.0, 1.0], [0.0, -1.0]]))
-        assert op._eigen()[1] is None
+        assert op._eigen[1] is None
 
         def exact(t):
             return np.exp(-t) * np.array([[1.0, t], [0.0, 1.0]])
@@ -464,10 +464,10 @@ class TestSplitDecision:
     @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
     def test_weights_are_the_diagonal_in_the_eigenbasis(self, name):
         model = SPLIT_MODELS[name]()
-        split = model.decoupled()
-        assert split is model.decoupled()
+        split = model.decoupled
+        assert split is model.decoupled
         mu, v, vinv, diag = split
-        np.testing.assert_array_equal(mu, model.A._eigen()[0])
+        np.testing.assert_array_equal(mu, model.A._eigen[0])
         weights = _atoms(model.phi, 1).weights
         modal = vinv @ weights @ v
         assert np.abs(modal - diag[..., None] * np.eye(model.n)).max() <= 1e-12 * np.abs(weights).max()
@@ -478,7 +478,7 @@ class TestSplitDecision:
     @pytest.mark.parametrize("name", sorted(COUPLED_MODELS))
     def test_coupled_models_step_on_the_matrix_path(self, name, caplog):
         model = COUPLED_MODELS[name]()
-        assert model.decoupled() is None
+        assert model.decoupled is None
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(6))
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             got = dl.solve_steps(model, init, 1.0, DEFAULT_DT).values
@@ -490,10 +490,10 @@ class TestSplitDecision:
         # a Jordan block keeps no eigenbasis: det still factors over its
         # eigenvalues with a scalar weight, but a matrix weight couples
         jordan = dl.SpatialOperator(np.array([[-1.0, 1.0], [0.0, -1.0]]))
-        mu, v, vinv, diag = dl.SystemModel(jordan, dl.CantorKernel(0.8)).decoupled()
+        mu, v, vinv, diag = dl.SystemModel(jordan, dl.CantorKernel(0.8)).decoupled
         np.testing.assert_array_equal(mu, [-1.0, -1.0])
         assert v is None and vinv is None and diag is None
-        assert dl.SystemModel(jordan, dl.single_delay(np.diag([0.3, 0.4]))).decoupled() is None
+        assert dl.SystemModel(jordan, dl.single_delay(np.diag([0.3, 0.4]))).decoupled is None
 
 
 def _with_zero_delay(model, delay):
@@ -533,7 +533,7 @@ class TestZeroWeightDelays:
         region = dl.Region(-2.0, 0.5, 4.0)
         assert dl.find_roots(padded, region).roots == dl.find_roots(model, region).roots
         assert dl.total_variation(padded.phi) == dl.total_variation(model.phi)
-        got, want = padded.decoupled(), model.decoupled()
+        got, want = padded.decoupled, model.decoupled
         assert (got is None) == (want is None)
         for g, w in zip(got or (), want or (), strict=True):
             np.testing.assert_array_equal(g, w)

@@ -194,6 +194,24 @@ class TestSegment:
             dl.segment(traj, 0.5)
 
 
+class TestTrajectory:
+    @pytest.mark.parametrize("dt", [-0.25, 0.0, 0.3])
+    def test_step_must_divide_the_unit_delay(self, dt):
+        with pytest.raises(dl.PreconditionError, match="1/dt must be an integer"):
+            dl.Trajectory(np.zeros((5, 1)), dt)
+
+    def test_step_is_required(self):
+        with pytest.raises(dl.PreconditionError):
+            dl.Trajectory(np.zeros((5, 1)), None)
+
+    def test_values_are_a_read_only_view(self):
+        rows = np.zeros((5, 2))
+        traj = dl.Trajectory(rows, 0.25)
+        assert np.shares_memory(traj.values, rows) and traj.t_end == 0.0
+        with pytest.raises(ValueError):
+            traj.values[0, 0] = 1.0
+
+
 class TestDelayState:
     def test_compatibility_flag(self):
         f = HistoryGrid.constant([1.0], 16, 2.0)
@@ -203,3 +221,29 @@ class TestDelayState:
     def test_compat_defect_value(self):
         f = HistoryGrid.constant([1.0], 16, 2.0)
         assert DelayState(np.array([1.25]), f).compat_defect() == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_head(self, bad):
+        f = HistoryGrid.constant([1.0, 2.0], 16, 2.0)
+        with pytest.raises(ValueError, match="head contains non-finite entries"):
+            DelayState(np.array([1.0, bad]), f)
+
+    def test_head_and_samples_are_read_only_copies(self):
+        head, samples = np.array([1.0]), np.ones((17, 1))
+        s = DelayState(head, HistoryGrid(samples, 2.0))
+        head[0] = samples[0, 0] = 5.0
+        assert s.head[0] == 1.0 and s.history.samples[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            s.head[0] = 2.0
+        with pytest.raises(ValueError):
+            s.history.samples[0, 0] = 2.0
+
+    def test_sums_require_one_exponent_in_either_order(self):
+        a = DelayState(np.array([1.0]), HistoryGrid.constant([1.0], 16, 2.0))
+        b = DelayState(np.array([1.0]), HistoryGrid.constant([1.0], 16, 3.0))
+        for left, right in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="exponent"):
+                left + right
+            with pytest.raises(ValueError, match="exponent"):
+                left.history + right.history
+        assert (b + b).history.p == 3.0

@@ -264,7 +264,7 @@ class TestFindRoots:
         model = SPLIT_MODELS["delayed_diffusion"]()
         region = dl.Region(-3.0, 1.0, 8.0)
         factored = dl.find_roots(model, region)
-        monkeypatch.setattr(dl.SystemModel, "decoupled", lambda self: None)
+        monkeypatch.setattr(dl.SystemModel, "decoupled", property(lambda self: None))
         matrix = dl.find_roots(SPLIT_MODELS["delayed_diffusion"](), region)
         assert len(factored.roots) == len(matrix.roots) > 0
         np.testing.assert_allclose(factored.roots, matrix.roots, rtol=0, atol=1e-10)
