@@ -164,8 +164,8 @@ def cmd_reproduce_rd(args) -> int:
         for label, c in (("decay_rate_below", 0.8 * c_star), ("decay_rate_above", 1.2 * c_star)):
             model = SystemModel(A, CantorKernel(c, args.depth))
             state = random_compatible_state(model.n, 64, model.p, rng)
-            traj = solve_steps(model, state, horizon)
-            summary[label] = decay_rate(traj, (horizon / 2.0, horizon))
+            # no name holds the trajectory, so it is freed before the next one is solved
+            summary[label] = decay_rate(solve_steps(model, state, horizon), (horizon / 2.0, horizon))
 
     out = _out_dir(args)
     write_csv(out / "scan.csv", ["c", "rightmost_re", "rightmost_im", "criterion_holds"], rows)

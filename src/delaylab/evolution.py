@@ -65,8 +65,13 @@ DIAGONAL_TOL = 1e-10
 #: Default step of both time-domain routes, for any n; the m = 64 history nodes lie on its grid.
 DEFAULT_DT = 2.0**-10
 
+#: Entries per temporary of one batch of ``_singular_values`` and of ``spectral``'s ``_log_det`` and
+#: ``decay_rate``; a LAPACK batch holds at least _MIN_BATCH matrices.
+_BATCH_ENTRIES = 65_536
+_MIN_BATCH = 256
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class SpatialOperator:
     """The instantaneous operator A as an n x n matrix.
 
@@ -168,7 +173,7 @@ class SpatialOperator:
 
         With orthonormal modes it is the distance from lam to the
         spectrum, min_k |lam - mu_k|; otherwise one SVD per lam, in
-        batches of about 4M matrix entries.
+        batches (``_singular_values``).
         """
         lams = np.asarray(lam, dtype=complex)
         flat = lams.ravel()
@@ -187,9 +192,9 @@ class SpatialOperator:
         return np.exp(np.outer(t, self.modes()[0].real)).max(axis=1)
 
     def _singular_values(self, values: np.ndarray, stack, which: int) -> np.ndarray:
-        """Singular value ``which`` of each matrix of stack(values), in batches of about 4M entries."""
+        """Singular value ``which`` of each matrix of stack(values), in batches of about _BATCH_ENTRIES entries."""
         out = np.empty(len(values))
-        chunk = max(256, 4_000_000 // (self.n * self.n))
+        chunk = max(_MIN_BATCH, _BATCH_ENTRIES // (self.n * self.n))
         for start in range(0, len(values), chunk):
             out[start : start + chunk] = np.linalg.svd(stack(values[start : start + chunk]), compute_uv=False)[:, which]
         return out
@@ -204,7 +209,7 @@ def diagonal_operator(eigs) -> SpatialOperator:
     return SpatialOperator(np.diag(eigs), eigenvalues=eigs.astype(complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """One delay equation: the pair (A, Phi) plus the exponent p."""
 
@@ -245,7 +250,7 @@ class SystemModel:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Solution samples at t_j = -1 + j dt; the first 1/dt + 1 rows are
     the initial history, and 1/dt must be a positive integer (``_unit_steps``).
@@ -315,6 +320,8 @@ def _fold_instantaneous(atoms: _Atoms) -> tuple[np.ndarray | float, _Atoms]:
 #: Size of the c k^2-entry map that solves a block of k steps in ``solve_steps``
 #: and ``volterra_terms``: k = sqrt(_BLOCK_ENTRIES / c), at most the horizon.
 _BLOCK_ENTRIES = 40_000
+#: ``solve_steps`` keeps the modal state in a buffer of this many spans of the rows a block reads and writes.
+_BUFFER_SPANS = 2
 
 def _phi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """e^x, phi_1(x) = (e^x - 1)/x and phi_2(x) = (e^x - 1 - x)/x^2 of a (b, s, s) stack.
@@ -423,12 +430,12 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
 
     On the uniform grid the steps are one linear recurrence (``_etd2_block``)
     in z = V^-1 u: (b, s) = (n, 1) modes when ``SystemModel.decoupled`` keeps
-    V, else (1, n) with V = Id.  z is stored time major and zero past the
-    frontier, so a block of K steps reads the delay term at its K + 1 nodes
-    in one gather of row windows and one product, and its own nodes in one
-    more.  Once per unit of time and at the horizon the new nodes are mapped
-    back to u = Re(V z) and the guard is checked.  The frontier extrapolation
-    is part of the map: the result is the stage-by-stage sweep's up to rounding.
+    V, else (1, n) with V = Id.  z is time major, zero past the frontier and kept
+    for about two units of time (when full, the rows still read move to its front),
+    so a block of K steps reads the delay term at its K + 1 nodes in one gather of
+    row windows and one product.  Once per unit of time and at the horizon the new
+    nodes are mapped back to u = Re(V z) and the guard is checked.  The frontier
+    extrapolation is part of the map: the result is the stage-by-stage sweep's up to rounding.
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")
@@ -464,27 +471,33 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     logger.debug("solve_steps: %s basis, n = %d, dt = %.6g, steps = %d, block = %d, lags = %d",
                  basis, n, dt, steps, block, len(lags))
 
-    # the last block runs whole; rows past the horizon are dropped
-    z = np.zeros((hist_steps + -(-steps // block) * block + 1, n), dtype=np.result_type(vinv, fused))
+    # z[r] is node base + r; the last block runs whole.  A block reads back max(lags) <= hist_steps + 1 rows, the
+    # map-back trails by < hist_steps: a span of hist_steps + block + 2 rows holds what one block reads and writes
+    kept = _BUFFER_SPANS * (hist_steps + block + 2)
+    z = np.zeros((min(hist_steps + -(-steps // block) * block + 1, kept), n), dtype=np.result_type(vinv, fused))
     z[: hist_steps + 1] = history @ vinv.T
     values = np.empty((total, n))
     values[: hist_steps + 1] = history
     # windows[r] = z[r : r + block + 1], one contiguous run of the flat array
     windows = sliding_window_view(z.reshape(-1), (block + 1) * n)[::n]
     inputs = np.empty((shared, per, block + 3, s), dtype=z.dtype)
-    done = hist_steps  # rows of values filled
+    base, done = 0, hist_steps  # node of z[0], rows of values filled
     with np.errstate(over="ignore", invalid="ignore"):
         for j0 in range(hist_steps, total - 1, block):
-            gathered = windows[j0 - lags].reshape(len(lags), block + 1, shared, per, s).transpose(2, 0, 4, 1, 3)
+            if j0 + block + 1 - base > len(z):  # move the rows still read to the front, zero past the frontier
+                first = min(j0 - lags.max(initial=1), done + 1)
+                z[: j0 + 1 - first], z[j0 + 1 - first :], base = z[first - base : j0 + 1 - base], 0.0, first
+            r = j0 - base
+            gathered = windows[r - lags].reshape(len(lags), block + 1, shared, per, s).transpose(2, 0, 4, 1, 3)
             reads = weights @ gathered.reshape(shared, len(lags) * s, (block + 1) * per)
             inputs[:, :, : block + 1] = reads.reshape(shared, s, block + 1, per).transpose(0, 3, 2, 1)
-            inputs[:, :, block + 1 :] = z[j0 - 1 : j0 + 1].reshape(2, shared, per, s).transpose(1, 2, 0, 3)
+            inputs[:, :, block + 1 :] = z[r - 1 : r + 1].reshape(2, shared, per, s).transpose(1, 2, 0, 3)
             new = (fused @ inputs.reshape(b, -1, 1)).reshape(b, block, s)
-            z[j0 + 1 : j0 + block + 1] = new.transpose(1, 0, 2).reshape(block, n)
+            z[r + 1 : r + block + 1] = new.transpose(1, 0, 2).reshape(block, n)
             stop = min(j0 + block, total - 1)
             if stop - done < hist_steps and stop < total - 1:
                 continue
-            rows = np.real(z[done + 1 : stop + 1] @ v.T)
+            rows = np.real(z[done + 1 - base : stop + 1 - base] @ v.T)
             values[done + 1 : stop + 1] = rows
             # a NaN or infinite row fails the comparison too
             bad = ~(np.linalg.norm(rows, axis=1) <= BLOWUP_GUARD)

@@ -64,7 +64,7 @@ def _real_array(values, what: str) -> np.ndarray:
     return np.array(arr, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteDelays:
     """Point-mass functional sum_k B_k f(h_k), delays h_k in [-1, 0]; arrays copied, read-only."""
 
@@ -118,7 +118,7 @@ class CantorKernel:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityKernel:
     """Absolutely continuous kernel, Phi(f) = integral K(sigma) f(sigma).
 

@@ -67,7 +67,7 @@ def _trapezoid_weights(count: int, h: float) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryGrid:
     """Sampled history on [-1, 0] with integrability exponent p.
 
@@ -129,7 +129,7 @@ class HistoryGrid:
         return cls(np.array([np.atleast_1d(fn(s)) for s in nodes], dtype=float), p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayState:
     """Product state (head, history) with matching dimensions; the head is
     copied at construction and read-only."""

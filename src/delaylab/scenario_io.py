@@ -175,7 +175,7 @@ class RunParams:
     dt: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     model: SystemModel
     initial: DelayState

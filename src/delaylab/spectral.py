@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, NearSpectrumError, NoResultError, PreconditionError
-from .evolution import SystemModel, Trajectory, solve_steps
+from .evolution import _BATCH_ENTRIES, _MIN_BATCH, SystemModel, Trajectory, solve_steps
 from .functional import _as_matrices, _atoms, _grid_weights, _symbol, apply, char_norm_profile, total_variation
 from .history import (
     DelayState,
@@ -174,15 +174,14 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     e^(lam sigma_i) over the split's own mu_k.  Otherwise L comes from
     ``slogdet`` of the matrix stack and D from one solve with M' = I -
     T'(lam); D is NaN where M is singular or not finite.  Batches hold
-    about 4M matrix entries.
+    about _BATCH_ENTRIES entries, n per lam when the model splits, else n^2.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     n = model.n
-    eye = np.eye(n)
     L = np.empty(lams.shape)
     D = np.empty(lams.shape, dtype=complex) if derivative else None
-    chunk = max(256, 4_000_000 // (n * n))
     split = model.decoupled
+    chunk = max(_MIN_BATCH, _BATCH_ENTRIES // (n if split is not None else n * n))
     diag = None if split is None else split[3]
     offsets = None if diag is None else _atoms(model.phi).offsets
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -205,7 +204,7 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
             if derivative:
                 ok = np.isfinite(L[sl])
                 d = np.full(len(lam), np.nan, dtype=complex)
-                d[ok] = np.trace(np.linalg.solve(stack[ok], eye - tp[ok]), axis1=1, axis2=2)
+                d[ok] = np.trace(np.linalg.solve(stack[ok], np.eye(n) - tp[ok]), axis1=1, axis2=2)
                 D[sl] = d
     return L, D
 
@@ -719,23 +718,26 @@ def miyadera_estimate(
 def decay_rate(traj: Trajectory, window: tuple[float, float]) -> float:
     """Least-squares slope of log ||(u(t), u_t)|| over the window.
 
-    The product state norm is sampled at up to 201 grid times
-    inside the window; every sampled segment is interpolated from the
-    trajectory in one call, as ``segment`` would, and normed along an
-    axis by the ``lp_norm`` rule.  An identically zero window is rejected.
+    The product state norm is sampled at up to 201 grid times inside the
+    window; their segments are interpolated from the trajectory as ``segment``
+    would and normed by the ``lp_norm`` rule, about _BATCH_ENTRIES entries at
+    a time.  An identically zero window is rejected.
     """
     t_lo, t_hi = window
     if t_lo < 0 or t_hi <= t_lo or t_hi > traj.t_end + 1e-9:
         raise PreconditionError(f"window {window} not inside trajectory coverage [0, {traj.t_end:.6g}]")
-    times = traj.times
-    mask = (times >= t_lo - 1e-12) & (times <= t_hi + 1e-12)
-    idx = np.nonzero(mask)[0]
-    if len(idx) > 201:
-        idx = idx[np.linspace(0, len(idx) - 1, 201).astype(int)]
-    ts = times[idx]
-    queries = ts[:, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)
-    segments = interp_uniform(traj.values, -1.0, traj.dt, queries.ravel()).reshape(len(idx), traj.m + 1, traj.n)
-    norms = np.linalg.norm(traj.values[idx], axis=1) + _lp_norms(segments, traj.p)
+    # the nodes -1 + j dt inside the window are a run of j, whose ends lie within two nodes of (t + 1) / dt
+    ends = [np.clip(round((t + 1.0) / traj.dt) + np.arange(-2, 3), 0, len(traj.values) - 1) for t in (t_lo, t_hi)]
+    first = ends[0][-1.0 + ends[0] * traj.dt >= t_lo - 1e-12].min(initial=len(traj.values))
+    count = ends[1][-1.0 + ends[1] * traj.dt <= t_hi + 1e-12].max(initial=-1) + 1 - first
+    idx = first + (np.linspace(0, count - 1, 201).astype(int) if count > 201 else np.arange(max(count, 0)))
+    ts = -1.0 + idx * traj.dt
+    norms = np.linalg.norm(traj.values[idx], axis=1)
+    per = max(1, _BATCH_ENTRIES // ((traj.m + 1) * traj.n))
+    for start in range(0, len(idx), per):
+        queries = (ts[start : start + per, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)).ravel()
+        segments = interp_uniform(traj.values, -1.0, traj.dt, queries).reshape(-1, traj.m + 1, traj.n)
+        norms[start : start + per] += _lp_norms(segments, traj.p)
     if np.max(norms) == 0.0:
         raise PreconditionError("trajectory vanishes on the whole window")
     keep = norms > 0

@@ -1,5 +1,7 @@
 import logging
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import delaylab as dl
 from delaylab import DelayState, HistoryGrid, evolution
 from delaylab.evolution import DEFAULT_DT, _impulse_toeplitz, _phi
 from delaylab.functional import _atoms, _delay_stencil
+from delaylab.scenario_io import load_scenario
 from delaylab.spectral import _log_det
 from reference_loops import (
     reference_etd2_solve_steps,
@@ -19,6 +22,9 @@ from reference_loops import (
 )
 from split_models import COUPLED_MODELS, SPLIT_MODELS
 from split_models import rotation_operator as _rotation_operator
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def empty_functional():
@@ -152,6 +158,18 @@ class TestSpatialOperator:
         want = [np.linalg.norm(scipy.linalg.expm(t * op.matrix), 2) for t in times]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert got.max() > 2.0 > max(1.0, np.exp(op.spectrum().real.max()))
+
+    @pytest.mark.parametrize("size", [1, 10**9])
+    def test_singular_values_do_not_depend_on_the_batch(self, size, monkeypatch):
+        # one matrix per LAPACK call, or every matrix in one
+        op = dl.SpatialOperator(np.triu(np.random.default_rng(8).standard_normal((7, 7))))
+        lams = np.linspace(-3.0, 2.0, 700) + 1j * np.linspace(0.0, 9.0, 700)
+        times = np.linspace(0.0, 1.0, 600)
+        want = op.min_singular(lams), op.expm_norm(times)
+        monkeypatch.setattr(evolution, "_BATCH_ENTRIES", size)
+        monkeypatch.setattr(evolution, "_MIN_BATCH", size)
+        np.testing.assert_array_equal(op.min_singular(lams), want[0])
+        np.testing.assert_array_equal(op.expm_norm(times), want[1])
 
     def test_expm_matches_scipy(self):
         rng = np.random.default_rng(3)
@@ -590,6 +608,85 @@ LONG_BLOCK_CASES = {
         dl.SystemModel(_nonnormal_operator(), dl.CantorKernel(0.6)), 1e-3, 2.0, 100, "modal"
     ),
 }
+
+
+def _ci_coupled():
+    """The coupled 2 x 2 model of the CI smoke run: a sub-step delay and one at -0.6."""
+    weights = np.array([[[0.4, -0.2], [0.1, 0.3]], [[-0.5, 0.0], [0.2, -0.1]]])
+    A = dl.SpatialOperator(np.array([[-1.0, 2.0], [-0.5, -0.3]]))
+    return dl.SystemModel(A, dl.DiscreteDelays(weights, np.array([-0.0003, -0.6])))
+
+
+# model, dt, horizon and basis; every horizon crosses at least two compactions of the rolling buffer
+ROLLING_CASES = {
+    "scalar_delay": lambda: (dl.scalar_dde(-0.3, -0.8), 1.0 / 64, 40.0, "modal"),
+    # the longest read there is: one unit, lag 1/dt
+    "unit_lag": lambda: (
+        dl.SystemModel(dl.diagonal_operator([-1.0, -2.0]), dl.single_delay(0.3 * np.eye(2), -1.0)), 0.01, 20.0, "modal"
+    ),
+    # no lags at all
+    "no_delay": lambda: (ode_model(-0.5), 1.0 / 64, 30.0, "modal"),
+    "ci_coupled": lambda: (_ci_coupled(), DEFAULT_DT, 8.0, "matrix"),
+    "cantor_rd": lambda: (dl.reaction_diffusion_scenario(15, 4.918968), 1.0 / 64, 12.0, "modal"),
+}
+
+
+class TestRollingBuffer:
+    """``solve_steps`` keeps the modal state in a rolling buffer; its length changes no bit."""
+
+    @pytest.mark.parametrize("case", sorted(ROLLING_CASES))
+    def test_matches_stage_by_stage_sweep(self, case, caplog):
+        model, dt, horizon, basis = ROLLING_CASES[case]()
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(21))
+        with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
+            got = dl.solve_steps(model, init, horizon, dt).values
+        assert f"{basis} basis" in caplog.text
+        block = int(re.search(r"block = (\d+)", caplog.text).group(1))
+        assert len(got) >= 3 * evolution._BUFFER_SPANS * (round(1.0 / dt) + block + 2)
+        want = reference_etd2_solve_steps(model, init, horizon, dt).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("spans", [1, 10**9])
+    @pytest.mark.parametrize("case", sorted(ROLLING_CASES))
+    def test_buffer_length_changes_no_bit(self, case, spans, monkeypatch):
+        # one span moves the kept rows before nearly every block; 10**9 spans hold the whole horizon
+        model, dt, horizon, _ = ROLLING_CASES[case]()
+        init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(22))
+        want = dl.solve_steps(model, init, horizon, dt).values
+        monkeypatch.setattr(evolution, "_BUFFER_SPANS", spans)
+        np.testing.assert_array_equal(dl.solve_steps(model, init, horizon, dt).values, want)
+
+    @pytest.mark.parametrize("spans", [1, 2, 10**9])
+    def test_blowup_after_compactions_reports_the_reference_time(self, spans, monkeypatch):
+        # the n = 15 scenario at c = 40 from the state of `stability --seed 42`
+        # trips the guard at t = 8.447, after several moves of the default buffer
+        model = dl.reaction_diffusion_scenario(15, 40.0)
+        state = dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(42))
+        monkeypatch.setattr(evolution, "_BUFFER_SPANS", spans)
+        with pytest.raises(dl.BlowUpError) as got:
+            dl.solve_steps(model, state, 10.0)
+        with pytest.raises(dl.BlowUpError) as want:
+            reference_etd2_solve_steps(model, state, 10.0, DEFAULT_DT)
+        assert str(got.value) == str(want.value) == "solution norm exceeded 1e+12 at t = 8.44727; aborting"
+
+    def test_working_set_does_not_grow_with_the_horizon(self):
+        # past the 8 B x n per node of the returned values, the rolling buffer
+        # holds 2 (1024 + 51 + 2) rows (0.26 MB); the block map, the history and
+        # one gather of the 36 lags take the rest.  z over the whole horizon
+        # would add 2.6 MB at T = 20 and 5 MB at T = 40.
+        scenario = load_scenario(SCENARIOS / "reaction_diffusion_cantor.json")
+        dl.solve_steps(scenario.model, scenario.initial, 1.0)
+        extra = []
+        for horizon in (20.0, 40.0):
+            tracemalloc.start()
+            try:
+                values = dl.solve_steps(scenario.model, scenario.initial, horizon).values
+                extra.append(tracemalloc.get_traced_memory()[1] - values.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert extra[0] <= 2_000_000
+        assert extra[1] <= extra[0] + 16_384
 
 
 class TestLongBlocks:

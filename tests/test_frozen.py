@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import delaylab as dl
+from delaylab.scenario_io import RunParams, Scenario
 from delaylab.spectral import _log_det
 
 
@@ -70,3 +71,21 @@ def test_derived_values_are_computed_once():
     assert model.decoupled is model.decoupled
     assert model.A._eigen is model.A._eigen
     assert dl.cantor_grid_weights(64, 24) is dl.cantor_grid_weights(64, 30)
+
+
+def test_array_holders_compare_and_hash_by_identity():
+    # value equality would compare arrays elementwise and raise, and a hash over them would fail
+    op = dl.laplacian_dirichlet_1d(4)
+    model = _delayed_diffusion()
+    state = dl.random_compatible_state(4, 16, 2.0, np.random.default_rng(1))
+    traj = dl.solve_steps(model, state, 0.5, 1.0 / 16)
+    scenario = Scenario(model, state, RunParams(T=0.5, m=16))
+    holders = [op, model, model.phi, state, state.history, traj, scenario, dl.DensityKernel(np.ones((3, 4, 4)))]
+    for obj in holders:
+        twin = dataclasses.replace(obj)
+        assert obj == obj and obj != twin and hash(obj) != hash(twin)
+        assert {obj: 1, twin: 2}[obj] == 1
+    assert op != dl.laplacian_dirichlet_1d(4)
+    rates = {model: 0.1}
+    assert rates[model] == 0.1 and _delayed_diffusion() not in rates
+    assert dl.CantorKernel(1.0) == dl.CantorKernel(1.0)

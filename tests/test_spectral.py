@@ -1,11 +1,12 @@
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import delaylab as dl
-from delaylab import DelayState, HistoryGrid
+from delaylab import DelayState, HistoryGrid, spectral
 from delaylab.functional import _symbol
 from delaylab.history import interp_uniform
 from delaylab.spectral import _char_matrix_stack, _log_det
@@ -113,6 +114,15 @@ def log_det_models():
     yield dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.single_delay(0.9 * np.eye(7), -1.0), 2.0)
 
 
+#: name -> builder of the models whose log det does not depend on its batches
+BATCH_MODELS = {
+    "delays": lambda: list(log_det_models())[2],
+    "scaled_identity": lambda: list(log_det_models())[3],
+    **SPLIT_MODELS,
+    **COUPLED_MODELS,
+}
+
+
 class TestLogDet:
     LAMS = np.array([0.3 + 0.5j, -0.7 + 2.1j, 1.2 - 0.4j, -2.5 + 0.1j])
 
@@ -152,6 +162,25 @@ class TestLogDet:
         assert bool(calls) == (name in COUPLED_MODELS)
         np.testing.assert_allclose(L, want_L, rtol=1e-10)
         np.testing.assert_allclose(D, want_D, rtol=1e-10)
+
+    @pytest.mark.parametrize("size", [1, 10**9])
+    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    def test_does_not_depend_on_the_batch(self, name, size, monkeypatch):
+        # batches of _MIN_BATCH = 256 lam, or all 900 in one, on the split paths
+        # (a scalar symbol, per-mode weights) and the slogdet path.  The floor
+        # stays: a batch of one lam takes BLAS's matrix-vector product, which
+        # sums in another order.  The Cantor kernel is left out: its product form
+        # sets its level count from the largest |lam| of the batch it is given.
+        model = BATCH_MODELS[name]()
+        assert (model.decoupled is None) == (name in COUPLED_MODELS or name == "delays")
+        rng = np.random.default_rng(24)
+        lams = rng.uniform(-4.0, 2.0, 900) + 1j * rng.uniform(-30.0, 30.0, 900)
+        want = _log_det(model, lams), _log_det(model, lams, derivative=False)[0]
+        monkeypatch.setattr(spectral, "_BATCH_ENTRIES", size)
+        L, D = _log_det(model, lams)
+        np.testing.assert_array_equal(L, want[0][0])
+        np.testing.assert_array_equal(D, want[0][1])
+        np.testing.assert_array_equal(_log_det(model, lams, derivative=False)[0], want[1])
 
 
 class TestFindRoots:
@@ -795,6 +824,44 @@ class TestDecayRate:
         window = (traj.t_end / 2.0, traj.t_end)
         want = reference_decay_rate(traj, window)
         assert dl.decay_rate(traj, window) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("size", [1, 10**9])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_does_not_depend_on_the_batch(self, p, size, monkeypatch):
+        # one sampled segment per batch, or all 201 in one
+        rd = dl.reaction_diffusion_scenario(15, 4.918968)
+        model = dl.SystemModel(rd.A, rd.phi, p)
+        traj = dl.solve_steps(model, dl.random_compatible_state(15, 64, p, np.random.default_rng(23)), 6.0)
+        want = dl.decay_rate(traj, (3.0, 6.0))
+        assert want == pytest.approx(reference_decay_rate(traj, (3.0, 6.0)), rel=1e-12, abs=0)
+        monkeypatch.setattr(spectral, "_BATCH_ENTRIES", size)
+        assert dl.decay_rate(traj, (3.0, 6.0)) == want
+
+    @pytest.mark.parametrize(
+        "window", [(0.5, 1.5), (0.5 - 5e-13, 1.5 + 5e-13), (0.5 + 2e-12, 1.5 - 2e-12), (0.0, 0.0015), (1.9, 3.0), (2.9985, 3.0)]
+    )
+    def test_samples_the_nodes_inside_the_window(self, window):
+        # dt = 1e-3 puts the nodes -1 + j dt off the binary grid: edges on a
+        # node, within 1e-12 of one, just inside one, and windows of two to 1101 nodes
+        dt = 1e-3
+        ts = -1.0 + np.arange(4001) * dt
+        traj = dl.Trajectory(np.stack([np.exp(-0.7 * ts) * (1.2 + np.sin(5.0 * ts)), np.cos(ts)], axis=1), dt, m=50, p=2.0)
+        assert dl.decay_rate(traj, window) == pytest.approx(reference_decay_rate(traj, window), rel=1e-12, abs=0)
+
+    def test_scratch_does_not_grow_with_the_trajectory(self):
+        # 201 samples in batches of about _BATCH_ENTRIES entries, whatever the
+        # length; a time for every node (8 B each) would grow fourfold
+        scenario = load_scenario(SCENARIOS / "reaction_diffusion_cantor.json")
+        peaks = []
+        for horizon in (20.0, 80.0):
+            traj = dl.solve_steps(scenario.model, scenario.initial, horizon)
+            tracemalloc.start()
+            try:
+                dl.decay_rate(traj, (horizon / 2.0, horizon))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 16_384
 
     def test_rejects_zero_window(self):
         traj = dl.Trajectory(np.zeros((3001, 1)), 1e-3, m=50, p=2.0)
