@@ -40,6 +40,7 @@ from .history import (
     COMPAT_TOL,
     DelayState,
     HistoryGrid,
+    _batches,
     _frozen,
     _trapezoid_weights,
     history_injection,
@@ -64,11 +65,6 @@ DIAGONAL_TOL = 1e-10
 
 #: Default step of both time-domain routes, for any n; the m = 64 history nodes lie on its grid.
 DEFAULT_DT = 2.0**-10
-
-#: Entries per temporary of one batch of ``_singular_values`` and of ``spectral``'s ``_log_det`` and
-#: ``decay_rate``; a LAPACK batch holds at least _MIN_BATCH matrices.
-_BATCH_ENTRIES = 65_536
-_MIN_BATCH = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,11 +188,10 @@ class SpatialOperator:
         return np.exp(np.outer(t, self.modes()[0].real)).max(axis=1)
 
     def _singular_values(self, values: np.ndarray, stack, which: int) -> np.ndarray:
-        """Singular value ``which`` of each matrix of stack(values), in batches of about _BATCH_ENTRIES entries."""
+        """Singular value ``which`` of each matrix of stack(values), n^2 entries per matrix to ``_batches``."""
         out = np.empty(len(values))
-        chunk = max(_MIN_BATCH, _BATCH_ENTRIES // (self.n * self.n))
-        for start in range(0, len(values), chunk):
-            out[start : start + chunk] = np.linalg.svd(stack(values[start : start + chunk]), compute_uv=False)[:, which]
+        for sl in _batches(len(values), self.n * self.n):
+            out[sl] = np.linalg.svd(stack(values[sl]), compute_uv=False)[:, which]
         return out
 
 
@@ -436,6 +431,7 @@ def solve_steps(model: SystemModel, init: DelayState, T: float, dt: float | None
     row windows and one product.  Once per unit of time and at the horizon the new
     nodes are mapped back to u = Re(V z) and the guard is checked.  The frontier
     extrapolation is part of the map: the result is the stage-by-stage sweep's up to rounding.
+    The block length (``_BLOCK_ENTRIES``) is part of the arithmetic: it moves the result at rounding level.
     """
     if not 0.0 < T < np.inf:
         raise PreconditionError(f"horizon T must be positive and finite, got {T}")

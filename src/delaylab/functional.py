@@ -50,7 +50,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .history import HistoryGrid, _frozen, _trapezoid_weights
+from .history import HistoryGrid, _batches, _frozen, _trapezoid_weights
 
 _MAX_DEPTH = 40
 
@@ -206,17 +206,19 @@ def _cantor_weights(m: int, depth: int) -> np.ndarray:
 def cantor_transform(lam):
     """Exponential transform of the Cantor function on [-1, 0].
 
-    Returns g^(lam) = integral of e^(lam * sigma) dg(sigma): a complex for
-    a scalar lam, an array of the same shape for an array.  An entire
+    Returns g^(lam) = integral of e^(lam * sigma) dg(sigma): an array of
+    the same shape for an array, a complex for a scalar lam, computed as an
+    array of one so that it equals its entry in any array.  An entire
     function of lam with g^(0) = 1 and |g^(i omega)| <= 1.
     """
-    out = _cantor_product(lam)
+    out = _cantor_product(np.reshape(lam, -1)).reshape(np.shape(lam))
     return complex(out) if np.ndim(out) == 0 else out
 
 
-#: Entries per pass of the level loop of ``_cantor_product``: its
-#: temporaries then stay in cache, and none is of full size.
-_CANTOR_CHUNK = 8192
+#: 3^k for every level k a finite lam can reach, inf past the float range.
+_POW3 = np.array([3.0**k if k < 647 else np.inf for k in range(666)])
+#: Levels of ``_cantor_product`` at |lam| = 1: the first K >= 2 with (3^(1-K))^2 / 2 < 1e-16.
+_LEVELS = next(k for k in range(2, 99) if (1.0 / _POW3[k - 1]) ** 2 / 2.0 < 1e-16)
 
 
 def _cantor_product(lams, derivative: bool = False):
@@ -224,62 +226,62 @@ def _cantor_product(lams, derivative: bool = False):
     lam / 3^k, over an array of lam (or a scalar); with ``derivative`` also
     g^'(lam) = e^(-lam/2) (P' - P/2).
 
-    K is the first level with |x_k|^2 / 2 < 1e-16 at the largest finite
-    |lam|, plus one.  The top levels, where that |x_k| exceeds 1/3, take
-    cosh directly; below them d_k = c_k - 1 climbs from d_K = x_K^2 / 2
-    (exact, as |x_K| < 5e-9) by the triplication cosh 3x = cosh x
-    (4 cosh^2 x - 3), d_{k-1} = d_k (3 + 2 d_k)^2, which carries relative
-    errors by the factor (3 + 6 d_k) / (3 + 2 d_k), about 1.  P' follows by
-    the product rule, with d'_{k-1} = d'_k (3 + 2 d_k)(3 + 6 d_k); the top
-    levels carry P' - P 3^-k / 2 instead, through the factor derivatives
-    c'_k - c_k / 3^k = -e^(-x_k) / 3^k (1/2 = sum_k 3^-k), which leaves no
-    cancellation in P' - P/2 where the c_k are large.
+    Each element has its own counts, so no value depends on the others: its
+    top ``direct`` = ceil(log3 |lam|) levels (none for |lam| <= 1 or a
+    non-finite lam), where |x_k| > 1/3, take cosh directly, and K = direct +
+    _LEVELS, where |x_K|^2 / 2 < 1e-16.  Below them d_k = c_k - 1 climbs from
+    d_K = x_K^2 / 2 (exact, as |x_K| < 5e-9) by the triplication cosh 3x =
+    cosh x (4 cosh^2 x - 3), d_{k-1} = d_k (3 + 2 d_k)^2, which carries
+    relative errors by the factor (3 + 6 d_k) / (3 + 2 d_k), about 1.  P'
+    follows by the product rule, with d'_{k-1} = d'_k (3 + 2 d_k)(3 + 6 d_k);
+    the top levels carry P' - P 3^-k / 2 instead, through the factor
+    derivatives c'_k - c_k / 3^k = -e^(-x_k) / 3^k (1/2 = sum_k 3^-k), which
+    leaves no cancellation in P' - P/2 where the c_k are large.
     """
     lams = np.asarray(lams, dtype=complex)
-    top = float(np.max(np.abs(lams), where=np.isfinite(lams), initial=0.0))
-    direct = 0 if top <= 1.0 else int(np.ceil(np.log(top) / np.log(3.0)))
-    levels = 2
-    while (top / 3.0 ** (levels - 1)) ** 2 / 2.0 >= 1e-16:
-        levels += 1
+    size = np.abs(lams)
+    direct = np.searchsorted(_POW3, np.where(np.isfinite(size), size, 0.0))
     if lams.ndim == 0:
-        # numpy scalars: an order of magnitude less overhead per operation
-        both = _cantor_levels(lams[()], direct, levels, derivative)
+        # numpy scalars: 10x less overhead per operation, but no FMA (only a real lam surely equals its entry)
+        both = _cantor_levels(lams[()], int(direct), derivative)
         return both if derivative else both[0]
-    flat = lams.reshape(-1)
+    flat, direct = lams.reshape(-1), direct.reshape(-1)
     out = np.empty((1 + derivative, flat.size), dtype=complex)
-    for start in range(0, flat.size, _CANTOR_CHUNK):
-        sl = slice(start, start + _CANTOR_CHUNK)
-        out[:, sl] = _cantor_levels(flat[sl], direct, levels, derivative)
+    for sl in _batches(flat.size, 8):
+        out[:, sl] = _cantor_levels(flat[sl], direct[sl], derivative)
     out = out.reshape((len(out),) + lams.shape)
     return tuple(out) if derivative else out[0]
 
 
-def _cantor_levels(lams, direct: int, levels: int, derivative: bool):
-    """The level loop of ``_cantor_product`` on a chunk or a scalar:
-    (g^,) or (g^, g^')."""
-    x = lams / 3.0**levels
+def _cantor_levels(lams, direct, derivative: bool):
+    """The level loop of ``_cantor_product`` on a batch or a scalar, with the
+    ``direct`` counts of its elements: (g^,) or (g^, g^').  Every element
+    takes the same _LEVELS - 1 triplications; a top level above an element's
+    count leaves it as it is.  The products are out of place: numpy rounds
+    an in-place complex product of one element without FMA."""
+    three_k = _POW3[direct + _LEVELS]
+    x = lams / three_k
     d = x * x / 2.0
     p = d + 1.0
     if derivative:
-        dp = x / 3.0**levels
+        dp = x / three_k
         pp = dp + 0.0
-    for _ in range(levels - direct - 1):
+    for _ in range(_LEVELS - 1):
         if derivative:
-            dp *= d * 6.0 + 3.0
+            dp = dp * (d * 6.0 + 3.0)
         t = d * 2.0 + 3.0
-        d *= t
-        d *= t
+        d = d * t * t
         if derivative:
-            dp *= t
-            pp += pp * d + p * dp
-        p += p * d
+            dp = dp * t
+            pp = pp + (pp * d + p * dp)
+        p = p + p * d
     if derivative:
-        pp -= p * (0.5 / 3.0**direct)
-    for k in range(direct, 0, -1):
-        c = np.cosh(lams / 3.0**k)
+        pp = pp - p * (0.5 / _POW3[direct])
+    for k in range(np.max(direct), 0, -1):
+        c = np.cosh(lams / _POW3[k])
         if derivative:
-            pp = pp * c - p * np.exp(lams / -(3.0**k)) / 3.0**k
-        p *= c
+            pp = np.where(direct >= k, pp * c - p * np.exp(lams / -_POW3[k]) / _POW3[k], pp)
+        p = np.where(direct >= k, p * c, p)
     scale = np.exp(lams * -0.5)
     return (p * scale, pp * scale) if derivative else (p * scale,)
 
@@ -427,7 +429,8 @@ def _symbol(phi: DelayFunctional, lams, m: int | None = None, derivative: bool =
 def _contract(profile: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_i profile[w, i] W_i for every row w of a profile."""
     if weights.ndim == 1:
-        return profile @ weights
+        # einsum sums each row in one order, whatever the rows; BLAS does not
+        return np.einsum("wk,k->w", profile, weights)
     return np.einsum("wk,kij->wij", profile, weights.astype(complex))
 
 

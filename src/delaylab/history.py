@@ -26,6 +26,15 @@ if TYPE_CHECKING:
 #: round-off.
 COMPAT_TOL = 1e-9
 
+#: Entries per temporary of a batch of ``_batches``; each item is computed alone, so no value depends on it.
+_BATCH_ENTRIES = 65_536
+
+
+def _batches(count: int, item_entries: int):
+    """Slices of range(count), max(1, _BATCH_ENTRIES // item_entries) items each."""
+    size = max(1, _BATCH_ENTRIES // item_entries)
+    return (slice(start, start + size) for start in range(0, count, size))
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """The array itself, marked read-only."""

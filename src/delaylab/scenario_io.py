@@ -36,7 +36,7 @@ import numpy as np
 from .errors import ScenarioError
 from .evolution import SpatialOperator, SystemModel, Trajectory, scalar_operator
 from .functional import CantorKernel, DelayFunctional, DensityKernel, DiscreteDelays
-from .history import DelayState, HistoryGrid
+from .history import DelayState, HistoryGrid, _batches
 from .scenarios import laplacian_dirichlet_1d
 
 
@@ -303,8 +303,6 @@ _ALPHABET = "0123456789.e+-"
 _SEP = 20 + len(_ALPHABET)
 _ROW = 36
 _WIDTH = 25  # longest field, '-1.2345678901234567e-308', and its separator
-# Fields per block: the pipeline holds about 250 bytes per field at its peak.
-_BLOCK_FIELDS = 8192
 
 
 class _Tables(NamedTuple):
@@ -480,8 +478,8 @@ def _csv_bytes(table: np.ndarray) -> bytes:
     columns = np.take(tables.layouts, cls, axis=0)
     chars = np.empty_like(columns)
     base = np.arange(0, _ROW * len(bits), _ROW)[:, None]
-    for i in range(0, len(bits), 2048):  # an int64 index of 2048 fields at a time
-        chars[i : i + 2048] = np.take(source.ravel(), columns[i : i + 2048] + base[i : i + 2048])
+    for sl in _batches(len(bits), 32):  # the int64 index of 2048 fields at a time
+        chars[sl] = np.take(source.ravel(), columns[sl] + base[sl])
     mask = np.take(tables.masks, cls, axis=0)
     for i in special.tolist():
         text = repr(float(table.flat[i])).encode() + bytes(source[i, _SEP : _SEP + 1])
@@ -515,13 +513,13 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_table(path, header: list[str], table) -> None:
     """CSV of a float table, every entry written as its shortest round-trip
-    repr.  Rows go out in blocks so that the text never sits in memory whole."""
+    repr.  Rows go out in blocks of ``_batches``, 8 entries per field (the pipeline
+    holds about 250 bytes per field), so that the text never sits in memory whole."""
     table = np.asarray(table, dtype=np.float64)
-    block = min(1024, max(1, _BLOCK_FIELDS // len(header)))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for start in range(0, len(table), block):
-            fh.write(_csv_bytes(table[start : start + block]))
+        for sl in _batches(len(table), 8 * len(header)):
+            fh.write(_csv_bytes(table[sl]))
 
 
 def write_json(path, obj) -> None:

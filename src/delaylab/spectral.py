@@ -30,11 +30,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, NearSpectrumError, NoResultError, PreconditionError
-from .evolution import _BATCH_ENTRIES, _MIN_BATCH, SystemModel, Trajectory, solve_steps
+from .evolution import SystemModel, Trajectory, solve_steps
 from .functional import _as_matrices, _atoms, _grid_weights, _symbol, apply, char_norm_profile, total_variation
 from .history import (
     DelayState,
     HistoryGrid,
+    _batches,
     _lp_integrals,
     _lp_norms,
     _shifted_weights,
@@ -173,26 +174,25 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     symbol (``_symbol``) over ``A.spectrum()``, or sum_i diag[i, k]
     e^(lam sigma_i) over the split's own mu_k.  Otherwise L comes from
     ``slogdet`` of the matrix stack and D from one solve with M' = I -
-    T'(lam); D is NaN where M is singular or not finite.  Batches hold
-    about _BATCH_ENTRIES entries, n per lam when the model splits, else n^2.
+    T'(lam); D is NaN where M is singular or not finite.  Each lam counts
+    n entries to ``_batches`` when the model splits, else n^2.
     """
     lams = np.asarray(lams, dtype=complex).ravel()
     n = model.n
     L = np.empty(lams.shape)
     D = np.empty(lams.shape, dtype=complex) if derivative else None
     split = model.decoupled
-    chunk = max(_MIN_BATCH, _BATCH_ENTRIES // (n if split is not None else n * n))
     diag = None if split is None else split[3]
     offsets = None if diag is None else _atoms(model.phi).offsets
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, len(lams), chunk):
-            sl = slice(start, start + chunk)
+        for sl in _batches(len(lams), n if split is not None else n * n):
             lam = lams[sl]
             if diag is None:
                 t, tp = _symbol(model.phi, lam, derivative=derivative)
             else:
+                # einsum sums each lam in one order, whatever the batch; BLAS does not
                 profile = np.exp(np.outer(lam, offsets))
-                t, tp = profile @ diag, (profile * offsets) @ diag
+                t, tp = np.einsum("wi,ik->wk", profile, diag), np.einsum("wi,ik->wk", profile * offsets, diag)
             if split is not None:
                 gaps = (lam[:, None] - t.reshape(len(lam), -1)) - (model.A.spectrum() if diag is None else split[0])
                 L[sl] = np.log(np.abs(gaps)).sum(axis=1)
@@ -626,10 +626,6 @@ def stability_criterion(
 # ---------------------------------------------------------------------------
 
 
-#: ``miyadera_estimate`` moves its states in chunks of this many entries (r_nodes x n each).
-_MOVED_ENTRIES = 100_000
-
-
 def miyadera_estimate(
     model: SystemModel,
     t0: float | list[float] | np.ndarray,
@@ -669,7 +665,6 @@ def miyadera_estimate(
     node_mats = _as_matrices(node_w, n)
     mu, v, vinv, orthonormal = model.A._eigen
     node_modes = None if v is None else (node_mats @ v).transpose(2, 0, 1)
-    chunk = max(1, _MOVED_ENTRIES // (r_nodes * n))
     sup_norm = float(model.A.expm_norm(np.linspace(0.0, 1.0, 1000)).max())
     eta = total_variation(model.phi)
 
@@ -695,9 +690,9 @@ def miyadera_estimate(
             head_map = np.real(summed.transpose(1, 2, 0) @ vinv)
 
         best = 0.0
-        for start in range(0, samples, chunk):
-            x, f = heads[start : start + chunk], histories[start : start + chunk]
-            # products per state (per node and state for matrix weights): no sum depends on the chunk
+        for sl in _batches(samples, r_nodes * n):
+            x, f = heads[sl], histories[sl]
+            # products per state (per node and state for matrix weights): no sum depends on the batch
             moved = (head_map.reshape(-1, n) @ x[..., None]).reshape(len(x), r_nodes, n)
             hist = hist_map @ f if scalar else (hist_map @ f.reshape(len(x), -1, 1)).swapaxes(0, 1)
             moved += hist.reshape(moved.shape)
@@ -706,7 +701,7 @@ def miyadera_estimate(
         q_bound.append(t ** (1.0 - 1.0 / model.p) * sup_norm * eta)  # t0^(1/p')
     basis = "expm" if v is None else "modal" if orthonormal else "eigenbasis"
     logger.debug("miyadera_estimate: %s basis, samples = %d, r_nodes = %d, m = %d, chunks = %d",
-                 basis, samples, r_nodes, m, -(-samples // chunk))
+                 basis, samples, r_nodes, m, len(list(_batches(samples, r_nodes * n))))
     return (q_emp[0], q_bound[0]) if t0s.ndim == 0 else (np.array(q_emp), np.array(q_bound))
 
 
@@ -720,8 +715,8 @@ def decay_rate(traj: Trajectory, window: tuple[float, float]) -> float:
 
     The product state norm is sampled at up to 201 grid times inside the
     window; their segments are interpolated from the trajectory as ``segment``
-    would and normed by the ``lp_norm`` rule, about _BATCH_ENTRIES entries at
-    a time.  An identically zero window is rejected.
+    would and normed by the ``lp_norm`` rule, (m + 1) n entries each to
+    ``_batches``.  An identically zero window is rejected.
     """
     t_lo, t_hi = window
     if t_lo < 0 or t_hi <= t_lo or t_hi > traj.t_end + 1e-9:
@@ -733,11 +728,10 @@ def decay_rate(traj: Trajectory, window: tuple[float, float]) -> float:
     idx = first + (np.linspace(0, count - 1, 201).astype(int) if count > 201 else np.arange(max(count, 0)))
     ts = -1.0 + idx * traj.dt
     norms = np.linalg.norm(traj.values[idx], axis=1)
-    per = max(1, _BATCH_ENTRIES // ((traj.m + 1) * traj.n))
-    for start in range(0, len(idx), per):
-        queries = (ts[start : start + per, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)).ravel()
+    for sl in _batches(len(idx), (traj.m + 1) * traj.n):
+        queries = (ts[sl, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)).ravel()
         segments = interp_uniform(traj.values, -1.0, traj.dt, queries).reshape(-1, traj.m + 1, traj.n)
-        norms[start : start + per] += _lp_norms(segments, traj.p)
+        norms[sl] += _lp_norms(segments, traj.p)
     if np.max(norms) == 0.0:
         raise PreconditionError("trajectory vanishes on the whole window")
     keep = norms > 0

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import delaylab as dl
-from delaylab import DelayState, HistoryGrid, evolution
+from delaylab import DelayState, HistoryGrid, evolution, history
 from delaylab.evolution import DEFAULT_DT, _impulse_toeplitz, _phi
 from delaylab.functional import _atoms, _delay_stencil
 from delaylab.scenario_io import load_scenario
@@ -166,8 +166,7 @@ class TestSpatialOperator:
         lams = np.linspace(-3.0, 2.0, 700) + 1j * np.linspace(0.0, 9.0, 700)
         times = np.linspace(0.0, 1.0, 600)
         want = op.min_singular(lams), op.expm_norm(times)
-        monkeypatch.setattr(evolution, "_BATCH_ENTRIES", size)
-        monkeypatch.setattr(evolution, "_MIN_BATCH", size)
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
         np.testing.assert_array_equal(op.min_singular(lams), want[0])
         np.testing.assert_array_equal(op.expm_norm(times), want[1])
 
@@ -687,6 +686,39 @@ class TestRollingBuffer:
                 tracemalloc.stop()
         assert extra[0] <= 2_000_000
         assert extra[1] <= extra[0] + 16_384
+
+
+def _block_case(model=None, scenario=None):
+    if scenario is not None:
+        scenario = load_scenario(SCENARIOS / f"{scenario}.json")
+        return scenario.model, scenario.initial, scenario.run.dt
+    return model, dl.random_compatible_state(model.n, 64, model.p, np.random.default_rng(28)), None
+
+
+#: name -> (model, initial state, dt): the shipped scenarios and a split and a coupled model
+BLOCK_CASES = {
+    "scalar_single_delay": lambda: _block_case(scenario="scalar_single_delay"),
+    "reaction_diffusion_cantor": lambda: _block_case(scenario="reaction_diffusion_cantor"),
+    "commuting_density": lambda: _block_case(SPLIT_MODELS["commuting_density"]()),
+    "nearly_commuting_diffusion": lambda: _block_case(COUPLED_MODELS["nearly_commuting_diffusion"]()),
+}
+
+
+class TestBlockLength:
+    """The block length (``_BLOCK_ENTRIES``) is part of the recurrence's
+    arithmetic: another one moves a trajectory at rounding level only."""
+
+    @pytest.mark.parametrize("cap", [1, 1000, 200_000])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_moves_the_trajectory_at_rounding_level(self, case, cap, monkeypatch):
+        # one step per block up to 115; never 10**9, which makes the whole
+        # horizon one block whose map outgrows the memory
+        model, init, dt = BLOCK_CASES[case]()
+        want = dl.solve_steps(model, init, 2.0, dt).values
+        monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", cap)
+        got = dl.solve_steps(model, init, 2.0, dt).values
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestLongBlocks:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delaylab as dl
-from delaylab import CantorKernel, DensityKernel, DiscreteDelays, HistoryGrid
+from delaylab import CantorKernel, DensityKernel, DiscreteDelays, HistoryGrid, history
 from delaylab.functional import _atoms, _cantor_product, _delay_stencil, cantor_grid_weights
 from delaylab.scenarios import _cantor_coupling
 from reference_loops import cantor_transform_recursive, reference_cantor_derivative, reference_cantor_transform
@@ -291,6 +291,27 @@ class TestCantorProduct:
         with_large = _cantor_product(np.append(lams, 700.0j), derivative=True)
         for err in _cantor_errors([part[:-1] for part in with_large], alone, lams):
             assert err.max() <= 1e-14
+
+    @pytest.mark.parametrize("size", [1, 10**9])
+    def test_every_entry_equals_its_value_alone(self, size, monkeypatch):
+        # 0, 1e-9, moduli near 1 (where the level counts step) and up to 3e3 (past
+        # overflow on the left), in every direction; 542 of these 600 entries
+        # moved with the largest |lam| of their array while it set the counts
+        rng = np.random.default_rng(26)
+        radius = np.concatenate([[0.0, 1e-9], rng.uniform(0.9, 1.1, 98), 10.0 ** rng.uniform(-3.0, np.log10(3e3), 500)])
+        lams = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 600))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value, slope = _cantor_product(lams, derivative=True)
+            whole = dl.cantor_transform(lams)
+            monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+            np.testing.assert_array_equal(_cantor_product(lams, derivative=True), (value, slope))
+            for k, lam in enumerate(lams):
+                np.testing.assert_array_equal(_cantor_product(lams[k : k + 1], derivative=True), ([value[k]], [slope[k]]))
+                np.testing.assert_array_equal(dl.cantor_transform(lam), whole[k])
+            # numpy scalars keep their own arithmetic, exact on the real axis
+            reals = _cantor_product(lams.real, derivative=True)
+            for k, lam in enumerate(lams.real):
+                np.testing.assert_array_equal(_cantor_product(lam, derivative=True), (reals[0][k], reals[1][k]))
 
 
 class TestCharMatrix:

@@ -1,3 +1,4 @@
+import functools
 import logging
 import tracemalloc
 from pathlib import Path
@@ -6,11 +7,11 @@ import numpy as np
 import pytest
 
 import delaylab as dl
-from delaylab import DelayState, HistoryGrid, spectral
+from delaylab import DelayState, HistoryGrid, history, spectral
 from delaylab.functional import _symbol
 from delaylab.history import interp_uniform
-from delaylab.spectral import _char_matrix_stack, _log_det
-from delaylab.scenario_io import load_scenario
+from delaylab.spectral import _char_matrix_stack, _log_det, _newton_polish
+from delaylab.scenario_io import load_scenario, write_table
 from reference_loops import (
     _delay_term,
     char_det,
@@ -114,10 +115,18 @@ def log_det_models():
     yield dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.single_delay(0.9 * np.eye(7), -1.0), 2.0)
 
 
-#: name -> builder of the models whose log det does not depend on its batches
+def density_on_identity():
+    """Density kernel cos(3 sigma) Id on 17 nodes: scalar weights read through ``_contract``."""
+    sigma = -1.0 + np.arange(17) / 16
+    return dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.DensityKernel(np.cos(3.0 * sigma)[:, None, None] * np.eye(7)))
+
+
+#: name -> builder of the models on which no evaluator depends on its batches
 BATCH_MODELS = {
     "delays": lambda: list(log_det_models())[2],
     "scaled_identity": lambda: list(log_det_models())[3],
+    "cantor_rd": lambda: dl.reaction_diffusion_scenario(15, 4.9),
+    "density_on_identity": density_on_identity,
     **SPLIT_MODELS,
     **COUPLED_MODELS,
 }
@@ -166,21 +175,29 @@ class TestLogDet:
     @pytest.mark.parametrize("size", [1, 10**9])
     @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
     def test_does_not_depend_on_the_batch(self, name, size, monkeypatch):
-        # batches of _MIN_BATCH = 256 lam, or all 900 in one, on the split paths
-        # (a scalar symbol, per-mode weights) and the slogdet path.  The floor
-        # stays: a batch of one lam takes BLAS's matrix-vector product, which
-        # sums in another order.  The Cantor kernel is left out: its product form
-        # sets its level count from the largest |lam| of the batch it is given.
+        # one lam per batch, or all 900 in one, on the split paths (the Cantor
+        # product, a scalar symbol, per-mode weights) and the slogdet path
         model = BATCH_MODELS[name]()
         assert (model.decoupled is None) == (name in COUPLED_MODELS or name == "delays")
         rng = np.random.default_rng(24)
         lams = rng.uniform(-4.0, 2.0, 900) + 1j * rng.uniform(-30.0, 30.0, 900)
         want = _log_det(model, lams), _log_det(model, lams, derivative=False)[0]
-        monkeypatch.setattr(spectral, "_BATCH_ENTRIES", size)
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
         L, D = _log_det(model, lams)
         np.testing.assert_array_equal(L, want[0][0])
         np.testing.assert_array_equal(D, want[0][1])
         np.testing.assert_array_equal(_log_det(model, lams, derivative=False)[0], want[1])
+
+    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    def test_newton_polish_of_a_seed_alone_equals_it_among_others(self, name):
+        model = BATCH_MODELS[name]()
+        rng = np.random.default_rng(26)
+        seeds = rng.uniform(-3.0, 1.0, 51) + 1j * rng.uniform(0.0, 8.0, 51)
+        roots, residuals = _newton_polish(model, seeds)
+        for k in range(0, 51, 10):
+            alone = _newton_polish(model, seeds[k : k + 1])
+            np.testing.assert_array_equal(alone[0], roots[k : k + 1])
+            np.testing.assert_array_equal(alone[1], residuals[k : k + 1])
 
 
 class TestFindRoots:
@@ -760,9 +777,9 @@ class TestMiyaderaEstimate:
     def test_chunks_give_the_same_estimate(self, name, monkeypatch):
         model = MIYADERA_MODELS[name]()[0]
         whole = dl.miyadera_estimate(model, 0.25, samples=20, seed=3)
-        # 7 states per chunk, then one state per chunk
-        for entries in (7 * 65 * model.n, 1):
-            monkeypatch.setattr("delaylab.spectral._MOVED_ENTRIES", entries)
+        # 7 states per chunk, one state per chunk, every state in one
+        for entries in (7 * 65 * model.n, 1, 10**9):
+            monkeypatch.setattr(history, "_BATCH_ENTRIES", entries)
             assert dl.miyadera_estimate(model, 0.25, samples=20, seed=3) == whole
 
     @pytest.mark.parametrize("name", ["rd_n15", "discrete", "jordan_cantor"])
@@ -789,9 +806,9 @@ class TestMiyaderaEstimate:
         model = MIYADERA_MODELS["laplacian_cantor"]()[0]
         with caplog.at_level(logging.DEBUG, logger="delaylab.spectral"):
             dl.miyadera_estimate(model, 0.25, samples=400, state_m=32)
-        # 100_000 // (65 nodes x n = 7) = 219 states per chunk
+        # 65_536 // (65 nodes x n = 7) = 144 states per chunk
         assert caplog.messages == [
-            "miyadera_estimate: modal basis, samples = 400, r_nodes = 65, m = 32, chunks = 2"
+            "miyadera_estimate: modal basis, samples = 400, r_nodes = 65, m = 32, chunks = 3"
         ]
 
     def test_rejects_bad_window(self):
@@ -834,7 +851,7 @@ class TestDecayRate:
         traj = dl.solve_steps(model, dl.random_compatible_state(15, 64, p, np.random.default_rng(23)), 6.0)
         want = dl.decay_rate(traj, (3.0, 6.0))
         assert want == pytest.approx(reference_decay_rate(traj, (3.0, 6.0)), rel=1e-12, abs=0)
-        monkeypatch.setattr(spectral, "_BATCH_ENTRIES", size)
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
         assert dl.decay_rate(traj, (3.0, 6.0)) == want
 
     @pytest.mark.parametrize(
@@ -889,3 +906,61 @@ class TestRandomCompatibleState:
             s = dl.random_compatible_state(3, 64, 2.0, rng)
             assert dl.state_norm(s) == pytest.approx(1.0, abs=1e-12)
             assert s.compat_defect() <= 1e-12
+
+
+@functools.cache
+def batch_trajectory(name):
+    model = BATCH_MODELS[name]()
+    return dl.solve_steps(model, dl.random_compatible_state(model.n, 64, model.p, np.random.default_rng(27)), 4.0)
+
+
+@pytest.mark.parametrize("size", [1, 10**9])
+@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+class TestOneBatchRule:
+    """Every batched evaluator gives the same bits with one item per batch
+    (``history._BATCH_ENTRIES`` = 1) and with every item in one (10**9)."""
+
+    def test_find_roots_report(self, name, size, monkeypatch):
+        model = BATCH_MODELS[name]()
+        # the wide box holds roots of every model but the two delayed diffusions,
+        # whose search misses there the roots the small box finds
+        searches = [(dl.Region(-3.0, 1.0, 4.0), 0.1), (dl.Region(-12.0, 1.0, 6.0), 0.2)]
+        want = [dl.find_roots(model, region, spacing).to_dict() for region, spacing in searches]
+        assert any(report["roots"] for report in want)
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+        assert repr([dl.find_roots(model, region, spacing).to_dict() for region, spacing in searches]) == repr(want)
+
+    def test_singular_values(self, name, size, monkeypatch):
+        op = BATCH_MODELS[name]().A
+        lams = np.linspace(-3.0, 2.0, 300) + 1j * np.linspace(0.0, 9.0, 300)
+        times = np.linspace(0.0, 1.0, 200)
+
+        def stack(z):
+            return z[:, None, None] * np.eye(op.n) - op.matrix
+
+        want = op._singular_values(lams, stack, -1), op._singular_values(times, op.expm, 0)
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+        np.testing.assert_array_equal(op._singular_values(lams, stack, -1), want[0])
+        np.testing.assert_array_equal(op._singular_values(times, op.expm, 0), want[1])
+
+    def test_decay_rate(self, name, size, monkeypatch):
+        traj = batch_trajectory(name)
+        want = dl.decay_rate(traj, (2.0, 4.0))
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+        assert repr(dl.decay_rate(traj, (2.0, 4.0))) == repr(want)
+
+    def test_miyadera_estimate(self, name, size, monkeypatch):
+        model = BATCH_MODELS[name]()
+        want = dl.miyadera_estimate(model, [0.1, 0.25], samples=20, seed=3)
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+        got = dl.miyadera_estimate(model, [0.1, 0.25], samples=20, seed=3)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_write_table_bytes(self, name, size, monkeypatch, tmp_path):
+        traj = batch_trajectory(name)
+        table = np.column_stack((traj.times, traj.values))[::8]
+        write_table(tmp_path / "want.csv", ["t"] + [f"u{i}" for i in range(traj.n)], table)
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+        write_table(tmp_path / "got.csv", ["t"] + [f"u{i}" for i in range(traj.n)], table)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
