@@ -9,13 +9,17 @@ A scenario is a JSON object with three sections::
                  "history": {"kind": ..., "payload": {...}}},
      "run":     {"T": ..., "dt": ..., "m": ...}}
 
-Operator kinds are "matrix" (payload ``entries``), "laplacian1d"
-(payload ``n``) and "scalar" (payload ``a``).  Functional variants are
-"discrete" (payload ``terms`` of ``{"matrix": ..., "delay": ...}``),
-"cantor" (payload ``c``, ``depth``) and "density" (payload ``samples``).
-History kinds are "constant" (payload ``value``), "polynomial" (payload
-``coeffs``, one coefficient vector per power) and "samples" (payload
-``values`` with m+1 rows).  Unknown keys are rejected everywhere.
+The three tagged sections, ``model.A``, ``model.phi`` and
+``initial.history``, are read and written through one table, ``_KINDS``,
+which lists their kinds: per kind, the readers of its payload fields, its
+builder and the payload of a built object.  A new kind is one table entry
+and its builder.  Unknown keys are rejected everywhere.
+
+``scenario_to_dict`` stores no tag: it writes each section as the first
+kind whose payload reads back to the same object bit for bit, so a section
+is written back as the kind it was read as (a polynomial history as its
+samples).  An operator that matches no kind, such as a hand-built tagged
+matrix, writes as "matrix" and loses its eigenvalue tags.
 
 CSV output uses a header row, '.' decimals and no locale; every float is
 written as its shortest round-trip ``repr``, so fixed inputs give
@@ -27,15 +31,17 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ScenarioError
-from .evolution import SpatialOperator, SystemModel, Trajectory, scalar_operator
-from .functional import CantorKernel, DelayFunctional, DensityKernel, DiscreteDelays
+from .evolution import SpatialOperator, SystemModel, Trajectory, _unit_steps, scalar_operator
+from .functional import CantorKernel, DensityKernel, DiscreteDelays
 from .history import DelayState, HistoryGrid, _batches
 from .scenarios import laplacian_dirichlet_1d
 
@@ -83,84 +89,102 @@ def _array(obj, path: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _terms(obj, path: str) -> tuple[list[np.ndarray], list[float]]:
+    if not isinstance(obj, list):
+        raise ScenarioError(f"{path}: expected a list")
+    mats, delays = [], []
+    for i, term in enumerate(obj):
+        _check_keys(term, {"matrix", "delay"}, set(), f"{path}[{i}]")
+        mats.append(_array(term["matrix"], f"{path}[{i}].matrix", 2))
+        delays.append(_number(term["delay"], f"{path}[{i}].delay"))
+    return mats, delays
+
+
 # ---------------------------------------------------------------------------
-# Functional and operator (de)serialisation
+# Tagged sections: one table of kinds, read and written through it
 # ---------------------------------------------------------------------------
 
 
-def functional_to_dict(phi: DelayFunctional) -> dict:
-    if isinstance(phi, DiscreteDelays):
-        terms = [
-            {"matrix": b.tolist(), "delay": float(h)} for b, h in zip(phi.matrices, phi.delays)
-        ]
-        return {"variant": "discrete", "payload": {"terms": terms}}
-    if isinstance(phi, CantorKernel):
-        return {"variant": "cantor", "payload": {"c": phi.c, "depth": phi.depth}}
-    if isinstance(phi, DensityKernel):
-        return {"variant": "density", "payload": {"samples": phi.samples.tolist()}}
-    raise TypeError(f"unknown functional variant: {type(phi).__name__}")
+class _Kind(NamedTuple):
+    readers: dict[str, Callable]  # payload field -> its reader (value, path)
+    build: Callable  # (field values in order, then the section's context) -> object
+    payload: Callable  # object -> its payload, or None when this kind cannot write it
+    defaults: dict = {}  # the optional fields and their values when absent
 
 
-def functional_from_dict(doc: dict, path: str = "phi") -> DelayFunctional:
-    _check_keys(doc, {"variant", "payload"}, set(), path)
-    variant = doc["variant"]
-    payload = doc["payload"]
-    if variant == "discrete":
-        _check_keys(payload, {"terms"}, set(), f"{path}.payload")
-        terms = payload["terms"]
-        if not isinstance(terms, list):
-            raise ScenarioError(f"{path}.payload.terms: expected a list")
-        if not terms:
-            return DiscreteDelays(np.zeros((0, 0, 0)), np.zeros(0))
-        mats, delays = [], []
-        for i, term in enumerate(terms):
-            _check_keys(term, {"matrix", "delay"}, set(), f"{path}.payload.terms[{i}]")
-            mats.append(_array(term["matrix"], f"{path}.payload.terms[{i}].matrix", 2))
-            delays.append(_number(term["delay"], f"{path}.payload.terms[{i}].delay"))
-        try:
-            return DiscreteDelays(np.array(mats), np.array(delays))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    if variant == "cantor":
-        _check_keys(payload, {"c"}, {"depth"}, f"{path}.payload")
-        try:
-            return CantorKernel(
-                _number(payload["c"], f"{path}.payload.c"),
-                _integer(payload.get("depth", 24), f"{path}.payload.depth", 1),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    if variant == "density":
-        _check_keys(payload, {"samples"}, set(), f"{path}.payload")
-        try:
-            return DensityKernel(_array(payload["samples"], f"{path}.payload.samples", 3))
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    raise ScenarioError(f"{path}.variant: unknown variant {variant!r}")
+def _polynomial_history(coeffs: np.ndarray, m: int, p: float) -> HistoryGrid:
+    sigma = -1.0 + np.arange(m + 1) / m
+    return HistoryGrid(sigma[:, None] ** np.arange(len(coeffs))[None, :] @ coeffs, p)
 
 
-def operator_to_dict(a: SpatialOperator) -> dict:
-    return {"kind": "matrix", "payload": {"entries": a.matrix.tolist()}}
+# Per section (named by its path; a history's builder also takes m and p):
+# the tag key and the kinds.  The writer tries the kinds in this order, and
+# the last one writes whatever none rebuilds.
+_KINDS: dict[str, tuple[str, dict[str, _Kind]]] = {
+    "model.A": ("kind", {
+        # only a tagged operator can be a Laplacian: no Laplacian is built for an untagged matrix
+        "laplacian1d": _Kind({"n": partial(_integer, minimum=1)}, laplacian_dirichlet_1d,
+                             lambda a: None if a.eigenvalues is None else {"n": a.n}),
+        "scalar": _Kind({"a": _number}, scalar_operator, lambda a: {"a": a.matrix.item()} if a.n == 1 else None),
+        "matrix": _Kind({"entries": partial(_array, ndim=2)}, SpatialOperator, lambda a: {"entries": a.matrix.tolist()}),
+    }),
+    "model.phi": ("variant", {
+        "discrete": _Kind({"terms": _terms}, lambda terms: DiscreteDelays(*map(np.array, terms)), lambda phi: {
+            "terms": [{"matrix": b.tolist(), "delay": float(h)} for b, h in zip(phi.matrices, phi.delays)]
+        } if isinstance(phi, DiscreteDelays) else None),
+        "cantor": _Kind({"c": _number, "depth": partial(_integer, minimum=1)}, CantorKernel, lambda phi: (
+            {"c": phi.c, "depth": phi.depth} if isinstance(phi, CantorKernel) else None), {"depth": 24}),
+        "density": _Kind({"samples": partial(_array, ndim=3)}, DensityKernel, lambda phi: (
+            {"samples": phi.samples.tolist()} if isinstance(phi, DensityKernel) else None)),
+    }),
+    "initial.history": ("kind", {
+        "constant": _Kind({"value": partial(_array, ndim=1)}, HistoryGrid.constant,
+                          lambda h: {"value": h.samples[0].tolist()}),
+        "polynomial": _Kind({"coeffs": partial(_array, ndim=2)}, _polynomial_history, lambda h: None),
+        "samples": _Kind({"values": partial(_array, ndim=2)}, lambda values, m, p: HistoryGrid(values, p),
+                         lambda h: {"values": h.samples.tolist()}),
+    }),
+}
 
 
-def operator_from_dict(doc: dict, path: str = "A") -> SpatialOperator:
-    _check_keys(doc, {"kind", "payload"}, set(), path)
-    kind = doc["kind"]
-    payload = doc["payload"]
-    if kind == "matrix":
-        _check_keys(payload, {"entries"}, set(), f"{path}.payload")
-        entries = _array(payload["entries"], f"{path}.payload.entries", 2)
-        try:
-            return SpatialOperator(entries)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: {exc}") from None
-    if kind == "laplacian1d":
-        _check_keys(payload, {"n"}, set(), f"{path}.payload")
-        return laplacian_dirichlet_1d(_integer(payload["n"], f"{path}.payload.n", 1))
-    if kind == "scalar":
-        _check_keys(payload, {"a"}, set(), f"{path}.payload")
-        return scalar_operator(_number(payload["a"], f"{path}.payload.a"))
-    raise ScenarioError(f"{path}.kind: unknown kind {kind!r}")
+def _read(doc, section: str, *context):
+    """Build a tagged section from its document; every error is a
+    ScenarioError that names the path of its field."""
+    key, kinds = _KINDS[section]
+    _check_keys(doc, {key, "payload"}, set(), section)
+    tag = doc[key]
+    kind = kinds.get(tag) if isinstance(tag, str) else None
+    if kind is None:
+        raise ScenarioError(f"{section}.{key}: unknown {key} {tag!r}")
+    optional = set(kind.defaults)
+    payload = {**kind.defaults, **_check_keys(doc["payload"], set(kind.readers) - optional, optional, f"{section}.payload")}
+    values = [read(payload[name], f"{section}.payload.{name}") for name, read in kind.readers.items()]
+    try:
+        return kind.build(*values, *context)
+    except ValueError as exc:
+        raise ScenarioError(f"{section}: {exc}") from None
+
+
+def _bits(obj) -> tuple:
+    """The type and field values of a built object, arrays as their bytes."""
+    values = (getattr(obj, f.name) for f in fields(obj))
+    return (type(obj), *((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values))
+
+
+def _write(obj, section: str, *context) -> dict:
+    """The document of a built section: the first kind whose payload reads
+    back to ``obj`` bit for bit, else the last kind's payload ("matrix" for
+    an operator, which then loses its eigenvalue tags)."""
+    key, kinds = _KINDS[section]
+    for tag, kind in kinds.items():
+        payload = kind.payload(obj)
+        if payload is not None:
+            doc = {key: tag, "payload": payload}
+            if _bits(_read(doc, section, *context)) == _bits(obj):
+                return doc
+    if payload is None:
+        raise TypeError(f"{section}: no kind writes a {type(obj).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -182,41 +206,12 @@ class Scenario:
     run: RunParams
 
 
-def _history_from_dict(doc: dict, m: int, n: int, p: float) -> HistoryGrid:
-    _check_keys(doc, {"kind", "payload"}, set(), "initial.history")
-    kind = doc["kind"]
-    payload = doc["payload"]
-    if kind == "constant":
-        _check_keys(payload, {"value"}, set(), "initial.history.payload")
-        value = _array(payload["value"], "initial.history.payload.value", 1)
-        if value.shape[0] != n:
-            raise ScenarioError("initial.history.payload.value: dimension mismatch")
-        return HistoryGrid.constant(value, m, p)
-    if kind == "polynomial":
-        _check_keys(payload, {"coeffs"}, set(), "initial.history.payload")
-        coeffs = _array(payload["coeffs"], "initial.history.payload.coeffs", 2)
-        if coeffs.shape[1] != n:
-            raise ScenarioError("initial.history.payload.coeffs: dimension mismatch")
-        sigma = -1.0 + np.arange(m + 1) / m
-        powers = sigma[:, None] ** np.arange(coeffs.shape[0])[None, :]
-        return HistoryGrid(powers @ coeffs, p)
-    if kind == "samples":
-        _check_keys(payload, {"values"}, set(), "initial.history.payload")
-        values = _array(payload["values"], "initial.history.payload.values", 2)
-        if values.shape != (m + 1, n):
-            raise ScenarioError(
-                f"initial.history.payload.values: expected shape {(m + 1, n)}, got {values.shape}"
-            )
-        return HistoryGrid(values, p)
-    raise ScenarioError(f"initial.history.kind: unknown kind {kind!r}")
-
-
 def parse_scenario(doc: dict) -> Scenario:
     """Validate a scenario document and build the model and initial state."""
     _check_keys(doc, {"model", "initial", "run"}, set(), "scenario")
     model_doc = _check_keys(doc["model"], {"A", "phi"}, {"p"}, "model")
-    a = operator_from_dict(model_doc["A"], "model.A")
-    phi = functional_from_dict(model_doc["phi"], "model.phi")
+    a = _read(model_doc["A"], "model.A")
+    phi = _read(model_doc["phi"], "model.phi")
     p = _number(model_doc.get("p", 2.0), "model.p")
     try:
         model = SystemModel(a, phi, p)
@@ -225,8 +220,14 @@ def parse_scenario(doc: dict) -> Scenario:
 
     run_doc = _check_keys(doc["run"], {"T", "m"}, {"dt"}, "run")
     T = _number(run_doc["T"], "run.T")
+    if T <= 0.0:
+        raise ScenarioError(f"run.T: expected a positive horizon, got {T}")
     m = _integer(run_doc["m"], "run.m", 2)
     dt = None if run_doc.get("dt") is None else _number(run_doc["dt"], "run.dt")
+    try:
+        _unit_steps(dt)
+    except ValueError as exc:
+        raise ScenarioError(f"run.dt: {exc}") from None
 
     initial_doc = _check_keys(doc["initial"], {"head", "history"}, set(), "initial")
     head = _array(initial_doc["head"], "initial.head", 1)
@@ -234,7 +235,11 @@ def parse_scenario(doc: dict) -> Scenario:
         raise ScenarioError(
             f"initial.head: dimension {head.shape[0]} does not match model dimension {model.n}"
         )
-    history = _history_from_dict(initial_doc["history"], m, model.n, p)
+    history = _read(initial_doc["history"], "initial.history", m, p)
+    if history.samples.shape != (m + 1, model.n):
+        (field,) = initial_doc["history"]["payload"]  # every history kind has one payload field
+        shape = history.samples.shape
+        raise ScenarioError(f"initial.history.payload.{field}: samples of shape {shape}, expected {(m + 1, model.n)}")
     try:
         initial = DelayState(head, history)
     except ValueError as exc:
@@ -256,19 +261,13 @@ def load_scenario(path) -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    model = scenario.model
+    """The document of a scenario, each tagged section written through ``_write``."""
+    model, history = scenario.model, scenario.initial.history
     return {
-        "model": {
-            "A": operator_to_dict(model.A),
-            "phi": functional_to_dict(model.phi),
-            "p": model.p,
-        },
+        "model": {"A": _write(model.A, "model.A"), "phi": _write(model.phi, "model.phi"), "p": model.p},
         "initial": {
             "head": scenario.initial.head.tolist(),
-            "history": {
-                "kind": "samples",
-                "payload": {"values": scenario.initial.history.samples.tolist()},
-            },
+            "history": _write(history, "initial.history", history.m, history.p),
         },
         "run": {"T": scenario.run.T, "m": scenario.run.m, "dt": scenario.run.dt},
     }

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 import delaylab as dl
 from delaylab.cli import main
 from delaylab.scenario_io import load_scenario, parse_scenario, scenario_to_dict
+from delaylab.spectral import _log_det
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,8 +174,16 @@ class TestNonFiniteScenario:
             ("solve", edited(scalar_scenario(-1.0, 0.5), ["run", "T"], float("nan")), "run.T"),
             ("solve", edited(rd_scenario(n=5, c=0.5), ["model", "A", "payload", "n"], True), "model.A.payload.n"),
             ("solve", edited(cantor_scenario(), ["model", "phi", "payload", "depth"], 13.9), "model.phi.payload.depth"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["run", "dt"], 0.3), "run.dt"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["run", "dt"], -0.25), "run.dt"),
+            ("spectrum", edited(scalar_scenario(-1.0, 0.5), ["run", "dt"], 0), "run.dt"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["run", "T"], -1.0), "run.T"),
+            ("spectrum", edited(scalar_scenario(-1.0, 0.5), ["run", "T"], 0.0), "run.T"),
         ],
-        ids=["nan_delay_solve", "nan_delay_spectrum", "inf_matrix", "nan_cantor_c", "nan_T", "bool_n", "fractional_depth"],
+        ids=[
+            "nan_delay_solve", "nan_delay_spectrum", "inf_matrix", "nan_cantor_c", "nan_T", "bool_n", "fractional_depth",
+            "non_integer_inverse_dt", "negative_dt", "zero_dt", "negative_T", "zero_T",
+        ],
     )
     def test_non_finite_value_exits_1(self, tmp_path, capsys, command, doc, field):
         path = write_scenario(tmp_path, doc)
@@ -425,6 +436,56 @@ class TestOutOfRangeOptions:
         assert capsys.readouterr().err.startswith("precondition violated:")
 
 
+def kinds_scenario(n):
+    """A scenario of dimension n: a non-symmetric matrix A, two discrete
+    delays and a constant history."""
+    head = np.linspace(1.0, 0.5, n).tolist()
+    terms = [
+        {"matrix": (0.5 * np.eye(n)).tolist(), "delay": -1.0},
+        {"matrix": np.full((n, n), 0.1).tolist(), "delay": -0.3},
+    ]
+    return {
+        "model": {
+            "A": {"kind": "matrix", "payload": {"entries": (np.tri(n) / 3.0 - np.eye(n)).tolist()}},
+            "phi": {"variant": "discrete", "payload": {"terms": terms}},
+            "p": 2.0,
+        },
+        "initial": {"head": head, "history": {"kind": "constant", "payload": {"value": head}}},
+        "run": {"T": 1.0, "dt": 1.0 / 64, "m": 16},
+    }
+
+
+SIGMA = -1.0 + np.arange(17) / 16
+DENSITY = (0.3 * np.exp(SIGMA)[:, None, None] * np.eye(2)).tolist()
+# both histories end at kinds_scenario(2)'s head, as solve_steps requires
+COEFFS = [[1.0, 0.5], [0.25, -0.5], [0.1, 0.0]]
+SAMPLES = np.outer(np.cos(3.0 * SIGMA), [1.0, 0.5]).tolist()
+
+
+def same_bits(x, y) -> bool:
+    """Two arrays of the same dtype, shape and bytes, or two Nones."""
+    if x is None or y is None:
+        return x is y
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def assert_rebuilt_bit_for_bit(scenario, again):
+    """The re-read scenario builds the same operator, functional and
+    history, trajectory and log det, bit for bit."""
+    a, b = scenario.model, again.model
+    assert same_bits(a.A.matrix, b.A.matrix) and same_bits(a.A.eigenvalues, b.A.eigenvalues)
+    assert type(a.phi) is type(b.phi)
+    for f in dataclasses.fields(a.phi):
+        x, y = getattr(a.phi, f.name), getattr(b.phi, f.name)
+        assert same_bits(x, y) if isinstance(x, np.ndarray) else x == y
+    assert same_bits(scenario.initial.history.samples, again.initial.history.samples)
+    trajs = [dl.solve_steps(s.model, s.initial, 1.0, s.run.dt).values for s in (scenario, again)]
+    assert same_bits(*trajs)
+    lams = np.array([0.3 + 1.0j, -0.5 + 2.0j, 1.5])
+    (la, da), (lb, db) = _log_det(a, lams), _log_det(b, lams)
+    assert same_bits(la, lb) and same_bits(da, db)
+
+
 class TestScenarioRoundTrip:
     def test_parse_serialise_parse(self, tmp_path):
         doc = cantor_scenario(0.7)
@@ -459,27 +520,58 @@ class TestScenarioRoundTrip:
         sigma = scenario.initial.history.nodes
         np.testing.assert_allclose(scenario.initial.history.samples[:, 0], 1.0 + 0.5 * sigma, atol=1e-14)
 
-    def test_functional_serialisation_round_trip(self):
-        from delaylab.scenario_io import functional_from_dict, functional_to_dict
+    @pytest.mark.parametrize(
+        "n,keys,section,tag",
+        [
+            (2, ["model", "A"], kinds_scenario(2)["model"]["A"], "matrix"),
+            (5, ["model", "A"], {"kind": "laplacian1d", "payload": {"n": 5}}, "laplacian1d"),
+            (1, ["model", "A"], {"kind": "scalar", "payload": {"a": -0.5}}, "scalar"),
+            (2, ["model", "phi"], {"variant": "discrete", "payload": {"terms": []}}, "discrete"),
+            (2, ["model", "phi"], {"variant": "cantor", "payload": {"c": 0.65, "depth": 20}}, "cantor"),
+            (2, ["model", "phi"], {"variant": "cantor", "payload": {"c": 0.65}}, "cantor"),
+            (2, ["model", "phi"], {"variant": "density", "payload": {"samples": DENSITY}}, "density"),
+            (2, ["initial", "history"], {"kind": "polynomial", "payload": {"coeffs": COEFFS}}, "samples"),
+            (2, ["initial", "history"], {"kind": "samples", "payload": {"values": SAMPLES}}, "samples"),
+        ],
+        ids=[
+            "matrix_discrete_constant", "laplacian1d", "scalar", "empty_discrete", "cantor", "cantor_default_depth",
+            "density", "polynomial", "samples",
+        ],
+    )
+    def test_serialisation_round_trip(self, n, keys, section, tag):
+        # a polynomial history writes back as its samples
+        scenario = parse_scenario(edited(kinds_scenario(n), keys, section))
+        written = json.loads(json.dumps(scenario_to_dict(scenario)))
+        assert written[keys[0]][keys[1]]["variant" if keys[1] == "phi" else "kind"] == tag
+        again = parse_scenario(written)
+        assert scenario_to_dict(again) == written
+        assert_rebuilt_bit_for_bit(scenario, again)
 
-        nodes = -1.0 + np.arange(17) / 16
-        variants = [
-            dl.DiscreteDelays(
-                np.stack([np.eye(2), np.array([[0.0, 1.0], [2.0, 0.0]])]), np.array([-1.0, -0.3])
-            ),
-            dl.CantorKernel(0.65, depth=20),
-            dl.DensityKernel(np.exp(nodes)[:, None, None] * np.eye(2)),
-        ]
-        for phi in variants:
-            restored = functional_from_dict(functional_to_dict(phi))
-            assert type(restored) is type(phi)
-            if isinstance(phi, dl.CantorKernel):
-                assert (restored.c, restored.depth) == (phi.c, phi.depth)
-            elif isinstance(phi, dl.DiscreteDelays):
-                np.testing.assert_array_equal(restored.matrices, phi.matrices)
-                np.testing.assert_array_equal(restored.delays, phi.delays)
-            else:
-                np.testing.assert_array_equal(restored.samples, phi.samples)
+    @pytest.mark.parametrize("name", ["scalar_single_delay", "reaction_diffusion_cantor"])
+    def test_shipped_scenarios_write_back_their_documents(self, name):
+        path = ROOT / "scenarios" / f"{name}.json"
+        scenario = load_scenario(path)
+        written = scenario_to_dict(scenario)
+        assert written == json.loads(path.read_text())
+        assert_rebuilt_bit_for_bit(scenario, parse_scenario(written))
+
+    def test_tagged_operator_of_no_kind_writes_as_matrix(self):
+        scenario = parse_scenario(kinds_scenario(2))
+        model = dataclasses.replace(scenario.model, A=dl.diagonal_operator([-1.0, -2.0]))
+        written = scenario_to_dict(dataclasses.replace(scenario, model=model))
+        assert written["model"]["A"] == {"kind": "matrix", "payload": {"entries": [[-1.0, 0.0], [0.0, -2.0]]}}
+        # the eigenvalue tags are lost
+        assert parse_scenario(written).model.A.eigenvalues is None
+
+    @pytest.mark.parametrize("tag", [[1], None, {}], ids=["list", "null", "object"])
+    @pytest.mark.parametrize(
+        "keys", [["model", "A", "kind"], ["model", "phi", "variant"], ["initial", "history", "kind"]],
+        ids=["operator", "functional", "history"],
+    )
+    def test_odd_tag_rejected(self, keys, tag):
+        message = f"{'.'.join(keys)}: unknown {keys[-1]} {tag!r}"
+        with pytest.raises(dl.ScenarioError, match=re.escape(message)):
+            parse_scenario(edited(kinds_scenario(2), keys, tag))
 
 
 # Imports delaylab and its CLI, runs solve, spectrum, stability,
