@@ -32,17 +32,28 @@ that tells the variants apart, and it reads the delay term one way per domain:
 The Cantor kernel keeps two exact overrides: its total variation is |c|,
 and off the grid its symbol is the product form of its transform.
 
+Every lam reaches the symbol as its real and imaginary parts, two real
+arrays that broadcast to a grid (``_grid``): an (R, 1) and a (1, C) part
+give the R x C grid of a root search, two arrays of one length a list of
+points.  Each exponential splits as e^(lam sigma) = e^(sigma Re lam)
+(cos(sigma Im lam) + i sin(sigma Im lam)) (``_exp_axes``), so an R x C
+grid costs R + C transcendental calls per offset, and the products that
+join the axes are real, so a value is the same in a grid and in a list.
+
 The exponential transform of the Cantor measure is its infinite-product
 form g^(lam) = e^(-lam/2) prod_k cosh(lam / 3^k), read in one pass
-together with its derivative: cosh on the few top levels where |lam / 3^k|
-is large, the exact triplication cosh 3x = cosh x (4 cosh^2 x - 3) on the
-levels below, and the product rule for g^'.  The tests check it against
-recursive self-similar subdivision mu -> (mu o S1^-1 + mu o S2^-1)/2 with
-S1(x) = x/3, S2(x) = (x+2)/3 on [0, 1].
+together with its derivative: the few direct levels where |lam / 3^k| > 1/3
+by cosh(a + ib) = cosh a cos b + i sinh a sin b from the axes, and the
+rest of the product, a function of y = lam / 3^(D+1) with |y| <= 1/3, by
+an eight-term Taylor polynomial in y^2 whose coefficients follow from
+F(y) = cosh(y) F(y/3).  The tests check it against mpmath, the
+level-by-level product and recursive self-similar subdivision mu ->
+(mu o S1^-1 + mu o S2^-1)/2 with S1(x) = x/3, S2(x) = (x+2)/3 on [0, 1].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Union
@@ -207,82 +218,164 @@ def cantor_transform(lam):
     """Exponential transform of the Cantor function on [-1, 0].
 
     Returns g^(lam) = integral of e^(lam * sigma) dg(sigma): an array of
-    the same shape for an array, a complex for a scalar lam, computed as an
-    array of one so that it equals its entry in any array.  An entire
-    function of lam with g^(0) = 1 and |g^(i omega)| <= 1.
+    the same shape for an array, a complex for a scalar lam, equal to its
+    entry in any array.  An entire function of lam with g^(0) = 1 and
+    |g^(i omega)| <= 1.
     """
-    out = _cantor_product(np.reshape(lam, -1)).reshape(np.shape(lam))
+    lam = np.asarray(lam)
+    out = _cantor_product(lam.real, lam.imag)
     return complex(out) if np.ndim(out) == 0 else out
+
+
+def _grid(re, im) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Real and imaginary parts of lam = re + i im as float arrays of one
+    ndim, at least 1, and the shape of the grid of lam they broadcast to:
+    an R x C grid from an (R, 1) and a (1, C) part, a list of N points
+    from two parts of length N."""
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    ndim = max(re.ndim, im.ndim, 1)
+    re, im = (part.reshape((1,) * (ndim - part.ndim) + part.shape) for part in (re, im))
+    return re, im, np.broadcast_shapes(re.shape, im.shape)
+
+
+def _grid_batches(re, im, shape: tuple[int, ...], point_entries: int):
+    """(points, re, im) for each ``_batches`` slice of the rows (first
+    axis) of a grid from ``_grid``, point_entries per lam: the slice of
+    the flattened grid they hold, and both parts cut to those rows (a part
+    of one row serves them all)."""
+    width = math.prod(shape[1:])
+    for rows in _batches(shape[0], point_entries * max(1, width)):
+        points = slice(rows.start * width, rows.stop * width)
+        yield points, (re if len(re) == 1 else re[rows]), (im if len(im) == 1 else im[rows])
+
+
+def _complex(real, imag):
+    """real + i imag, broadcast, each entry made of its two parts as given
+    (no arithmetic, so no rounding and no 0 * inf); a numpy complex scalar
+    for two scalars."""
+    if not isinstance(real, np.ndarray) and not isinstance(imag, np.ndarray):
+        return np.complex128(complex(real, imag))
+    out = np.empty(np.broadcast(real, imag).shape, dtype=complex)
+    out.real, out.imag = real, imag
+    return out
+
+
+def _exp_axes(re, im, sigma: np.ndarray) -> np.ndarray:
+    """e^(lam sigma) = e^(sigma Re lam) (cos(sigma Im lam) + i sin(sigma Im
+    lam)) for every lam = re + i im of the broadcast grid (leading axes)
+    and every sigma of a 1-d array (last axis).  The exp runs on the real
+    parts and cos and sin on the imaginary parts, each on its own axis, so
+    an R x C grid costs (R + C) len(sigma) of them; the rest is real
+    products, which round alike in a grid and in a list."""
+    magnitude = np.exp(np.asarray(re, dtype=float)[..., None] * sigma)
+    angle = np.asarray(im, dtype=float)[..., None] * sigma
+    return _complex(magnitude * np.cos(angle), magnitude * np.sin(angle))
 
 
 #: 3^k for every level k a finite lam can reach, inf past the float range.
 _POW3 = np.array([3.0**k if k < 647 else np.inf for k in range(666)])
-#: Levels of ``_cantor_product`` at |lam| = 1: the first K >= 2 with (3^(1-K))^2 / 2 < 1e-16.
-_LEVELS = next(k for k in range(2, 99) if (1.0 / _POW3[k - 1]) ** 2 / 2.0 < 1e-16)
 
 
-def _cantor_product(lams, derivative: bool = False):
-    """g^(lam) = e^(-lam/2) P, P = prod_{k=1..K} c_k, c_k = cosh(x_k), x_k =
-    lam / 3^k, over an array of lam (or a scalar); with ``derivative`` also
-    g^'(lam) = e^(-lam/2) (P' - P/2).
+def _tail_coefficients(tol: float = 1e-18) -> np.ndarray:
+    """b_j with F(y) = prod_{m >= 0} cosh(y / 3^m) = sum_j b_j y^(2j).
 
-    Each element has its own counts, so no value depends on the others: its
-    top ``direct`` = ceil(log3 |lam|) levels (none for |lam| <= 1 or a
-    non-finite lam), where |x_k| > 1/3, take cosh directly, and K = direct +
-    _LEVELS, where |x_K|^2 / 2 < 1e-16.  Below them d_k = c_k - 1 climbs from
-    d_K = x_K^2 / 2 (exact, as |x_K| < 5e-9) by the triplication cosh 3x =
-    cosh x (4 cosh^2 x - 3), d_{k-1} = d_k (3 + 2 d_k)^2, which carries
-    relative errors by the factor (3 + 6 d_k) / (3 + 2 d_k), about 1.  P'
-    follows by the product rule, with d'_{k-1} = d'_k (3 + 2 d_k)(3 + 6 d_k);
-    the top levels carry P' - P 3^-k / 2 instead, through the factor
-    derivatives c'_k - c_k / 3^k = -e^(-x_k) / 3^k (1/2 = sum_k 3^-k), which
-    leaves no cancellation in P' - P/2 where the c_k are large.
+    F(y) = cosh(y) F(y / 3) gives b_0 = 1 and b_j (1 - 9^-j) = sum_{i=1..j}
+    b_{j-i} 9^-(j-i) / (2i)!.  The series stops before the first term
+    b_j 9^-j below tol, the largest omitted term at |y| <= 1/3: eight
+    terms, the first omitted one about 1.2e-19.
     """
-    lams = np.asarray(lams, dtype=complex)
-    size = np.abs(lams)
-    direct = np.searchsorted(_POW3, np.where(np.isfinite(size), size, 0.0))
-    if lams.ndim == 0:
-        # numpy scalars: 10x less overhead per operation, but no FMA (only a real lam surely equals its entry)
-        both = _cantor_levels(lams[()], int(direct), derivative)
+    b = [1.0]
+    while b[-1] * 9.0 ** -(len(b) - 1) >= tol:
+        j = len(b)
+        b.append(sum(b[j - i] * 9.0 ** -(j - i) / math.factorial(2 * i) for i in range(1, j + 1)) / (1.0 - 9.0**-j))
+    return np.array(b[:-1])
+
+
+#: Taylor coefficients in y^2 of the tail F (``_tail_coefficients``) and of F'(y) / y.
+_TAIL = _tail_coefficients()
+_TAIL_SLOPE = 2.0 * np.arange(1, len(_TAIL)) * _TAIL[1:]
+
+
+def _horner(coefficients: np.ndarray, x):
+    """sum_j coefficients[j] x^j, at least two coefficients."""
+    out = x * coefficients[-1] + coefficients[-2]
+    for b in coefficients[-3::-1]:
+        out = out * x + b
+    return out
+
+
+def _cantor_product(re, im, derivative: bool = False):
+    """g^(lam) = e^(-lam/2) prod_{k >= 1} cosh(lam / 3^k) for lam = re + i
+    im over the grid the two real parts broadcast to (``_grid``), with
+    ``derivative`` also g^'(lam); an array of that shape, or of the
+    broadcast shape of the parts as given.
+
+    Each lam has its own count D = ceil(log3 |lam|) of direct levels (none
+    for |lam| <= 1 or a non-finite lam), so no value depends on the
+    others, nor on its batch, nor on whether it came in a grid or a list:
+
+        g^(lam) = e^(-lam/2) prod_{k <= D} cosh(lam / 3^k) F(lam / 3^(D+1)),
+
+    F(y) = prod_{m >= 0} cosh(y / 3^m) with |y| <= 1/3, a Horner
+    polynomial in y^2 (``_TAIL``), and F' another.  e^(-lam/2) and the
+    direct levels split as cosh(a + ib) = cosh a cos b + i sinh a sin b,
+    their transcendental calls on the real and imaginary axes alone, as
+    in ``_exp_axes``.  g^' = e^(-lam/2) (P' - P/2), P the product: the tail
+    carries P' - P 3^-D / 2, and each direct level adds its factor
+    derivative c'_k - c_k / 3^k = -e^(-lam/3^k) / 3^k (1/2 = sum_k 3^-k),
+    which leaves no cancellation where the c_k are large.
+
+    Two 0-d real parts with im = 0 stay numpy scalars, 10x less overhead
+    per operation and the same bits as an array on the real axis; complex
+    0-d input, whose scalar products would round without FMA, goes
+    through an array of one.
+    """
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    if re.ndim == im.ndim == 0 and im == 0.0:
+        both = _cantor_levels(re[()], im[()], derivative)
         return both if derivative else both[0]
-    flat, direct = lams.reshape(-1), direct.reshape(-1)
-    out = np.empty((1 + derivative, flat.size), dtype=complex)
-    for sl in _batches(flat.size, 8):
-        out[:, sl] = _cantor_levels(flat[sl], direct[sl], derivative)
-    out = out.reshape((len(out),) + lams.shape)
+    shape = np.broadcast_shapes(re.shape, im.shape)
+    re, im, grid = _grid(re, im)
+    out = np.empty((1 + derivative, math.prod(grid)), dtype=complex)
+    for points, re_rows, im_rows in _grid_batches(re, im, grid, 8):
+        out[:, points] = np.reshape(_cantor_levels(re_rows, im_rows, derivative), (len(out), -1))
+    out = out.reshape((len(out),) + shape)
     return tuple(out) if derivative else out[0]
 
 
-def _cantor_levels(lams, direct, derivative: bool):
-    """The level loop of ``_cantor_product`` on a batch or a scalar, with the
-    ``direct`` counts of its elements: (g^,) or (g^, g^').  Every element
-    takes the same _LEVELS - 1 triplications; a top level above an element's
-    count leaves it as it is.  The products are out of place: numpy rounds
-    an in-place complex product of one element without FMA."""
-    three_k = _POW3[direct + _LEVELS]
-    x = lams / three_k
-    d = x * x / 2.0
-    p = d + 1.0
+def _cantor_levels(re, im, derivative: bool):
+    """``_cantor_product`` on one batch of broadcastable parts, or on two
+    scalars: (g^,) or (g^, g^').  A direct level above a lam's count
+    leaves it as it is; the levels every lam of the batch takes need no
+    mask.  Complex values are only multiplied and added, by each other or
+    by reals (numpy divides complex values through a reciprocal).  Both
+    factors of a complex product are named arrays: numpy computes a product
+    with a temporary factor of 256 KiB or more in place, its factors
+    swapped, and a complex product with FMA is not commutative in the last
+    bit; nor in place on one element, which rounds without FMA."""
+    size = np.hypot(re, im)
+    direct = _POW3.searchsorted(np.where(np.isfinite(size), size, 0.0))
+    three = _POW3[direct + 1]
+    y = _complex(re / three, im / three)
+    y2 = y * y
+    p = _horner(_TAIL, y2)
     if derivative:
-        dp = x / three_k
-        pp = dp + 0.0
-    for _ in range(_LEVELS - 1):
+        slope = _horner(_TAIL_SLOPE, y2)
+        pp = (y * slope - p * 1.5) * (1.0 / three)  # F'(y) / 3^(D+1) - F(y) 3^-D / 2
+    levels = int(direct.max(initial=0))
+    common = int(direct.min(initial=levels))
+    for k in range(levels, 0, -1):
+        a, b = re / _POW3[k], im / _POW3[k]
+        cos_b, sin_b = np.cos(b), np.sin(b)
+        c = _complex(np.cosh(a) * cos_b, np.sinh(a) * sin_b)
         if derivative:
-            dp = dp * (d * 6.0 + 3.0)
-        t = d * 2.0 + 3.0
-        d = d * t * t
-        if derivative:
-            dp = dp * t
-            pp = pp + (pp * d + p * dp)
-        p = p + p * d
-    if derivative:
-        pp = pp - p * (0.5 / _POW3[direct])
-    for k in range(np.max(direct), 0, -1):
-        c = np.cosh(lams / _POW3[k])
-        if derivative:
-            pp = np.where(direct >= k, pp * c - p * np.exp(lams / -_POW3[k]) / _POW3[k], pp)
-        p = np.where(direct >= k, p * c, p)
-    scale = np.exp(lams * -0.5)
+            shrink = np.exp(-a) / _POW3[k]
+            drift = _complex(shrink * cos_b, -shrink * sin_b)  # e^(-lam/3^k) / 3^k
+            step = pp * c - p * drift
+            pp = step if k <= common else np.where(direct >= k, step, pp)
+        p = p * c if k <= common else np.where(direct >= k, p * c, p)
+    half = np.exp(re * -0.5)
+    scale = _complex(half * np.cos(im * 0.5), -half * np.sin(im * 0.5))
     return (p * scale, pp * scale) if derivative else (p * scale,)
 
 
@@ -404,25 +497,28 @@ def _grid_weights(phi: DelayFunctional, m: int) -> np.ndarray:
     return out
 
 
-def _symbol(phi: DelayFunctional, lams, m: int | None = None, derivative: bool = False):
+def _symbol(phi: DelayFunctional, re, im, m: int | None = None, derivative: bool = False):
     """(T, T') with T(lam) = Phi(e^(lam .)) = sum_i W_i e^(lam sigma_i) and
     T'(lam) = sum_i sigma_i W_i e^(lam sigma_i) (None unless ``derivative``)
-    for every lam of a flat array: stacks of matrices, or scalars standing
-    for multiples of Id.
+    for every lam = re + i im of the grid the two real parts broadcast to,
+    flattened: stacks of matrices, or scalars standing for multiples of Id.
 
-    With m the exponential is read through its samples on the m-node grid,
-    as ``apply`` reads a sampled history (``_grid_weights``); without m
-    the Cantor kernel uses the product form of its transform.
+    The exponentials come from the axes of the grid (``_exp_axes``).  With
+    m they are read through their samples on the m-node grid, as ``apply``
+    reads a sampled history (``_grid_weights``); without m the Cantor
+    kernel uses the product form of its transform.
     """
-    lams = np.asarray(lams, dtype=complex).ravel()
     if m is None and isinstance(phi, CantorKernel):
-        both = _cantor_product(lams, derivative)
-        return (phi.c * both[0], phi.c * both[1]) if derivative else (phi.c * both, None)
+        both = _cantor_product(re, im, derivative)
+        if derivative:
+            return phi.c * np.ravel(both[0]), phi.c * np.ravel(both[1])
+        return phi.c * np.ravel(both), None
     if m is None:
         offsets, weights, _ = _atoms(phi)
     else:
         offsets, weights = -1.0 + np.arange(m + 1) / m, _grid_weights(phi, m)
-    profile = np.exp(np.outer(lams, offsets))
+    profile = _exp_axes(re, im, offsets)
+    profile = profile.reshape(math.prod(profile.shape[:-1]), len(offsets))
     return _contract(profile, weights), (_contract(profile * offsets, weights) if derivative else None)
 
 
@@ -465,12 +561,13 @@ def char_matrix(phi: DelayFunctional, lam: complex, dim: int | None = None) -> n
     dim = phi.dim if dim is None else dim
     if phi.dim not in (None, dim):
         raise ValueError(f"dimension {dim} does not match functional dimension {phi.dim}")
-    return _as_matrices(_symbol(phi, [lam])[0], dim)[0]
+    lam = complex(lam)
+    return _as_matrices(_symbol(phi, lam.real, lam.imag)[0], dim)[0]
 
 
 def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray) -> np.ndarray:
     """Spectral norms of char_matrix(alpha + i omega) over the samples."""
-    lams = alpha + 1j * np.asarray(omegas, dtype=float)
+    omegas = np.asarray(omegas, dtype=float)
     if isinstance(phi, CantorKernel):
-        return abs(phi.c) * np.abs(_cantor_product(lams))
-    return _norms(_symbol(phi, lams)[0])
+        return abs(phi.c) * np.abs(_cantor_product(alpha, omegas))
+    return _norms(_symbol(phi, alpha, omegas)[0])

@@ -61,7 +61,7 @@ def _cantor_coupling(lam: float) -> tuple[float, float]:
     # g^ and g^' on the real axis; overflow far down the axis is capped, the
     # root bracketing below only needs "very large" there
     with np.errstate(over="ignore", invalid="ignore"):
-        value, slope = _cantor_product(lam, derivative=True)
+        value, slope = _cantor_product(lam, 0.0, derivative=True)
     return (value.real, slope.real) if np.isfinite(value.real) else (1e300, -1e300)
 
 

@@ -24,6 +24,7 @@ half-plane by conjugation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -31,7 +32,19 @@ import numpy as np
 
 from .errors import BudgetError, NearSpectrumError, NoResultError, PreconditionError
 from .evolution import SystemModel, Trajectory, solve_steps
-from .functional import _as_matrices, _atoms, _grid_weights, _symbol, apply, char_norm_profile, total_variation
+from .functional import (
+    _as_matrices,
+    _atoms,
+    _complex,
+    _exp_axes,
+    _grid,
+    _grid_batches,
+    _grid_weights,
+    _symbol,
+    apply,
+    char_norm_profile,
+    total_variation,
+)
 from .history import (
     DelayState,
     HistoryGrid,
@@ -163,10 +176,12 @@ def _char_matrix_stack(model: SystemModel, lams: np.ndarray, t: np.ndarray) -> n
     return lams[:, None, None] * np.eye(model.n) - model.A.matrix - _as_matrices(t, model.n)
 
 
-def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _log_det(model: SystemModel, re, im, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """L = log|det M(lam)| = Re log det M(lam) and D = d/dlam log det M(lam)
-    = tr(M^-1 M') for every lam of a flat array, M(lam) = lam - A - T(lam);
-    D is None unless ``derivative``.
+    = tr(M^-1 M') for every lam = re + i im of the grid the two real parts
+    broadcast to (``functional._grid``: an (R, 1) and a (1, C) part give an
+    R x C grid, two lists a list), M(lam) = lam - A - T(lam); arrays of
+    the grid's shape, D None unless ``derivative``.
 
     When the model splits (``SystemModel.decoupled``) det M = prod_k g_k,
     g_k = lam - T_k(lam) - mu_k, so L = sum_k log|g_k| and D = sum_k (1 -
@@ -174,39 +189,43 @@ def _log_det(model: SystemModel, lams, derivative: bool = True) -> tuple[np.ndar
     symbol (``_symbol``) over ``A.spectrum()``, or sum_i diag[i, k]
     e^(lam sigma_i) over the split's own mu_k.  Otherwise L comes from
     ``slogdet`` of the matrix stack and D from one solve with M' = I -
-    T'(lam); D is NaN where M is singular or not finite.  Each lam counts
-    n entries to ``_batches`` when the model splits, else n^2.
+    T'(lam); D is NaN where M is singular or not finite.  The grid goes to
+    ``_batches`` by rows, each lam counting n entries when the model
+    splits, else n^2; every exponential is read off the axes of its batch
+    (``_exp_axes``), so a value depends neither on its batch nor on the
+    grid it came in.
     """
-    lams = np.asarray(lams, dtype=complex).ravel()
+    re, im, shape = _grid(re, im)
     n = model.n
-    L = np.empty(lams.shape)
-    D = np.empty(lams.shape, dtype=complex) if derivative else None
+    L = np.empty(math.prod(shape))
+    D = np.empty(L.shape, dtype=complex) if derivative else None
     split = model.decoupled
     diag = None if split is None else split[3]
     offsets = None if diag is None else _atoms(model.phi).offsets
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for sl in _batches(len(lams), n if split is not None else n * n):
-            lam = lams[sl]
+        for points, re_rows, im_rows in _grid_batches(re, im, shape, n if split is not None else n * n):
+            lam = _complex(re_rows, im_rows).ravel()
             if diag is None:
-                t, tp = _symbol(model.phi, lam, derivative=derivative)
+                t, tp = _symbol(model.phi, re_rows, im_rows, derivative=derivative)
             else:
                 # einsum sums each lam in one order, whatever the batch; BLAS does not
-                profile = np.exp(np.outer(lam, offsets))
-                t, tp = np.einsum("wi,ik->wk", profile, diag), np.einsum("wi,ik->wk", profile * offsets, diag)
+                profile = _exp_axes(re_rows, im_rows, offsets).reshape(len(lam), -1)
+                t = np.einsum("wi,ik->wk", profile, diag)
+                tp = np.einsum("wi,ik->wk", profile * offsets, diag) if derivative else None
             if split is not None:
                 gaps = (lam[:, None] - t.reshape(len(lam), -1)) - (model.A.spectrum() if diag is None else split[0])
-                L[sl] = np.log(np.abs(gaps)).sum(axis=1)
+                L[points] = np.log(np.abs(gaps)).sum(axis=1)
                 if derivative:
-                    D[sl] = ((1.0 - tp.reshape(len(lam), -1)) / gaps).sum(axis=1)
+                    D[points] = ((1.0 - tp.reshape(len(lam), -1)) / gaps).sum(axis=1)
                 continue
             stack = _char_matrix_stack(model, lam, t)
-            L[sl] = np.linalg.slogdet(stack)[1]
+            L[points] = np.linalg.slogdet(stack)[1]
             if derivative:
-                ok = np.isfinite(L[sl])
+                ok = np.isfinite(L[points])
                 d = np.full(len(lam), np.nan, dtype=complex)
                 d[ok] = np.trace(np.linalg.solve(stack[ok], np.eye(n) - tp[ok]), axis1=1, axis2=2)
-                D[sl] = d
-    return L, D
+                D[points] = d
+    return L.reshape(shape), (None if D is None else D.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +240,7 @@ def _newton_polish(model: SystemModel, seeds: np.ndarray) -> tuple[np.ndarray, n
     residuals 1/|D| = |det|/|det'|, which are 0 at an exact zero of det
     and NaN where the iteration failed."""
     lam = np.array(seeds, dtype=complex)
-    L, D = _log_det(model, lam)
+    L, D = _log_det(model, lam.real, lam.imag)
     failed = np.zeros(lam.shape, dtype=bool)
     live = np.ones(lam.shape, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
@@ -232,7 +251,8 @@ def _newton_polish(model: SystemModel, seeds: np.ndarray) -> tuple[np.ndarray, n
         step = 1.0 / D[idx]
         todo = np.arange(idx.size)
         for _ in range(9):
-            trial_L, trial_D = _log_det(model, lam[idx[todo]] - step[todo])
+            trial = lam[idx[todo]] - step[todo]
+            trial_L, trial_D = _log_det(model, trial.real, trial.imag)
             better = trial_L <= L[idx[todo]]
             done = idx[todo[better]]
             lam[done] -= step[todo[better]]
@@ -258,7 +278,9 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
     The model is real, so det M(conj lam) = conj det M(lam) and the roots
     are closed under conjugation.  The seed grid is exactly symmetric
     about the real axis: log|det| is evaluated on its columns with Im lam
-    >= 0 only, and every local minimum of the full grid in these columns
+    >= 0 only, passed as their axes (a column of real parts and a row of
+    imaginary parts, so every exponential is computed once per axis
+    value), and every local minimum of the full grid in these columns
     (their 3 x 3 neighbourhoods read one mirrored lower column) is
     polished by damped Newton.
     Iterates that leave the rectangle or fail ``ROOT_TOL`` are discarded;
@@ -285,8 +307,7 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
     upper_ims = np.linspace(-region.im_max, region.im_max, im_count)[half:]
     if im_count % 2:
         upper_ims[0] = 0.0
-    upper = res[:, None] + 1j * upper_ims[None, :]
-    upper_level = _log_det(model, upper, derivative=False)[0].reshape(re_count, cols)
+    upper_level = _log_det(model, res[:, None], upper_ims[None, :], derivative=False)[0]
     upper_level[np.isnan(upper_level)] = np.inf
 
     # the 3 x 3 scan of the upper columns reads one lower column, the mirror
@@ -301,7 +322,8 @@ def find_roots(model: SystemModel, region: Region, spacing: float = 0.05) -> Roo
             if di == 0 and dj == 0:
                 continue
             is_min &= center <= padded[1 + di : 1 + di + re_count, 1 + dj : 1 + dj + cols]
-    seeds = upper[is_min]
+    seed_rows, seed_cols = np.nonzero(is_min)
+    seeds = res[seed_rows] + 1j * upper_ims[seed_cols]
 
     # (root, residual, mirrored); a conjugate is listed before its root, as
     # the mirrored seed came first on the full grid, so ties merge as there
@@ -355,9 +377,10 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
     lam) = conj D(lam): the lower half of the contour contributes minus
     the conjugate of the upper half, and the winding is Im(I) / pi, with
     I the integral of D along the upper half only, from (re_max, 0) up
-    the right edge, along the top and down the left edge to (re_min, 0).
-    Trapezoid quadrature with 1000, 2000 and 1000 intervals: the node
-    spacing of 2000 intervals per edge of the whole contour, 4003 nodes.
+    the right edge, along the top and down the left edge to (re_min, 0),
+    each leg read with its fixed coordinate as a scalar.  Trapezoid
+    quadrature with 1000, 2000 and 1000 intervals: the node spacing of
+    2000 intervals per edge of the whole contour, 4003 nodes.
 
     Raises NoResultError when the boundary integral is not finite, for
     example because a root lies on the contour, and when a root lies
@@ -365,20 +388,18 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
     an edge, the trapezoid rule cannot resolve the pole of D and the
     rounded winding may be off by the roots nearby.
     """
-    corners = [
-        complex(region.re_max, 0.0),
-        complex(region.re_max, region.im_max),
-        complex(region.re_min, region.im_max),
-        complex(region.re_min, 0.0),
+    t, u = np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 2001)
+    # each leg as (Re lam, Im lam, node step dz), one coordinate fixed
+    legs = [
+        (region.re_max, region.im_max * t, 1j * region.im_max / 1000),
+        (region.re_max + (region.re_min - region.re_max) * u, region.im_max, (region.re_min - region.re_max) / 2000),
+        (region.re_min, region.im_max - region.im_max * t, -1j * region.im_max / 1000),
     ]
-    legs = list(zip(corners, corners[1:], (1000, 2000, 1000)))
-    nodes = [a + (b - a) * np.linspace(0.0, 1.0, k + 1) for a, b, k in legs]
-    integrands = np.split(_log_det(model, np.concatenate(nodes))[1], np.cumsum([len(z) for z in nodes])[:-1])
     total = 0.0 + 0.0j
     peak = 0.0
     with np.errstate(invalid="ignore"):
-        for (a, b, k), leg in zip(legs, integrands):
-            dz = (b - a) / k
+        for re, im, dz in legs:
+            leg = _log_det(model, re, im)[1]
             total += dz * (0.5 * (leg[0] + leg[-1]) + leg[1:-1].sum())
             peak = max(peak, abs(dz) * float(np.max(np.abs(leg))))
     if not np.isfinite(total):
@@ -452,7 +473,7 @@ def resolvent_apply(
         raise ValueError("right-hand side dimensions do not match the model")
     q = shift_resolvent_history(lam, g)
     lams = np.array([lam], dtype=complex)
-    head_matrix = _char_matrix_stack(model, lams, _symbol(model.phi, lams, g.m)[0])[0]
+    head_matrix = _char_matrix_stack(model, lams, _symbol(model.phi, lams.real, lams.imag, g.m)[0])[0]
     svals = np.linalg.svd(head_matrix, compute_uv=False)
     # scale floor keeps the estimate meaningful for 1 x 1 systems, where
     # the plain condition number is identically 1

@@ -16,8 +16,9 @@ compare the two.
 ``reference_cantor_transform`` and ``reference_cantor_derivative`` are
 the level-by-level product form of the Cantor transform, a complex cosh
 (and a tanh for the derivative) per level until the factors reach 1; the
-package reads the same product in one pass with the exact triplication
-of cosh on the levels below the top ones.
+package reads the same product in one pass, splitting cosh over the real
+and imaginary axes on the top levels and summing the levels below them
+as one Taylor polynomial.
 
 Four oracles that the package does not compute at all sit beside them:
 ``reference_solve_steps`` is the RK4 method of steps, reading the
@@ -423,7 +424,7 @@ def reference_find_roots(model, region, spacing=0.05):
     res = np.linspace(region.re_min, region.re_max, re_count)
     ims = np.linspace(-region.im_max, region.im_max, im_count)
     lams = res[:, None] + 1j * ims[None, :]
-    level = _log_det(model, lams, derivative=False)[0].reshape(re_count, im_count)
+    level = _log_det(model, lams.real.ravel(), lams.imag.ravel(), derivative=False)[0].reshape(re_count, im_count)
     level[np.isnan(level)] = np.inf
     padded = np.full((re_count + 2, im_count + 2), np.inf)
     padded[1:-1, 1:-1] = level
@@ -459,7 +460,8 @@ def reference_count_roots_argument_principle(model, region):
     total, peak = 0.0 + 0.0j, 0.0
     with np.errstate(invalid="ignore"):
         for a, b in zip(corners, corners[1:] + corners[:1]):
-            integrand = _log_det(model, a + (b - a) * np.linspace(0.0, 1.0, 2001))[1]
+            nodes = a + (b - a) * np.linspace(0.0, 1.0, 2001)
+            integrand = _log_det(model, nodes.real, nodes.imag)[1]
             dz = (b - a) / 2000
             total += dz * (0.5 * (integrand[0] + integrand[-1]) + integrand[1:-1].sum())
             peak = max(peak, abs(dz) * float(np.max(np.abs(integrand))))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 import delaylab as dl
 from delaylab.cli import main
@@ -205,6 +206,19 @@ class TestSpectrumCommand:
         _, rows = read_csv(out / "roots.csv")
         ims = sorted(float(r[1]) for r in rows)
         assert ims == pytest.approx([-np.pi / 2.0, np.pi / 2.0], abs=1e-6)
+
+    def test_scalar_scenario_lists_every_lambert_w_root(self, tmp_path):
+        # the 46 x 3001 seed grid (138 k lam) of u' = -u(t - 1), whose roots solve
+        # lam e^lam = -1: lam = W_k(-1) on every branch k
+        out = tmp_path / "out"
+        argv = ["--re-min", "-8", "--re-max", "1", "--im-max", "600", "--spacing", "0.2"]
+        assert main(["spectrum", "--scenario", str(ROOT / "scenarios" / "scalar_single_delay.json"), "--out", str(out)] + argv) == 0
+        roots = [complex(*z) for z in json.loads((out / "roots.json").read_text())["roots"]]
+        branches = [complex(lambertw(-1.0, k)) for k in range(-120, 120)]
+        want = [w for w in branches if -8.0 <= w.real <= 1.0 and abs(w.imag) <= 600.0]
+        assert len(roots) == len(want) == 192
+        assert max(min(abs(z - w) for w in want) for z in roots) <= 1e-9
+        assert max(min(abs(z - w) for z in roots) for w in want) <= 1e-9
 
     def test_empty_region_exits_3(self, tmp_path):
         path = write_scenario(tmp_path, scalar_scenario(0.0, -np.pi / 2.0))
@@ -482,7 +496,7 @@ def assert_rebuilt_bit_for_bit(scenario, again):
     trajs = [dl.solve_steps(s.model, s.initial, 1.0, s.run.dt).values for s in (scenario, again)]
     assert same_bits(*trajs)
     lams = np.array([0.3 + 1.0j, -0.5 + 2.0j, 1.5])
-    (la, da), (lb, db) = _log_det(a, lams), _log_det(b, lams)
+    (la, da), (lb, db) = _log_det(a, lams.real, lams.imag), _log_det(b, lams.real, lams.imag)
     assert same_bits(la, lb) and same_bits(da, db)
 
 

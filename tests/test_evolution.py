@@ -545,7 +545,7 @@ class TestZeroWeightDelays:
         ):
             np.testing.assert_array_equal(got.head, want.head)
             np.testing.assert_array_equal(got.history.samples, want.history.samples)
-        for got, want in zip(_log_det(padded, self.LAMS), _log_det(model, self.LAMS)):
+        for got, want in zip(_log_det(padded, self.LAMS.real, self.LAMS.imag), _log_det(model, self.LAMS.real, self.LAMS.imag)):
             np.testing.assert_array_equal(got, want)
         region = dl.Region(-2.0, 0.5, 4.0)
         assert dl.find_roots(padded, region).roots == dl.find_roots(model, region).roots

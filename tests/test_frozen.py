@@ -55,15 +55,15 @@ def test_fields_cannot_be_reassigned():
 
 def test_replace_builds_a_fresh_split():
     model = _delayed_diffusion()
-    lam = [0.3 + 0.2j]
-    split_log_det = _log_det(model, lam)[0]
+    lam = 0.3, 0.2
+    split_log_det = _log_det(model, *lam)[0]
     varied = dataclasses.replace(model, phi=dl.single_delay(COUPLING, -1.0))
     fresh = dl.SystemModel(model.A, dl.single_delay(COUPLING, -1.0))
     assert varied.decoupled is None
     assert varied.A is model.A
-    np.testing.assert_array_equal(_log_det(varied, lam)[0], _log_det(fresh, lam)[0])
-    assert _log_det(varied, lam)[0][0] == pytest.approx(14.513, abs=1e-3)
-    np.testing.assert_array_equal(_log_det(model, lam)[0], split_log_det)
+    np.testing.assert_array_equal(_log_det(varied, *lam)[0], _log_det(fresh, *lam)[0])
+    assert _log_det(varied, *lam)[0][0] == pytest.approx(14.513, abs=1e-3)
+    np.testing.assert_array_equal(_log_det(model, *lam)[0], split_log_det)
 
 
 def test_derived_values_are_computed_once():

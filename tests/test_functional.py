@@ -12,6 +12,11 @@ from reference_loops import cantor_transform_recursive, reference_cantor_derivat
 CANTOR_CHECK_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0j, 1.0 + 5.0j]
 
 
+def cantor_product(lams, derivative=False):
+    """``_cantor_product`` on the real and imaginary parts of lams."""
+    return _cantor_product(np.real(lams), np.imag(lams), derivative)
+
+
 def _cantor_accuracy_sets():
     """Arguments of the product's accuracy checks: a sample of the seed
     grid of ``stability`` at alpha = 0, the imaginary axis, the real axis
@@ -248,7 +253,7 @@ class TestCantorProduct:
     @pytest.mark.parametrize("name", list(_cantor_accuracy_sets()))
     def test_matches_mpmath_and_reference_loops(self, name):
         lams = _cantor_accuracy_sets()[name]
-        got = _cantor_product(lams, derivative=True)
+        got = cantor_product(lams, derivative=True)
         exact = np.array([_mpmath_cantor(lam) for lam in lams]).T
         loops = reference_cantor_transform(lams), reference_cantor_derivative(lams)
         for err in _cantor_errors(got, exact, lams) + _cantor_errors(got, loops, lams):
@@ -261,34 +266,34 @@ class TestCantorProduct:
 
     def test_value_path_matches_derivative_path(self):
         lams = _cantor_accuracy_sets()["disk_700"]
-        np.testing.assert_array_equal(_cantor_product(lams), _cantor_product(lams, derivative=True)[0])
+        np.testing.assert_array_equal(cantor_product(lams), cantor_product(lams, derivative=True)[0])
 
     def test_exact_at_zero(self):
         for lam in (0.0, np.zeros(3)):
-            value, slope = _cantor_product(lam, derivative=True)
+            value, slope = cantor_product(lam, derivative=True)
             assert np.all(value == 1.0) and np.all(slope == -0.5)
         assert dl.cantor_transform(np.zeros((2, 2))).shape == (2, 2)
 
     def test_non_finite_entries_stay_local(self):
         lams = np.array([1.0 + 1.0j, np.nan, -3.0, np.inf, 40.0j, complex(0.0, -np.inf)])
         with np.errstate(invalid="ignore", over="ignore"):
-            value, slope = _cantor_product(lams, derivative=True)
+            value, slope = cantor_product(lams, derivative=True)
         assert np.isnan(value[1]) and np.isnan(slope[1])
         assert not np.isfinite(value[[3, 5]]).any()
-        clean = _cantor_product(lams[[0, 2, 4]], derivative=True)
+        clean = cantor_product(lams[[0, 2, 4]], derivative=True)
         np.testing.assert_array_equal(value[[0, 2, 4]], clean[0])
         np.testing.assert_array_equal(slope[[0, 2, 4]], clean[1])
 
     def test_overflow_far_down_the_real_axis_is_capped(self):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(_cantor_product(-3000.0))
+            assert not np.isfinite(cantor_product(-3000.0))
             assert not np.isfinite(reference_cantor_transform(-3000.0))
         assert _cantor_coupling(-3000.0) == (1e300, -1e300)
 
     def test_entry_independent_of_its_array(self):
         lams = _cantor_accuracy_sets()["stability_seeds"][:40]
-        alone = np.array([_cantor_product(lam, derivative=True) for lam in lams]).T
-        with_large = _cantor_product(np.append(lams, 700.0j), derivative=True)
+        alone = np.array([cantor_product(lam, derivative=True) for lam in lams]).T
+        with_large = cantor_product(np.append(lams, 700.0j), derivative=True)
         for err in _cantor_errors([part[:-1] for part in with_large], alone, lams):
             assert err.max() <= 1e-14
 
@@ -301,17 +306,24 @@ class TestCantorProduct:
         radius = np.concatenate([[0.0, 1e-9], rng.uniform(0.9, 1.1, 98), 10.0 ** rng.uniform(-3.0, np.log10(3e3), 500)])
         lams = radius * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 600))
         with np.errstate(over="ignore", invalid="ignore"):
-            value, slope = _cantor_product(lams, derivative=True)
+            value, slope = cantor_product(lams, derivative=True)
             whole = dl.cantor_transform(lams)
             monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
-            np.testing.assert_array_equal(_cantor_product(lams, derivative=True), (value, slope))
+            np.testing.assert_array_equal(cantor_product(lams, derivative=True), (value, slope))
             for k, lam in enumerate(lams):
-                np.testing.assert_array_equal(_cantor_product(lams[k : k + 1], derivative=True), ([value[k]], [slope[k]]))
+                np.testing.assert_array_equal(cantor_product(lams[k : k + 1], derivative=True), ([value[k]], [slope[k]]))
                 np.testing.assert_array_equal(dl.cantor_transform(lam), whole[k])
-            # numpy scalars keep their own arithmetic, exact on the real axis
-            reals = _cantor_product(lams.real, derivative=True)
+            # the grid of their real and imaginary parts holds each lam on its diagonal
+            grid = _cantor_product(lams.real[:, None], lams.imag[None, :], derivative=True)
+            np.testing.assert_array_equal(np.diagonal(grid[0]), value)
+            np.testing.assert_array_equal(np.diagonal(grid[1]), slope)
+            # complex scalars go through an array of one, real ones keep numpy's
+            # scalar arithmetic, exact on the real axis
+            for k, lam in enumerate(lams):
+                np.testing.assert_array_equal(cantor_product(lam, derivative=True), (value[k], slope[k]))
+            reals = cantor_product(lams.real, derivative=True)
             for k, lam in enumerate(lams.real):
-                np.testing.assert_array_equal(_cantor_product(lam, derivative=True), (reals[0][k], reals[1][k]))
+                np.testing.assert_array_equal(cantor_product(lam, derivative=True), (reals[0][k], reals[1][k]))
 
 
 class TestCharMatrix:

@@ -31,7 +31,7 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def char_stack(model, lams):
     """lam - A - T(lam) over lams, with T read by ``_symbol``."""
     lams = np.asarray(lams, dtype=complex)
-    return _char_matrix_stack(model, lams, _symbol(model.phi, lams)[0])
+    return _char_matrix_stack(model, lams, _symbol(model.phi, lams.real, lams.imag)[0])
 
 
 def empty_functional():
@@ -139,7 +139,7 @@ class TestLogDet:
         "model", list(log_det_models()), ids=["cantor_n15", "triangular", "delays", "scaled_identity"]
     )
     def test_matches_slogdet_and_difference_of_char_det(self, model):
-        L, D = _log_det(model, self.LAMS)
+        L, D = _log_det(model, self.LAMS.real, self.LAMS.imag)
         np.testing.assert_allclose(L, np.linalg.slogdet(char_stack(model, self.LAMS))[1], rtol=1e-10)
         # fourth-order central difference of the LU determinant; h balances
         # the O(h^4) truncation against the LU rounding divided by h
@@ -167,7 +167,7 @@ class TestLogDet:
         calls = []
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
-        L, D = _log_det(model, self.LAMS)
+        L, D = _log_det(model, self.LAMS.real, self.LAMS.imag)
         assert bool(calls) == (name in COUPLED_MODELS)
         np.testing.assert_allclose(L, want_L, rtol=1e-10)
         np.testing.assert_allclose(D, want_D, rtol=1e-10)
@@ -181,12 +181,37 @@ class TestLogDet:
         assert (model.decoupled is None) == (name in COUPLED_MODELS or name == "delays")
         rng = np.random.default_rng(24)
         lams = rng.uniform(-4.0, 2.0, 900) + 1j * rng.uniform(-30.0, 30.0, 900)
-        want = _log_det(model, lams), _log_det(model, lams, derivative=False)[0]
+        want = _log_det(model, lams.real, lams.imag), _log_det(model, lams.real, lams.imag, derivative=False)[0]
         monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
-        L, D = _log_det(model, lams)
+        L, D = _log_det(model, lams.real, lams.imag)
         np.testing.assert_array_equal(L, want[0][0])
         np.testing.assert_array_equal(D, want[0][1])
-        np.testing.assert_array_equal(_log_det(model, lams, derivative=False)[0], want[1])
+        np.testing.assert_array_equal(_log_det(model, lams.real, lams.imag, derivative=False)[0], want[1])
+
+    @pytest.mark.parametrize("size", [1, 10**9])
+    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    def test_a_grid_equals_its_points(self, name, size, monkeypatch):
+        # an R x C grid of real and imaginary parts against the same lam as a flat
+        # list: log det on its three paths (shared symbol, per-mode weights,
+        # slogdet) and the symbol of every functional kind, from the atoms or
+        # the product form and on the 64-node grid, with and without T'
+        # (2501 lam: the per-mode arrays of the n = 15 models pass 256 KiB, from
+        # which numpy computes a product with a temporary factor in place)
+        model = BATCH_MODELS[name]()
+        re, im = np.linspace(-4.0, 2.0, 41), np.linspace(0.0, 30.0, 61)
+        flat = [part.ravel() for part in np.broadcast_arrays(re[:, None], im[None, :])]
+        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+        for derivative in (True, False):
+            grid, points = _log_det(model, re[:, None], im[None, :], derivative), _log_det(model, *flat, derivative)
+            assert grid[0].shape == (41, 61)
+            np.testing.assert_array_equal(grid[0].ravel(), points[0])
+            if derivative:
+                np.testing.assert_array_equal(grid[1].ravel(), points[1])
+        for m in (None, 64):
+            grid, points = _symbol(model.phi, re[:, None], im[None, :], m, True), _symbol(model.phi, *flat, m, True)
+            np.testing.assert_array_equal(grid[0], points[0])
+            np.testing.assert_array_equal(grid[1], points[1])
+            np.testing.assert_array_equal(_symbol(model.phi, re[:, None], im[None, :], m)[0], points[0])
 
     @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
     def test_newton_polish_of_a_seed_alone_equals_it_among_others(self, name):
@@ -359,8 +384,8 @@ class TestUpperHalfPlane:
         model = {**HALF_PLANE_MODELS, **SPLIT_MODELS, **COUPLED_MODELS}[name]()
         rng = np.random.default_rng(22)
         lams = rng.uniform(-3.0, 1.0, 50) + 1j * rng.uniform(0.05, 9.0, 50)
-        L, D = _log_det(model, lams)
-        conj_L, conj_D = _log_det(model, np.conj(lams))
+        L, D = _log_det(model, lams.real, lams.imag)
+        conj_L, conj_D = _log_det(model, lams.real, -lams.imag)
         np.testing.assert_allclose(conj_L, L, rtol=1e-12)
         np.testing.assert_allclose(conj_D, np.conj(D), rtol=1e-12)
 
@@ -398,9 +423,9 @@ class TestUpperHalfPlane:
         calls = []
         log_det = dl.spectral._log_det
 
-        def counted(model, lams, derivative=True):
-            calls.append((np.array(lams).ravel(), derivative))
-            return log_det(model, lams, derivative)
+        def counted(model, re, im, derivative=True):
+            calls.append(((np.asarray(re) + 1j * np.asarray(im)).ravel(), derivative))
+            return log_det(model, re, im, derivative)
 
         monkeypatch.setattr(dl.spectral, "_log_det", counted)
         dl.find_roots(model, region)
@@ -514,7 +539,7 @@ class TestGridPaths:
         x = np.array([0.8, -1.3])
         nodes = -1.0 + np.arange(m + 1) / m
         for lam in (0.3 + 1.7j, -1.2 - 0.4j, 2.0):
-            got = _as_matrices(_symbol(phi, [lam], m)[0], 2)[0] @ x
+            got = _as_matrices(_symbol(phi, np.real(lam), np.imag(lam), m)[0], 2)[0] @ x
             want = self.reference(phi, HistoryGrid(np.exp(lam * nodes)[:, None] * x, 2.0))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
