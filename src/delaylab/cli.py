@@ -11,6 +11,7 @@ result, 4 violated precondition (including work-budget rejections).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -173,7 +174,11 @@ def cmd_reproduce_rd(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The six-command parser, built on the first call and then shared:
+    ``parse_args`` returns a fresh namespace and leaves the parser as it
+    was, so one build serves every ``main`` call of the process."""
     parser = argparse.ArgumentParser(
         prog="delaylab",
         description="Delay-equation experiments: solve, locate characteristic roots, "

@@ -176,12 +176,17 @@ def _char_matrix_stack(model: SystemModel, lams: np.ndarray, t: np.ndarray) -> n
     return lams[:, None, None] * np.eye(model.n) - model.A.matrix - _as_matrices(t, model.n)
 
 
-def _log_det(model: SystemModel, re, im, derivative: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
+def _log_det(
+    model: SystemModel, re, im, derivative: bool = True, level: bool = True
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """L = log|det M(lam)| = Re log det M(lam) and D = d/dlam log det M(lam)
     = tr(M^-1 M') for every lam = re + i im of the grid the two real parts
     broadcast to (``functional._grid``: an (R, 1) and a (1, C) part give an
     R x C grid, two lists a list), M(lam) = lam - A - T(lam); arrays of
-    the grid's shape, D None unless ``derivative``.
+    the grid's shape, L None unless ``level`` and D None unless
+    ``derivative``.  Without ``level`` a split model skips the n
+    logarithms per lam of L; the slogdet path computes L all the same, as
+    its D reads where L is finite.  D is the same bits either way.
 
     When the model splits (``SystemModel.decoupled``) det M = prod_k g_k,
     g_k = lam - T_k(lam) - mu_k, so L = sum_k log|g_k| and D = sum_k (1 -
@@ -197,9 +202,9 @@ def _log_det(model: SystemModel, re, im, derivative: bool = True) -> tuple[np.nd
     """
     re, im, shape = _grid(re, im)
     n = model.n
-    L = np.empty(math.prod(shape))
-    D = np.empty(L.shape, dtype=complex) if derivative else None
     split = model.decoupled
+    L = np.empty(math.prod(shape)) if level or split is None else None
+    D = np.empty(math.prod(shape), dtype=complex) if derivative else None
     diag = None if split is None else split[3]
     offsets = None if diag is None else _atoms(model.phi).offsets
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -214,7 +219,8 @@ def _log_det(model: SystemModel, re, im, derivative: bool = True) -> tuple[np.nd
                 tp = np.einsum("wi,ik->wk", profile * offsets, diag) if derivative else None
             if split is not None:
                 gaps = (lam[:, None] - t.reshape(len(lam), -1)) - (model.A.spectrum() if diag is None else split[0])
-                L[points] = np.log(np.abs(gaps)).sum(axis=1)
+                if L is not None:
+                    L[points] = np.log(np.abs(gaps)).sum(axis=1)
                 if derivative:
                     D[points] = ((1.0 - tp.reshape(len(lam), -1)) / gaps).sum(axis=1)
                 continue
@@ -223,9 +229,9 @@ def _log_det(model: SystemModel, re, im, derivative: bool = True) -> tuple[np.nd
             if derivative:
                 ok = np.isfinite(L[points])
                 d = np.full(len(lam), np.nan, dtype=complex)
-                d[ok] = np.trace(np.linalg.solve(stack[ok], np.eye(n) - tp[ok]), axis1=1, axis2=2)
+                d[ok] = np.trace(np.linalg.solve(stack[ok], np.eye(n) - _as_matrices(tp[ok], n)), axis1=1, axis2=2)
                 D[points] = d
-    return L.reshape(shape), (None if D is None else D.reshape(shape))
+    return (L.reshape(shape) if level else None), (None if D is None else D.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +386,8 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
     the right edge, along the top and down the left edge to (re_min, 0),
     each leg read with its fixed coordinate as a scalar.  Trapezoid
     quadrature with 1000, 2000 and 1000 intervals: the node spacing of
-    2000 intervals per edge of the whole contour, 4003 nodes.
+    2000 intervals per edge of the whole contour, 4003 nodes.  The count
+    reads D only, so ``_log_det`` skips L where it can (``level=False``).
 
     Raises NoResultError when the boundary integral is not finite, for
     example because a root lies on the contour, and when a root lies
@@ -399,7 +406,7 @@ def count_roots_argument_principle(model: SystemModel, region: Region) -> int:
     peak = 0.0
     with np.errstate(invalid="ignore"):
         for re, im, dz in legs:
-            leg = _log_det(model, re, im)[1]
+            leg = _log_det(model, re, im, level=False)[1]
             total += dz * (0.5 * (leg[0] + leg[-1]) + leg[1:-1].sum())
             peak = max(peak, abs(dz) * float(np.max(np.abs(leg))))
     if not np.isfinite(total):
@@ -737,7 +744,11 @@ def decay_rate(traj: Trajectory, window: tuple[float, float]) -> float:
     The product state norm is sampled at up to 201 grid times inside the
     window; their segments are interpolated from the trajectory as ``segment``
     would and normed by the ``lp_norm`` rule, (m + 1) n entries each to
-    ``_batches``.  An identically zero window is rejected.
+    ``_batches``.  When every query of a batch lands on a node, (q + 1) / dt
+    a whole number (as whenever 1 / (m dt) is an integer), its rows of
+    ``traj.values`` are read as they are: the interpolant at fraction 0 is
+    the node's value up to the sign of a zero, which no norm reads.  An
+    identically zero window is rejected.
     """
     t_lo, t_hi = window
     if t_lo < 0 or t_hi <= t_lo or t_hi > traj.t_end + 1e-9:
@@ -749,10 +760,21 @@ def decay_rate(traj: Trajectory, window: tuple[float, float]) -> float:
     idx = first + (np.linspace(0, count - 1, 201).astype(int) if count > 201 else np.arange(max(count, 0)))
     ts = -1.0 + idx * traj.dt
     norms = np.linalg.norm(traj.values[idx], axis=1)
+    offsets = -1.0 + np.arange(traj.m + 1) / traj.m
+    # no query lands on a node unless every offset is a whole number of steps
+    steps = (offsets + 1.0) / traj.dt
+    on_grid = np.array_equal(steps, np.rint(steps))
     for sl in _batches(len(idx), (traj.m + 1) * traj.n):
-        queries = (ts[sl, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)).ravel()
-        segments = interp_uniform(traj.values, -1.0, traj.dt, queries).reshape(-1, traj.m + 1, traj.n)
-        norms[sl] += _lp_norms(segments, traj.p)
+        queries = (ts[sl, None] + offsets).ravel()
+        rows = None
+        if on_grid:
+            # the node positions interp_uniform computes, (q - left) / dx with left = -1
+            pos = (queries + 1.0) / traj.dt
+            if np.array_equal(pos, np.rint(pos)) and 0 <= pos.min() and pos.max() < len(traj.values):
+                rows = traj.values[pos.astype(np.intp)]
+        if rows is None:
+            rows = interp_uniform(traj.values, -1.0, traj.dt, queries)
+        norms[sl] += _lp_norms(rows.reshape(-1, traj.m + 1, traj.n), traj.p)
     if np.max(norms) == 0.0:
         raise PreconditionError("trajectory vanishes on the whole window")
     keep = norms > 0

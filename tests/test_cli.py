@@ -11,7 +11,7 @@ import pytest
 from scipy.special import lambertw
 
 import delaylab as dl
-from delaylab.cli import main
+from delaylab.cli import build_parser, main
 from delaylab.scenario_io import load_scenario, parse_scenario, scenario_to_dict
 from delaylab.spectral import _log_det
 
@@ -498,6 +498,20 @@ def assert_rebuilt_bit_for_bit(scenario, again):
     lams = np.array([0.3 + 1.0j, -0.5 + 2.0j, 1.5])
     (la, da), (lb, db) = _log_det(a, lams.real, lams.imag), _log_det(b, lams.real, lams.imag)
     assert same_bits(la, lb) and same_bits(da, db)
+
+
+class TestOneParserPerProcess:
+    def test_reused_parser_carries_nothing_between_calls(self, tmp_path, capsys):
+        # a report, a refused option, another command, then the first report again
+        rd = str(ROOT / "scenarios" / "reaction_diffusion_cantor.json")
+        assert main(["spectrum", "--scenario", rd, "--out", str(tmp_path / "first")]) == 0
+        assert main(["stability", "--scenario", rd, "--out", str(tmp_path / "refused"), "--count", "1"]) == 4
+        assert capsys.readouterr().err.startswith("precondition violated:")
+        assert main(["solve", "--scenario", rd, "--out", str(tmp_path / "solve")]) == 0
+        assert main(["spectrum", "--scenario", rd, "--out", str(tmp_path / "again")]) == 0
+        for name in ("roots.json", "roots.csv"):
+            assert (tmp_path / "first" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+        assert build_parser() is build_parser()
 
 
 class TestScenarioRoundTrip:

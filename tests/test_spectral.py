@@ -9,7 +9,7 @@ import pytest
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid, history, spectral
 from delaylab.functional import _symbol
-from delaylab.history import interp_uniform
+from delaylab.history import _lp_norms, interp_uniform
 from delaylab.spectral import _char_matrix_stack, _log_det, _newton_polish
 from delaylab.scenario_io import load_scenario, write_table
 from reference_loops import (
@@ -423,13 +423,13 @@ class TestUpperHalfPlane:
         calls = []
         log_det = dl.spectral._log_det
 
-        def counted(model, re, im, derivative=True):
-            calls.append(((np.asarray(re) + 1j * np.asarray(im)).ravel(), derivative))
-            return log_det(model, re, im, derivative)
+        def counted(model, re, im, **kwargs):
+            calls.append(((np.asarray(re) + 1j * np.asarray(im)).ravel(), kwargs))
+            return log_det(model, re, im, **kwargs)
 
         monkeypatch.setattr(dl.spectral, "_log_det", counted)
         dl.find_roots(model, region)
-        scans = [lams for lams, derivative in calls if not derivative]
+        scans = [lams for lams, kwargs in calls if not kwargs.get("derivative", True)]
         assert len(scans) == 1
         assert scans[0].size == 41 * (im_count - im_count // 2)
         assert scans[0].imag.min() == 0.0 if im_count % 2 else scans[0].imag.min() > 0.0
@@ -437,6 +437,22 @@ class TestUpperHalfPlane:
         dl.count_roots_argument_principle(model, region)
         assert sum(lams.size for lams, _ in calls) == 4003
         assert all(lams.imag.min() >= 0.0 for lams, _ in calls)
+        # the count reads D only
+        assert calls and all(kwargs == {"level": False} for _, kwargs in calls)
+
+    @pytest.mark.parametrize("path", ["as built", "slogdet"])
+    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS))
+    def test_log_derivative_does_not_read_the_level(self, monkeypatch, name, path):
+        if path == "slogdet":
+            monkeypatch.setattr(dl.SystemModel, "decoupled", property(lambda self: None))
+        model = HALF_PLANE_MODELS[name]()
+        t, u = np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 2001)
+        # the count's three legs on (-3, 1, 8): up the right edge, along the top, down the left edge
+        for re, im in ((1.0, 8.0 * t), (1.0 - 4.0 * u, 8.0), (-3.0, 8.0 - 8.0 * t)):
+            L, D = _log_det(model, re, im)
+            no_L, same_D = _log_det(model, re, im, level=False)
+            assert L is not None and no_L is None
+            assert np.array_equal(same_D.view(np.int64), D.view(np.int64))  # bit for bit, NaNs included
 
 
 class TestResolvent:
@@ -846,6 +862,21 @@ class TestMiyaderaEstimate:
                 dl.miyadera_estimate(model, 0.25, samples=1, **sizes)
 
 
+def interpolated_decay_rate(traj, window):
+    """``decay_rate`` with every segment interpolated through ``interp_uniform``,
+    in one batch; ``decay_rate`` reads the segments off the nodes when they lie on them."""
+    times = traj.times
+    idx = np.flatnonzero((times >= window[0] - 1e-12) & (times <= window[1] + 1e-12))
+    if len(idx) > 201:
+        idx = idx[np.linspace(0, len(idx) - 1, 201).astype(int)]
+    ts = -1.0 + idx * traj.dt
+    queries = (ts[:, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)).ravel()
+    segments = interp_uniform(traj.values, -1.0, traj.dt, queries).reshape(-1, traj.m + 1, traj.n)
+    norms = np.linalg.norm(traj.values[idx], axis=1) + _lp_norms(segments, traj.p)
+    keep = norms > 0
+    return float(np.polyfit(ts[keep], np.log(norms[keep]), 1)[0])
+
+
 class TestDecayRate:
     def test_exact_exponential(self):
         dt = 1e-3
@@ -866,6 +897,27 @@ class TestDecayRate:
         window = (traj.t_end / 2.0, traj.t_end)
         want = reference_decay_rate(traj, window)
         assert dl.decay_rate(traj, window) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name", ["scalar_single_delay", "reaction_diffusion_cantor", "random_T20"])
+    def test_node_reads_equal_the_interpolated_slope(self, name):
+        # dt = 2^-10 and m = 64 put every query of the RD runs on a node; the
+        # scalar scenario (dt = 1e-3, m = 100) interpolates
+        if name == "random_T20":
+            model = load_scenario(SCENARIOS / "reaction_diffusion_cantor.json").model
+            traj = dl.solve_steps(model, dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(31)), 20.0)
+        else:
+            scenario = load_scenario(SCENARIOS / f"{name}.json")
+            traj = dl.solve_steps(scenario.model, scenario.initial, scenario.run.T, scenario.run.dt)
+        window = (traj.t_end / 2.0, traj.t_end)
+        assert dl.decay_rate(traj, window) == interpolated_decay_rate(traj, window)
+
+    def test_queries_between_nodes_are_interpolated(self):
+        # m = 100 at dt = 2^-10: 1 / (m dt) = 10.24, so most queries fall between nodes
+        rd = load_scenario(SCENARIOS / "reaction_diffusion_cantor.json").model
+        model = dl.SystemModel(rd.A, rd.phi, 2.0)
+        traj = dl.solve_steps(model, dl.random_compatible_state(15, 100, 2.0, np.random.default_rng(32)), 6.0, 2.0**-10)
+        assert traj.m == 100
+        assert dl.decay_rate(traj, (3.0, 6.0)) == pytest.approx(reference_decay_rate(traj, (3.0, 6.0)), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("size", [1, 10**9])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
