@@ -5,7 +5,8 @@ One subcommand per experiment; every command reads a JSON scenario (except
 into the ``--out`` directory, and keeps all randomness behind ``--seed``.
 
 Exit codes: 0 ok, 1 scenario parse error, 2 numerical blow-up, 3 empty
-result, 4 violated precondition (including work-budget rejections).
+result, 4 violated precondition (including work-budget rejections and
+usage errors: a missing, unknown or malformed option).
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def cmd_dyson(args) -> int:
 
 
 def cmd_reproduce_rd(args) -> int:
-    lam1 = abs(dirichlet_lambda1(args.n))
+    lam1 = float(abs(dirichlet_lambda1(args.n)))
     if not 0.0 <= args.decay_horizon < np.inf:
         raise PreconditionError(f"decay horizon must be finite and nonnegative, got {args.decay_horizon}")
     c_min = args.c_min if args.c_min is not None else 0.5 * lam1
@@ -174,12 +175,26 @@ def cmd_reproduce_rd(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """A command line that the parser refuses; its usage line is already on stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors leave ``main`` with code 4: argparse's
+    own exit code 2 is the code of a numerical blow-up.  ``add_subparsers``
+    makes the subcommand parsers of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The six-command parser, built on the first call and then shared:
     ``parse_args`` returns a fresh namespace and leaves the parser as it
     was, so one build serves every ``main`` call of the process."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delaylab",
         description="Delay-equation experiments: solve, locate characteristic roots, "
         "certify stability, and reproduce the reaction-diffusion threshold.",
@@ -243,7 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 4
     try:
         return args.handler(args)
     except ScenarioError as exc:

@@ -12,9 +12,8 @@ import pytest
 
 import delaylab as dl
 from delaylab import DelayState, HistoryGrid
+from models import CANTOR_POINTS, ZOO
 from reference_loops import cantor_transform_recursive, series_head
-
-CANTOR_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0j, 1.0 + 5.0j]
 
 
 def _report(name, detail):
@@ -85,27 +84,13 @@ def test_criterion_2_certificate_soundness():
     _report("2 certificate soundness", f"{held}/10 certified, 0 root violations")
 
 
-def _resolvent_models():
-    rng = np.random.default_rng(7)
-    scalar_cantor = dl.SystemModel(dl.scalar_operator(-2.0), dl.CantorKernel(0.5), 2.0)
-    b1, b2 = rng.standard_normal((3, 3)) * 0.3, rng.standard_normal((3, 3)) * 0.2
-    three_dim = dl.SystemModel(
-        dl.SpatialOperator(rng.standard_normal((3, 3)) * 0.4 - np.eye(3)),
-        dl.DiscreteDelays(np.stack([b1, b2]), np.array([-1.0, -0.37])),
-        2.0,
-    )
-    nodes = -1.0 + np.arange(65) / 64
-    kernel = dl.DensityKernel(np.exp(nodes)[:, None, None] * (0.3 * rng.standard_normal((2, 2))))
-    density = dl.SystemModel(dl.SpatialOperator(np.diag([-1.0, -2.0])), kernel, 2.0)
-    rd = dl.reaction_diffusion_scenario(8, 0.3 * abs(dl.dirichlet_lambda1(8)))
-    return [scalar_cantor, three_dim, density, rd]
-
-
 def test_criterion_3_resolvent_formula():
     rng = np.random.default_rng(99)
     m = 256
     worst = 0.0
-    for model in _resolvent_models():
+    # the draws run on through the models in this order
+    for name in ("scalar_-2_cantor0.5", "random3_delays", "diagonal2_random_density", "rd8_c0.3lam1"):
+        model = ZOO[name].build()
         roots = dl.find_roots(model, dl.Region(-8.0, 3.0, 6.0), spacing=0.1).roots
         checked = 0
         while checked < 20:
@@ -210,19 +195,10 @@ def test_criterion_6_scalar_calibration():
 
 
 def test_criterion_7_growth_rate_matches_resolvent_bound():
-    cases = [
-        (dl.scalar_dde(0.0, -1.0), -0.05),
-        (dl.scalar_dde(-1.0, 0.3), 0.0),
-        (dl.reaction_diffusion_scenario(9, 0.5 * abs(dl.dirichlet_lambda1(9))), 0.0),
-        (
-            dl.SystemModel(
-                dl.diagonal_operator([-1.0, -3.0]), dl.single_delay(0.25 * np.eye(2), -1.0), 2.0
-            ),
-            0.0,
-        ),
-    ]
+    alphas = {"scalar_single_delay": -0.05, "scalar_-1_0.3": 0.0, "rd9_c0.5lam1": 0.0, "diagonal_1_3_identity_delay": 0.0}
     gaps = []
-    for model, alpha in cases:
+    for name, alpha in alphas.items():
+        model = ZOO[name].build()
         report, _ = dl.stability_criterion(model, alpha, horizon=40.0, seed=11)
         assert report.p == 2.0
         assert report.s0_estimate is not None and report.omega0_estimate is not None

@@ -431,6 +431,30 @@ class TestReproduceRdCommand:
         assert code == 3
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["solve", "--out"], "the following arguments are required: --scenario"),
+            (["reproduce-rd", "--n", "abc", "--out"], "argument --n: invalid int value: 'abc'"),
+            (["reproduce-rd", "--bogus", "1", "--out"], "unrecognized arguments: --bogus 1"),
+        ],
+        ids=["missing_scenario", "non_integer_n", "unknown_option"],
+    )
+    def test_exit_4_not_the_blowup_code(self, tmp_path, capsys, argv, message):
+        assert main(argv + [str(tmp_path / "o")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: delaylab") and err.endswith(f": error: {message}\n")
+        assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+
+    def test_reproduce_rd_range_message_names_plain_numbers(self, tmp_path, capsys):
+        assert main(["reproduce-rd", "--out", str(tmp_path / "o"), "--n", "15", "--c-min", "-1"]) == 4
+        assert capsys.readouterr().err == "precondition violated: need 0 < c_lo < c_hi < inf, got (-1.0, 14.756904650319015)\n"
+
+
 class TestOutOfRangeOptions:
     @pytest.mark.parametrize(
         "command,options",

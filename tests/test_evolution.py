@@ -20,15 +20,13 @@ from reference_loops import (
     series_head,
     stepped_state,
 )
-from split_models import COUPLED_MODELS, SPLIT_MODELS
-from split_models import rotation_operator as _rotation_operator
+from models import ZOO, named, rotation_operator, select
 
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def empty_functional():
-    return dl.DiscreteDelays(np.zeros((0, 0, 0)), np.zeros(0))
+empty_functional = ZOO["empty"].build
 
 
 def constant_state(value, m=100, p=2.0):
@@ -103,24 +101,19 @@ class TestSpatialOperator:
 
     @pytest.mark.parametrize("name", ["scalar", "symmetric", "rotation", "double_pair"])
     def test_modes_are_an_orthonormal_eigenbasis(self, name):
-        rng = np.random.default_rng(4)
-        sym = rng.standard_normal((4, 4))
-        # double_pair: Q kron(I_2, R) Q^T, the pair -0.01 +- 3.73i twice;
-        # eig's basis of the double eigenspaces is not orthonormal
-        q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
-        double_pair = q @ np.kron(np.eye(2), [[-0.01, 3.73], [-3.73, -0.01]]) @ q.T
+        sym = np.random.default_rng(4).standard_normal((4, 4))
         a = {
             "scalar": np.array([[-0.7]]),
             "symmetric": sym + sym.T,
-            "rotation": _rotation_operator().matrix,
-            "double_pair": double_pair,
+            "rotation": rotation_operator().matrix,
+            "double_pair": ZOO["double_pair_delay"].build().A.matrix,
         }[name]
         mu, q = dl.SpatialOperator(a).modes()
         np.testing.assert_allclose(q.conj().T @ q, np.eye(len(a)), rtol=0, atol=1e-12)
         np.testing.assert_allclose((q * mu) @ q.conj().T, a, rtol=0, atol=1e-12)
 
     def test_non_normal_operator_has_no_modes(self):
-        op = _nonnormal_operator()
+        op = ZOO["non_normal3_cantor"].build().A
         assert op.modes() is None
         np.testing.assert_allclose(op.expm(0.7), scipy.linalg.expm(0.7 * op.matrix), atol=1e-12)
 
@@ -142,7 +135,7 @@ class TestSpatialOperator:
     @pytest.mark.parametrize("name", ["scalar", "symmetric", "rotation"])
     def test_expm_norm_of_modes_matches_svd(self, name):
         sym = np.random.default_rng(4).standard_normal((4, 4))
-        a = {"scalar": np.array([[-0.7]]), "symmetric": sym + sym.T, "rotation": _rotation_operator().matrix}[name]
+        a = {"scalar": np.array([[-0.7]]), "symmetric": sym + sym.T, "rotation": rotation_operator().matrix}[name]
         op = dl.SpatialOperator(a)
         assert op.modes() is not None
         times = np.linspace(0.0, 1.0, 1000)
@@ -179,24 +172,15 @@ class TestSpatialOperator:
         np.testing.assert_allclose(stack, [np.eye(5), scipy.linalg.expm(0.9 * a)], atol=1e-10)
 
 
-# models of every size: the default step is the same for each
-DEFAULT_STEP_MODELS = {
-    "scalar": lambda: dl.scalar_dde(0.0, -1.0),
-    **{f"rd{n}": (lambda n=n: dl.reaction_diffusion_scenario(n, 0.0)) for n in (1, 2, 15, 31, 63, 127)},
-    # the n = 31 Laplacian built from its entries alone, without tags
-    "untagged31": lambda: dl.SystemModel(dl.SpatialOperator(dl.laplacian_dirichlet_1d(31).matrix), dl.CantorKernel(1.0)),
-}
-
-
 class TestSystemModel:
     def test_dimension_agreement_enforced(self):
         with pytest.raises(ValueError):
             dl.SystemModel(dl.scalar_operator(-1.0), dl.single_delay(np.eye(2), -1.0), 2.0)
 
-    @pytest.mark.parametrize("name", sorted(DEFAULT_STEP_MODELS))
+    @pytest.mark.parametrize("name", sorted(select()))
     def test_default_step_is_fixed(self, name):
         # exp(dt A) is applied exactly, so the step does not shrink with ||A||
-        model = DEFAULT_STEP_MODELS[name]()
+        model = ZOO[name].build()
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(0))
         assert DEFAULT_DT == 2.0**-10
         assert dl.solve_steps(model, init, 0.01).dt == DEFAULT_DT
@@ -253,44 +237,19 @@ class TestSolveSteps:
             dl.solve_steps(ode_model(40.0), constant_state(1.0), 1.0, 1e-3)
 
 
-def _coupled_operator():
-    return dl.SpatialOperator(np.array([[-0.5, 0.3], [0.2, -0.8]]))
-
-
-def _coupling():
-    return np.array([[0.4, -0.6], [0.3, 0.2]])
-
-
-def _density_kernel():
-    # K(sigma) commutes neither with A nor with K at other nodes
-    sigma = -1.0 + np.arange(41) / 40
-    return dl.DensityKernel(
-        np.array([[[0.5 * np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3 * np.sin(2.0 * s)]] for s in sigma])
-    )
-
-
-RECURRENCE_CASES = {
-    "aligned_delay": lambda: (dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -0.3)), 1e-3),
-    "off_grid_delay": lambda: (dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -0.3337)), 1e-3),
-    "sub_step_delay": lambda: (dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -1e-3 / 3)), 1e-3),
-    "folded_atom": lambda: (
-        dl.SystemModel(
-            _coupled_operator(), dl.DiscreteDelays(np.stack([_coupling(), 0.5 * _coupling().T]), np.array([0.0, -1.0]))
-        ),
-        1e-3,
-    ),
-    "density_kernel": lambda: (dl.SystemModel(_coupled_operator(), _density_kernel()), 1e-3),
-    "cantor_n15": lambda: (dl.reaction_diffusion_scenario(15, 4.9), None),
-}
+#: the non-normal 2 x 2 operator with weights that couple, at a delay on the
+#: grid, off it, inside the first step, at zero and in a density; and the
+#: n = 15 Cantor kernel, at the default step
+RECURRENCE = named("nn2_delay_0.3", "nn2_delay_0.3337", "nn2_sub_step", "nn2_atom_at_zero", "nn2_density", "rd15_c4.9")
+RECURRENCE_DT = {"rd15_c4.9": DEFAULT_DT}
 
 
 class TestStepRecurrence:
     """The assembled recurrence against the stage-by-stage sweep."""
 
-    @pytest.mark.parametrize("case", sorted(RECURRENCE_CASES))
-    def test_matches_stage_by_stage_sweep(self, case):
-        model, dt = RECURRENCE_CASES[case]()
-        dt = dt or DEFAULT_DT
+    @pytest.mark.parametrize("name", sorted(RECURRENCE))
+    def test_matches_stage_by_stage_sweep(self, name):
+        model, dt = ZOO[name].build(), RECURRENCE_DT.get(name, 1e-3)
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(5))
         got = dl.solve_steps(model, init, 2.0, dt).values
         want = reference_etd2_solve_steps(model, init, 2.0, dt).values
@@ -307,9 +266,9 @@ class TestStepRecurrence:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max()
 
-    @pytest.mark.parametrize("model", [ode_model(40.0), dl.scalar_dde(30.0, 2.0)])
-    def test_blowup_guard_reports_the_reference_time(self, model):
-        init = constant_state(1.0)
+    @pytest.mark.parametrize("name", sorted(select("blows_up", "discrete")))
+    def test_blowup_guard_reports_the_reference_time(self, name):
+        model, init = ZOO[name].build(), constant_state(1.0)
         with pytest.raises(dl.BlowUpError) as got:
             dl.solve_steps(model, init, 3.0, 1e-3)
         with pytest.raises(dl.BlowUpError) as want:
@@ -318,42 +277,14 @@ class TestStepRecurrence:
 
 
 
-def _frontier_model(basis, offsets):
-    """One point mass per offset, with weights that step in ``basis``:
-    scalars shared by the modes, polynomials in A (one weight per mode), or
-    matrices that couple the components."""
-    c = 0.5 * np.cos(np.arange(1.0, len(offsets) + 1.0))
-    if basis == "modal":
-        A, mats = dl.diagonal_operator([-1.0, -2.5, 0.3]), c[:, None, None] * np.eye(3)
-    elif basis == "per_mode":
-        A = dl.laplacian_dirichlet_1d(5)
-        mats = c[:, None, None] * np.eye(5) + (0.3 + c)[:, None, None] * A.matrix / 36.0
-    else:
-        A, mats = _coupled_operator(), c[:, None, None] * _coupling() + (1.0 - c)[:, None, None] * _coupling().T
-    return dl.SystemModel(A, dl.DiscreteDelays(mats, np.array(offsets)))
-
-
-#: offsets as functions of dt at the split between atoms whose end-of-step
-#: read is the stage-0 read one node later and frontier atoms, whose read
-#: extrapolates: an atom within one step of the frontier, atoms 1e-12 either
-#: side of that step's edge and of a grid node, and a point mass at 0 (folded
-#: into A) next to a sub-step atom
-FRONTIER_CASES = {
-    "sub_step": lambda dt: [-dt / 3.0, -0.6],
-    "one_step_noise": lambda dt: [-dt + 1e-12, -dt - 1e-12, -0.45],
-    "grid_node_noise": lambda dt: [-300.0 * dt + 1e-12, -300.0 * dt - 1e-12, -0.45],
-    "folded_zero_and_sub_step": lambda dt: [0.0, -dt / 3.0, -0.8],
-}
-
-
 class TestFrontierReads:
     """Atoms whose end-of-step read extrapolates past the frontier, against the stage-by-stage sweep."""
 
-    @pytest.mark.parametrize("dt", [1e-3, DEFAULT_DT])
-    @pytest.mark.parametrize("basis", ["modal", "per_mode", "matrix"])
-    @pytest.mark.parametrize("case", sorted(FRONTIER_CASES))
-    def test_matches_stage_by_stage_sweep(self, case, basis, dt, caplog):
-        model = _frontier_model(basis, FRONTIER_CASES[case](dt))
+    @pytest.mark.parametrize("name", sorted(select("frontier")))
+    def test_matches_stage_by_stage_sweep(self, name, caplog):
+        # each model is built for the step its name ends in
+        model, dt = ZOO[name].build(), DEFAULT_DT if name.endswith("2^-10") else 1e-3
+        basis = "matrix" if "matrix" in ZOO[name].tags else "modal"
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(14))
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             got = dl.solve_steps(model, init, 2.0, dt).values
@@ -377,46 +308,23 @@ class TestPhiFunctions:
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
-def _nonnormal_operator():
-    return dl.SpatialOperator(np.array([[-1.0, 2.0, 0.0], [0.0, -0.5, 1.0], [0.0, 0.0, -2.0]]))
-
-
-def _advection_diffusion_operator(n=15, v=20.0):
-    # central-difference drift on the Dirichlet Laplacian: non-normal, with
-    # an eig basis of condition number about 3.1e4 at n = 15, v = 20
-    h = 1.0 / (n + 1)
-    drift = (np.diag(np.ones(n - 1), 1) - np.diag(np.ones(n - 1), -1)) / (2.0 * h)
-    return dl.SpatialOperator(dl.laplacian_dirichlet_1d(n).matrix + v * drift)
-
-
-# model, dt, horizon and the basis that solve_steps must step in
-MODAL_CASES = {
-    "cantor_rotation": lambda: (dl.SystemModel(_rotation_operator(), dl.CantorKernel(0.8)), 1e-3, 2.0, "modal"),
-    "empty_diagonal": lambda: (
-        dl.SystemModel(dl.diagonal_operator([-1.0, -2.5, 0.3]), empty_functional()), 1e-3, 2.0, "modal"
-    ),
-    "scalar_capped_block": lambda: (dl.scalar_dde(-0.3, -0.8), 1e-3, 3.0, "modal"),
-    "cantor_non_normal": lambda: (dl.SystemModel(_nonnormal_operator(), dl.CantorKernel(0.6)), 1e-3, 2.0, "modal"),
-    "cantor_advection": lambda: (
-        dl.SystemModel(_advection_diffusion_operator(), dl.CantorKernel(50.0)), 1.0 / 1024, 2.0, "modal"
-    ),
-    "scaled_identity_delay": lambda: (
-        dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.single_delay(0.9 * np.eye(7), -1.0)), 1e-3, 2.0, "modal"
-    ),
-    # weights diagonal in the eigenbasis of A, one per mode
-    "delayed_diffusion": lambda: (SPLIT_MODELS["delayed_diffusion"](), 1.0 / 1024, 2.0, "modal"),
-    "rotation_commuting_delays": lambda: (SPLIT_MODELS["rotation_commuting_delays"](), 1e-3, 2.0, "modal"),
-    "commuting_density": lambda: (SPLIT_MODELS["commuting_density"](), 1e-3, 2.0, "modal"),
-    "commuting_atom_at_zero": lambda: (SPLIT_MODELS["commuting_atom_at_zero"](), 1e-3, 2.0, "modal"),
+#: models with scalar weights (Cantor kernels on a normal A, a non-normal one and
+#: an advection operator with cond(V) = 3.1e4, no delay, one dimension, 0.9 Id at
+#: n = 7) and with weights diagonal in the eigenbasis of A, one per mode
+MODAL = {
+    **named("rotation_cantor", "diagonal3_no_delay", "scalar_-0.3_-0.8", "non_normal3_cantor", "advection_cantor", "scaled_identity"),
+    **select("split", "-frontier"),
 }
+#: dt and horizon where they are not 1e-3 and 2
+MODAL_RUNS = {"scalar_-0.3_-0.8": (1e-3, 3.0), "advection_cantor": (1.0 / 1024, 2.0), "delayed_diffusion": (1.0 / 1024, 2.0)}
 
 
 class TestModalStepping:
     """Stepping in the eigenbasis of A against the stage-by-stage sweep."""
 
-    @pytest.mark.parametrize("case", sorted(MODAL_CASES))
-    def test_matches_stage_by_stage_sweep(self, case, caplog):
-        model, dt, horizon, basis = MODAL_CASES[case]()
+    @pytest.mark.parametrize("name", sorted(MODAL))
+    def test_matches_stage_by_stage_sweep(self, name, caplog):
+        model, (dt, horizon), basis = ZOO[name].build(), MODAL_RUNS.get(name, (1e-3, 2.0)), "modal"
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(6))
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             got = dl.solve_steps(model, init, horizon, dt).values
@@ -426,25 +334,21 @@ class TestModalStepping:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     def test_blowup_message_matches_reference(self):
-        init = dl.random_compatible_state(2, 64, 2.0, np.random.default_rng(7))
         # an orthonormal basis, and one that is not; the guard is checked once
         # per unit of time (blocks of 141 steps, so after 1128, 2256 and 3384
-        # steps) and at the horizon: the last three trip at t = 0.727, inside
-        # the first check, and at t = 3.352, inside the third and, with the
-        # horizon at 3.36, inside the final partial one
-        cases = [
-            (np.diag([2.0, 9.0]), 4.0),
-            (np.array([[2.0, 5.0], [0.0, 9.0]]), 4.0),
-            (np.diag([2.0, 40.0]), 4.0),
-            (np.diag([2.0, 8.0]), 3.5),
-            (np.diag([2.0, 8.0]), 3.36),
-        ]
-        runs = [(dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(3.0)), init, horizon, 1e-3) for a, horizon in cases]
-        # the shipped n = 15 scenario at c = 40, rightmost root +3.49, from the
-        # state of `stability --seed 42`: the guard trips at t = 8.447, inside a
-        # block of 51 steps that the lags 15, 16, 31, 32, 47 and 48 act in
-        rd = dl.reaction_diffusion_scenario(15, 40.0)
-        runs.append((rd, dl.random_compatible_state(15, 64, 2.0, np.random.default_rng(42)), 10.0, DEFAULT_DT))
+        # steps) and at the horizon: diag(2, 40) trips at t = 0.727, inside
+        # the first check, and diag(2, 8) at t = 3.352, inside the third and,
+        # with the horizon at 3.36, inside the final partial one.  The shipped
+        # n = 15 scenario at c = 40, from the state of `stability --seed 42`,
+        # trips at t = 8.447, inside a block of 51 steps that the lags 15, 16,
+        # 31, 32, 47 and 48 act in
+        horizons = {"diagonal_2_8_cantor3": (3.5, 3.36), "rd15_c40": (10.0,)}
+        runs = []
+        for name, build in select("blows_up", "cantor").items():
+            model = build()
+            state = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(42 if name == "rd15_c40" else 7))
+            dt = DEFAULT_DT if name == "rd15_c40" else 1e-3
+            runs += [(model, state, horizon, dt) for horizon in horizons.get(name, (4.0,))]
         for model, state, horizon, dt in runs:
             with pytest.raises(dl.BlowUpError) as got:
                 dl.solve_steps(model, state, horizon, dt)
@@ -478,9 +382,9 @@ class TestSplitDecision:
     """``SystemModel.decoupled``, the one decision that the stepper and the
     determinant read."""
 
-    @pytest.mark.parametrize("name", sorted(SPLIT_MODELS))
+    @pytest.mark.parametrize("name", sorted(select("split", "-frontier")))
     def test_weights_are_the_diagonal_in_the_eigenbasis(self, name):
-        model = SPLIT_MODELS[name]()
+        model = ZOO[name].build()
         split = model.decoupled
         assert split is model.decoupled
         mu, v, vinv, diag = split
@@ -492,9 +396,9 @@ class TestSplitDecision:
             with pytest.raises(ValueError):
                 arr[0] *= 2.0
 
-    @pytest.mark.parametrize("name", sorted(COUPLED_MODELS))
+    @pytest.mark.parametrize("name", sorted(select("coupled", "commuting")))
     def test_coupled_models_step_on_the_matrix_path(self, name, caplog):
-        model = COUPLED_MODELS[name]()
+        model = ZOO[name].build()
         assert model.decoupled is None
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(6))
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
@@ -521,20 +425,14 @@ def _with_zero_delay(model, delay):
     )
 
 
-ZERO_DELAY_MODELS = {
-    "coupled": lambda: dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -0.3337)),
-    "delayed_diffusion": SPLIT_MODELS["delayed_diffusion"],
-}
-
-
 class TestZeroWeightDelays:
     """A delay with a zero matrix changes no reader of the functional, bit for bit."""
 
     LAMS = np.array([0.3 + 0.5j, -0.7 + 2.1j, 1.2 - 0.4j, -2.5 + 0.1j])
 
-    @pytest.mark.parametrize("name", sorted(ZERO_DELAY_MODELS))
+    @pytest.mark.parametrize("name", ["delayed_diffusion", "nn2_delay_0.3337"])
     def test_every_reader_is_bitwise_unchanged(self, name):
-        model = ZERO_DELAY_MODELS[name]()
+        model = ZOO[name].build()
         padded = _with_zero_delay(model, -0.6123)
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(12))
         np.testing.assert_array_equal(
@@ -555,7 +453,7 @@ class TestZeroWeightDelays:
         for g, w in zip(got or (), want or (), strict=True):
             np.testing.assert_array_equal(g, w)
 
-    @pytest.mark.parametrize("a", [_coupled_operator().matrix, -np.diag([1.0, 3.0])])
+    @pytest.mark.parametrize("a", [ZOO["nn2_delay_0.3"].build().A.matrix, -np.diag([1.0, 3.0])])
     def test_all_zero_delays_act_as_the_empty_functional(self, a):
         zero = dl.SystemModel(dl.SpatialOperator(a), dl.DiscreteDelays(np.zeros((2, 2, 2)), np.array([-1.0, -0.5])))
         empty = dl.SystemModel(dl.SpatialOperator(a), empty_functional())
@@ -580,62 +478,28 @@ class TestSteppingBudget:
             dl.solve_steps(dl.scalar_dde(-0.3, -0.8), constant_state(1.0), 1e12, 1e-3)
 
 
-# model, dt, horizon, history nodes m and the basis; every case steps in
-# blocks longer than its shortest lag above 1
-LONG_BLOCK_CASES = {
-    # off-grid Cantor nodes: 128 lags, the shortest above 1 is 9
-    "cantor_rd_m100": lambda: (dl.reaction_diffusion_scenario(15, 4.918968), 1.0 / 1024, 2.0, 100, "modal"),
-    "three_steps": lambda: (
-        dl.SystemModel(_coupled_operator(), dl.single_delay(_coupling(), -2e-3)), 1e-3, 3e-3, 64, "matrix"
-    ),
-    # 777 steps in blocks of 200
-    "ragged_horizon": lambda: (
-        dl.SystemModel(dl.scalar_operator(-0.3), dl.single_delay(np.array([[-0.8]]), -0.0123)), 1e-3, 0.777, 64, "modal"
-    ),
-    # the delays commute neither with A nor with each other
-    "non_commuting_two_delays": lambda: (
-        dl.SystemModel(
-            _coupled_operator(), dl.DiscreteDelays(np.stack([_coupling(), 0.5 * _coupling().T]), np.array([-0.0237, -0.61]))
-        ),
-        1e-3,
-        2.0,
-        64,
-        "matrix",
-    ),
-    "cantor_rotation_m100": lambda: (dl.SystemModel(_rotation_operator(), dl.CantorKernel(0.8)), 1e-3, 2.0, 100, "modal"),
-    "cantor_non_normal_m100": lambda: (
-        dl.SystemModel(_nonnormal_operator(), dl.CantorKernel(0.6)), 1e-3, 2.0, 100, "modal"
-    ),
+#: the models with their dt, horizon and history nodes m; every case steps in
+#: blocks longer than its shortest lag above 1.  The off-grid Cantor
+#: nodes of the shipped model at m = 100 take 128 lags, the shortest above 1 is 9,
+#: and the horizon 0.777 takes 777 steps in blocks of 200
+LONG_BLOCK_RUNS = {
+    "reaction_diffusion_cantor": (1.0 / 1024, 2.0, 100), "nn2_delay_2e-3": (1e-3, 3e-3, 64), "scalar_short_lag": (1e-3, 0.777, 64),
+    "rotation_cantor": (1e-3, 2.0, 100), "non_normal3_cantor": (1e-3, 2.0, 100), "nn2_two_delays": (1e-3, 2.0, 64),
 }
-
-
-def _ci_coupled():
-    """The coupled 2 x 2 model of the CI smoke run: a sub-step delay and one at -0.6."""
-    weights = np.array([[[0.4, -0.2], [0.1, 0.3]], [[-0.5, 0.0], [0.2, -0.1]]])
-    A = dl.SpatialOperator(np.array([[-1.0, 2.0], [-0.5, -0.3]]))
-    return dl.SystemModel(A, dl.DiscreteDelays(weights, np.array([-0.0003, -0.6])))
-
-
-# model, dt, horizon and basis; every horizon crosses at least two compactions of the rolling buffer
-ROLLING_CASES = {
-    "scalar_delay": lambda: (dl.scalar_dde(-0.3, -0.8), 1.0 / 64, 40.0, "modal"),
-    # the longest read there is: one unit, lag 1/dt
-    "unit_lag": lambda: (
-        dl.SystemModel(dl.diagonal_operator([-1.0, -2.0]), dl.single_delay(0.3 * np.eye(2), -1.0)), 0.01, 20.0, "modal"
-    ),
-    # no lags at all
-    "no_delay": lambda: (ode_model(-0.5), 1.0 / 64, 30.0, "modal"),
-    "ci_coupled": lambda: (_ci_coupled(), DEFAULT_DT, 8.0, "matrix"),
-    "cantor_rd": lambda: (dl.reaction_diffusion_scenario(15, 4.918968), 1.0 / 64, 12.0, "modal"),
+#: dt and horizon; every horizon crosses at least two compactions of the rolling buffer
+#: (a unit lag, the longest read there is, and no lags at all among them)
+ROLLING_RUNS = {
+    "scalar_-0.3_-0.8": (1.0 / 64, 40.0), "diagonal2_identity_delay": (0.01, 20.0), "ode_-0.5": (1.0 / 64, 30.0),
+    "coupled_sub_step": (DEFAULT_DT, 8.0), "reaction_diffusion_cantor": (1.0 / 64, 12.0),
 }
 
 
 class TestRollingBuffer:
     """``solve_steps`` keeps the modal state in a rolling buffer; its length changes no bit."""
 
-    @pytest.mark.parametrize("case", sorted(ROLLING_CASES))
-    def test_matches_stage_by_stage_sweep(self, case, caplog):
-        model, dt, horizon, basis = ROLLING_CASES[case]()
+    @pytest.mark.parametrize("name", sorted(ROLLING_RUNS))
+    def test_matches_stage_by_stage_sweep(self, name, caplog):
+        model, (dt, horizon), basis = ZOO[name].build(), ROLLING_RUNS[name], "modal" if "modal" in ZOO[name].tags else "matrix"
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(21))
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             got = dl.solve_steps(model, init, horizon, dt).values
@@ -647,10 +511,10 @@ class TestRollingBuffer:
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @pytest.mark.parametrize("spans", [1, 10**9])
-    @pytest.mark.parametrize("case", sorted(ROLLING_CASES))
-    def test_buffer_length_changes_no_bit(self, case, spans, monkeypatch):
+    @pytest.mark.parametrize("name", sorted(ROLLING_RUNS))
+    def test_buffer_length_changes_no_bit(self, name, spans, monkeypatch):
         # one span moves the kept rows before nearly every block; 10**9 spans hold the whole horizon
-        model, dt, horizon, _ = ROLLING_CASES[case]()
+        model, (dt, horizon) = ZOO[name].build(), ROLLING_RUNS[name]
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(22))
         want = dl.solve_steps(model, init, horizon, dt).values
         monkeypatch.setattr(evolution, "_BUFFER_SPANS", spans)
@@ -688,20 +552,13 @@ class TestRollingBuffer:
         assert extra[1] <= extra[0] + 16_384
 
 
-def _block_case(model=None, scenario=None):
-    if scenario is not None:
-        scenario = load_scenario(SCENARIOS / f"{scenario}.json")
+def _block_case(name):
+    """(model, initial state, dt): a shipped scenario's own, or a random state at the default step."""
+    if "shipped" in ZOO[name].tags:
+        scenario = load_scenario(SCENARIOS / f"{name}.json")
         return scenario.model, scenario.initial, scenario.run.dt
+    model = ZOO[name].build()
     return model, dl.random_compatible_state(model.n, 64, model.p, np.random.default_rng(28)), None
-
-
-#: name -> (model, initial state, dt): the shipped scenarios and a split and a coupled model
-BLOCK_CASES = {
-    "scalar_single_delay": lambda: _block_case(scenario="scalar_single_delay"),
-    "reaction_diffusion_cantor": lambda: _block_case(scenario="reaction_diffusion_cantor"),
-    "commuting_density": lambda: _block_case(SPLIT_MODELS["commuting_density"]()),
-    "nearly_commuting_diffusion": lambda: _block_case(COUPLED_MODELS["nearly_commuting_diffusion"]()),
-}
 
 
 class TestBlockLength:
@@ -709,11 +566,12 @@ class TestBlockLength:
     arithmetic: another one moves a trajectory at rounding level only."""
 
     @pytest.mark.parametrize("cap", [1, 1000, 200_000])
-    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-    def test_moves_the_trajectory_at_rounding_level(self, case, cap, monkeypatch):
-        # one step per block up to 115; never 10**9, which makes the whole
-        # horizon one block whose map outgrows the memory
-        model, init, dt = BLOCK_CASES[case]()
+    @pytest.mark.parametrize("name", sorted({**select("shipped"), **named("commuting_density", "nearly_commuting_diffusion")}))
+    def test_moves_the_trajectory_at_rounding_level(self, name, cap, monkeypatch):
+        # the shipped scenarios and a split and a coupled model; one step per block
+        # up to 115; never 10**9, which makes the whole horizon one block whose map
+        # outgrows the memory
+        model, init, dt = _block_case(name)
         want = dl.solve_steps(model, init, 2.0, dt).values
         monkeypatch.setattr(evolution, "_BLOCK_ENTRIES", cap)
         got = dl.solve_steps(model, init, 2.0, dt).values
@@ -724,9 +582,9 @@ class TestBlockLength:
 class TestLongBlocks:
     """Blocks in which short lags act, against the stage-by-stage sweep."""
 
-    @pytest.mark.parametrize("case", sorted(LONG_BLOCK_CASES))
-    def test_matches_stage_by_stage_sweep(self, case, caplog):
-        model, dt, horizon, m, basis = LONG_BLOCK_CASES[case]()
+    @pytest.mark.parametrize("name", sorted(LONG_BLOCK_RUNS))
+    def test_matches_stage_by_stage_sweep(self, name, caplog):
+        model, (dt, horizon, m), basis = ZOO[name].build(), LONG_BLOCK_RUNS[name], "modal" if "modal" in ZOO[name].tags else "matrix"
         init = dl.random_compatible_state(model.n, m, 2.0, np.random.default_rng(8))
         with caplog.at_level(logging.DEBUG, logger="delaylab.evolution"):
             got = dl.solve_steps(model, init, horizon, dt).values
@@ -900,15 +758,9 @@ class TestVolterraTerms:
         with pytest.raises(dl.BudgetError):
             dl.volterra_terms(model, 4000, 2.0, constant_state(1.0), 1e-3)
 
-    @pytest.mark.parametrize(
-        "model,dt",
-        [
-            (dl.scalar_dde(0.0, -1.0), 1e-3),
-            (dl.SystemModel(dl.scalar_operator(-1.0), dl.CantorKernel(0.8), 2.0), 1e-2),
-        ],
-    )
-    def test_matches_node_by_node_delay_term(self, model, dt):
-        init = dl.random_compatible_state(1, 64, 2.0, np.random.default_rng(4))
+    @pytest.mark.parametrize("name,dt", [("scalar_single_delay", 1e-3), ("scalar_-1_cantor0.8", 1e-2)])
+    def test_matches_node_by_node_delay_term(self, name, dt):
+        model, init = ZOO[name].build(), dl.random_compatible_state(1, 64, 2.0, np.random.default_rng(4))
         got = dl.volterra_terms(model, 6, 1.5, init, dt)
         want = reference_volterra_terms(model, 6, 1.5, init, dt)
         for g, w in zip(got, want, strict=True):
@@ -916,11 +768,11 @@ class TestVolterraTerms:
             np.testing.assert_allclose(g.head, w.head, rtol=0, atol=1e-12 * scale)
             np.testing.assert_allclose(g.history.samples, w.history.samples, rtol=0, atol=1e-12 * scale)
 
-    @pytest.mark.parametrize("case", sorted(MODAL_CASES))
-    def test_matches_node_by_node_in_every_basis(self, case):
+    @pytest.mark.parametrize("name", sorted(MODAL))
+    def test_matches_node_by_node_in_every_basis(self, name):
         # the recurrence runs in the eigenbasis of A whatever Phi is; the
-        # modal-stepping bound covers cond(V) = 3.1e4 of cantor_advection
-        model, dt, _, _ = MODAL_CASES[case]()
+        # modal-stepping bound covers cond(V) = 3.1e4 of advection_cantor
+        model, (dt, _) = ZOO[name].build(), MODAL_RUNS.get(name, (1e-3, 2.0))
         init = dl.random_compatible_state(model.n, 64, 2.0, np.random.default_rng(4))
         got = dl.volterra_terms(model, 4, 0.5, init, dt)
         want = reference_volterra_terms(model, 4, 0.5, init, dt)

@@ -7,9 +7,8 @@ import delaylab as dl
 from delaylab import CantorKernel, DensityKernel, DiscreteDelays, HistoryGrid, history
 from delaylab.functional import _atoms, _cantor_product, _delay_stencil, cantor_grid_weights
 from delaylab.scenarios import _cantor_coupling
+from models import CANTOR_POINTS
 from reference_loops import cantor_transform_recursive, reference_cantor_derivative, reference_cantor_transform
-
-CANTOR_CHECK_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0j, 1.0 + 5.0j]
 
 
 def cantor_product(lams, derivative=False):
@@ -233,7 +232,7 @@ class TestCantorTransform:
         vals = np.abs(dl.cantor_transform(1j * omegas))
         assert np.all(vals <= 1.0 + 1e-14)
 
-    @pytest.mark.parametrize("lam", CANTOR_CHECK_POINTS)
+    @pytest.mark.parametrize("lam", CANTOR_POINTS)
     def test_product_formula_vs_recursive_subdivision(self, lam):
         assert abs(dl.cantor_transform(lam) - cantor_transform_recursive(lam, 30)) < 1e-10
 

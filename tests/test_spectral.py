@@ -23,7 +23,7 @@ from reference_loops import (
     reference_random_compatible_state,
     reference_shift_resolvent_history,
 )
-from split_models import COUPLED_MODELS, SPLIT_MODELS
+from models import ZOO, named, select
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -34,8 +34,7 @@ def char_stack(model, lams):
     return _char_matrix_stack(model, lams, _symbol(model.phi, lams.real, lams.imag)[0])
 
 
-def empty_functional():
-    return dl.DiscreteDelays(np.zeros((0, 0, 0)), np.zeros(0))
+empty_functional = ZOO["empty"].build
 
 
 def constant_state(value, m=100, p=2.0):
@@ -102,43 +101,21 @@ class TestCharacteristicOperator:
         )
 
 
-def log_det_models():
-    """Scalar symbols (Cantor kernel at n = 15, a non-normal triangular A),
-    a matrix symbol (non-commuting 2 x 2 delays) and a scalar symbol
-    stored as a matrix (0.9 Id at n = 7)."""
-    yield dl.reaction_diffusion_scenario(15, 0.5 * abs(dl.dirichlet_lambda1(15)))
-    a = np.array([[-1.0, 2.0, -0.5], [0.0, -2.0, 3.0], [0.0, 0.0, -0.5]])
-    yield dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(0.7), 2.0)
-    b = np.array([[[0.0, 0.6], [0.0, 0.0]], [[0.0, 0.0], [-0.4, 0.3]]])
-    a = np.array([[-1.0, 0.5], [0.2, -2.0]])
-    yield dl.SystemModel(dl.SpatialOperator(a), dl.DiscreteDelays(b, np.array([-1.0, -0.3337])), 2.0)
-    yield dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.single_delay(0.9 * np.eye(7), -1.0), 2.0)
-
-
-def density_on_identity():
-    """Density kernel cos(3 sigma) Id on 17 nodes: scalar weights read through ``_contract``."""
-    sigma = -1.0 + np.arange(17) / 16
-    return dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.DensityKernel(np.cos(3.0 * sigma)[:, None, None] * np.eye(7)))
-
-
-#: name -> builder of the models on which no evaluator depends on its batches
-BATCH_MODELS = {
-    "delays": lambda: list(log_det_models())[2],
-    "scaled_identity": lambda: list(log_det_models())[3],
-    "cantor_rd": lambda: dl.reaction_diffusion_scenario(15, 4.9),
-    "density_on_identity": density_on_identity,
-    **SPLIT_MODELS,
-    **COUPLED_MODELS,
-}
+#: the models whose weights commute with A: split, or coupled all the same
+COMMUTING = select("commuting", "-frontier")
+#: those and one model of each other log det path: a matrix symbol (non-commuting
+#: 2 x 2 delays), scalar symbols stored as matrices and the Cantor product
+BATCH = {**COMMUTING, **named("coupled_delays", "scaled_identity", "density_on_identity", "rd15_c4.9")}
 
 
 class TestLogDet:
     LAMS = np.array([0.3 + 0.5j, -0.7 + 2.1j, 1.2 - 0.4j, -2.5 + 0.1j])
 
-    @pytest.mark.parametrize(
-        "model", list(log_det_models()), ids=["cantor_n15", "triangular", "delays", "scaled_identity"]
-    )
-    def test_matches_slogdet_and_difference_of_char_det(self, model):
+    # scalar symbols (Cantor kernel at n = 15, a non-normal triangular A), a matrix
+    # symbol (non-commuting 2 x 2 delays) and a scalar symbol stored as a matrix
+    @pytest.mark.parametrize("name", sorted(named("rd15_c0.5lam1", "triangular3_cantor", "coupled_delays", "scaled_identity")))
+    def test_matches_slogdet_and_difference_of_char_det(self, name):
+        model = ZOO[name].build()
         L, D = _log_det(model, self.LAMS.real, self.LAMS.imag)
         np.testing.assert_allclose(L, np.linalg.slogdet(char_stack(model, self.LAMS))[1], rtol=1e-10)
         # fourth-order central difference of the LU determinant; h balances
@@ -148,9 +125,9 @@ class TestLogDet:
         diff = (det(self.LAMS - 2 * h) - 8 * det(self.LAMS - h) + 8 * det(self.LAMS + h) - det(self.LAMS + 2 * h)) / (12 * h)
         np.testing.assert_allclose(D, diff / det(self.LAMS), rtol=1e-10)
 
-    @pytest.mark.parametrize("name", list(SPLIT_MODELS) + list(COUPLED_MODELS))
+    @pytest.mark.parametrize("name", sorted(COMMUTING))
     def test_split_models_factor_and_coupled_ones_take_slogdet(self, name, monkeypatch):
-        model = {**SPLIT_MODELS, **COUPLED_MODELS}[name]()
+        model = ZOO[name].build()
         want_L = np.log(np.abs([char_det(model, z) for z in self.LAMS]))
         # tr(M^-1 M') by LU, M' the fourth-order central difference of M(lam)
         # = lam - A - char_matrix(lam): the entries stay smooth where det
@@ -168,17 +145,17 @@ class TestLogDet:
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: calls.append(a.shape) or slogdet(a))
         L, D = _log_det(model, self.LAMS.real, self.LAMS.imag)
-        assert bool(calls) == (name in COUPLED_MODELS)
+        assert bool(calls) == ("coupled" in ZOO[name].tags)
         np.testing.assert_allclose(L, want_L, rtol=1e-10)
         np.testing.assert_allclose(D, want_D, rtol=1e-10)
 
     @pytest.mark.parametrize("size", [1, 10**9])
-    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    @pytest.mark.parametrize("name", sorted(BATCH))
     def test_does_not_depend_on_the_batch(self, name, size, monkeypatch):
         # one lam per batch, or all 900 in one, on the split paths (the Cantor
         # product, a scalar symbol, per-mode weights) and the slogdet path
-        model = BATCH_MODELS[name]()
-        assert (model.decoupled is None) == (name in COUPLED_MODELS or name == "delays")
+        model = ZOO[name].build()
+        assert (model.decoupled is None) == ("coupled" in ZOO[name].tags)
         rng = np.random.default_rng(24)
         lams = rng.uniform(-4.0, 2.0, 900) + 1j * rng.uniform(-30.0, 30.0, 900)
         want = _log_det(model, lams.real, lams.imag), _log_det(model, lams.real, lams.imag, derivative=False)[0]
@@ -189,7 +166,7 @@ class TestLogDet:
         np.testing.assert_array_equal(_log_det(model, lams.real, lams.imag, derivative=False)[0], want[1])
 
     @pytest.mark.parametrize("size", [1, 10**9])
-    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    @pytest.mark.parametrize("name", sorted(BATCH))
     def test_a_grid_equals_its_points(self, name, size, monkeypatch):
         # an R x C grid of real and imaginary parts against the same lam as a flat
         # list: log det on its three paths (shared symbol, per-mode weights,
@@ -197,7 +174,7 @@ class TestLogDet:
         # the product form and on the 64-node grid, with and without T'
         # (2501 lam: the per-mode arrays of the n = 15 models pass 256 KiB, from
         # which numpy computes a product with a temporary factor in place)
-        model = BATCH_MODELS[name]()
+        model = ZOO[name].build()
         re, im = np.linspace(-4.0, 2.0, 41), np.linspace(0.0, 30.0, 61)
         flat = [part.ravel() for part in np.broadcast_arrays(re[:, None], im[None, :])]
         monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
@@ -213,9 +190,9 @@ class TestLogDet:
             np.testing.assert_array_equal(grid[1], points[1])
             np.testing.assert_array_equal(_symbol(model.phi, re[:, None], im[None, :], m)[0], points[0])
 
-    @pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+    @pytest.mark.parametrize("name", sorted(BATCH))
     def test_newton_polish_of_a_seed_alone_equals_it_among_others(self, name):
-        model = BATCH_MODELS[name]()
+        model = ZOO[name].build()
         rng = np.random.default_rng(26)
         seeds = rng.uniform(-3.0, 1.0, 51) + 1j * rng.uniform(0.0, 8.0, 51)
         roots, residuals = _newton_polish(model, seeds)
@@ -306,21 +283,9 @@ class TestFindRoots:
         with pytest.raises(dl.BudgetError):
             dl.find_roots(model, dl.Region(-100.0, 100.0, 100.0), spacing=0.01)
 
-    @pytest.mark.parametrize(
-        "name,path",
-        [("scalar", "factored"), ("delays", "slogdet"), ("scaled_identity", "factored")]
-        + [(name, "factored") for name in SPLIT_MODELS]
-        + [(name, "slogdet") for name in COUPLED_MODELS],
-    )
-    def test_debug_line_names_log_det_path(self, caplog, name, path):
-        if name == "scalar":
-            model = load_scenario(SCENARIOS / "scalar_single_delay.json").model
-        elif name == "delays":
-            model = list(log_det_models())[2]  # non-commuting 2 x 2 delays
-        elif name == "scaled_identity":
-            model = list(log_det_models())[3]  # 0.9 Id stored as a 7 x 7 matrix
-        else:
-            model = {**SPLIT_MODELS, **COUPLED_MODELS}[name]()
+    @pytest.mark.parametrize("name", sorted({**COMMUTING, **named("scalar_single_delay", "coupled_delays", "scaled_identity")}))
+    def test_debug_line_names_log_det_path(self, caplog, name):
+        model, path = ZOO[name].build(), "slogdet" if "coupled" in ZOO[name].tags else "factored"
         with caplog.at_level("DEBUG", logger="delaylab.spectral"):
             report = dl.find_roots(model, dl.Region(-1.0, 1.0, 4.0))
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("find_roots:")]
@@ -332,33 +297,18 @@ class TestFindRoots:
 
     def test_split_roots_match_the_matrix_path(self, monkeypatch):
         # delayed diffusion: per-mode factors against slogdet Newton at n = 15
-        model = SPLIT_MODELS["delayed_diffusion"]()
+        model = ZOO["delayed_diffusion"].build()
         region = dl.Region(-3.0, 1.0, 8.0)
         factored = dl.find_roots(model, region)
         monkeypatch.setattr(dl.SystemModel, "decoupled", property(lambda self: None))
-        matrix = dl.find_roots(SPLIT_MODELS["delayed_diffusion"](), region)
+        matrix = dl.find_roots(ZOO["delayed_diffusion"].build(), region)
         assert len(factored.roots) == len(matrix.roots) > 0
         np.testing.assert_allclose(factored.roots, matrix.roots, rtol=0, atol=1e-10)
 
 
-def coupled_density():
-    """A non-commuting 2 x 2 density kernel on 9 nodes: the slogdet path."""
-    sigma = -1.0 + np.arange(9) / 8
-    b = np.array([[0.4, -0.3], [0.2, 0.1]])
-    c = np.array([[0.0, 0.5], [0.0, -0.2]])
-    samples = np.cos(2.0 * sigma)[:, None, None] * b + sigma[:, None, None] * c
-    return dl.SystemModel(dl.SpatialOperator(np.array([[-1.0, 0.5], [0.2, -2.0]])), dl.DensityKernel(samples), 2.0)
-
-
-#: name -> builder of the models the upper-half search is checked on
-HALF_PLANE_MODELS = {
-    "scalar": lambda: load_scenario(SCENARIOS / "scalar_single_delay.json").model,
-    "rd_n15": lambda: dl.reaction_diffusion_scenario(15, 0.5 * abs(dl.dirichlet_lambda1(15))),
-    "rd_n64": lambda: dl.reaction_diffusion_scenario(64, 0.5 * abs(dl.dirichlet_lambda1(64))),
-    "delays": lambda: list(log_det_models())[2],  # non-commuting 2 x 2 delays
-    "density": coupled_density,
-    "delayed_diffusion": SPLIT_MODELS["delayed_diffusion"],
-}
+#: the models the upper-half search is checked on: the shipped scalar one, Cantor kernels
+#: at n = 15 and 64, non-commuting 2 x 2 delays and density (the slogdet path), delayed diffusion
+HALF_PLANE = named("scalar_single_delay", "rd15_c0.5lam1", "rd64_c0.5lam1", "coupled_delays", "coupled_density", "delayed_diffusion")
 
 #: every search rectangle of TestFindRoots but the budget guard's, and two
 #: whose seed grids have an even column count (162 and 322), so no row on the
@@ -379,9 +329,9 @@ class TestUpperHalfPlane:
     """The model is real: det M(conj lam) = conj det M(lam), and the search
     and the count read log det on the upper half-plane only."""
 
-    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS) + list(SPLIT_MODELS) + list(COUPLED_MODELS))
+    @pytest.mark.parametrize("name", sorted({**HALF_PLANE, **COMMUTING}))
     def test_log_det_is_conjugate_symmetric(self, name):
-        model = {**HALF_PLANE_MODELS, **SPLIT_MODELS, **COUPLED_MODELS}[name]()
+        model = ZOO[name].build()
         rng = np.random.default_rng(22)
         lams = rng.uniform(-3.0, 1.0, 50) + 1j * rng.uniform(0.05, 9.0, 50)
         L, D = _log_det(model, lams.real, lams.imag)
@@ -390,9 +340,9 @@ class TestUpperHalfPlane:
         np.testing.assert_allclose(conj_D, np.conj(D), rtol=1e-12)
 
     @pytest.mark.parametrize("region", HALF_PLANE_REGIONS, ids=str)
-    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS))
+    @pytest.mark.parametrize("name", sorted(HALF_PLANE))
     def test_roots_match_the_full_plane_search(self, name, region):
-        model = HALF_PLANE_MODELS[name]()
+        model = ZOO[name].build()
         got = dl.find_roots(model, dl.Region(*region))
         want = reference_find_roots(model, dl.Region(*region))
         # the oracle polishes the lower root of a pair on its own, so its real
@@ -405,9 +355,9 @@ class TestUpperHalfPlane:
         assert {(z.real, z.imag) for z in got.roots} == {(z.real, -z.imag) for z in got.roots}
 
     @pytest.mark.parametrize("region", HALF_PLANE_REGIONS, ids=str)
-    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS))
+    @pytest.mark.parametrize("name", sorted(HALF_PLANE))
     def test_count_matches_the_four_edge_count(self, name, region):
-        model = HALF_PLANE_MODELS[name]()
+        model = ZOO[name].build()
         try:
             want = reference_count_roots_argument_principle(model, dl.Region(*region))
         except dl.NoResultError:
@@ -418,7 +368,7 @@ class TestUpperHalfPlane:
 
     @pytest.mark.parametrize("im_max,im_count", [(4.0, 161), (4.01, 162)])
     def test_log_det_reads_the_upper_half_only(self, monkeypatch, im_max, im_count):
-        model = HALF_PLANE_MODELS["scalar"]()
+        model = ZOO["scalar_single_delay"].build()
         region = dl.Region(-1.0, 1.0, im_max)
         calls = []
         log_det = dl.spectral._log_det
@@ -441,11 +391,11 @@ class TestUpperHalfPlane:
         assert calls and all(kwargs == {"level": False} for _, kwargs in calls)
 
     @pytest.mark.parametrize("path", ["as built", "slogdet"])
-    @pytest.mark.parametrize("name", list(HALF_PLANE_MODELS))
+    @pytest.mark.parametrize("name", sorted(HALF_PLANE))
     def test_log_derivative_does_not_read_the_level(self, monkeypatch, name, path):
         if path == "slogdet":
             monkeypatch.setattr(dl.SystemModel, "decoupled", property(lambda self: None))
-        model = HALF_PLANE_MODELS[name]()
+        model = ZOO[name].build()
         t, u = np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 2001)
         # the count's three legs on (-3, 1, 8): up the right edge, along the top, down the left edge
         for re, im in ((1.0, 8.0 * t), (1.0 - 4.0 * u, 8.0), (-3.0, 8.0 - 8.0 * t)):
@@ -523,19 +473,6 @@ class TestResolvent:
             dl.shift_resolvent_history(0.5, HistoryGrid.constant([1.0], 2, 2.0))
 
 
-GRID_FUNCTIONALS = {
-    "discrete": dl.DiscreteDelays(
-        np.array([[[0.4, -0.6], [0.3, 0.2]], [[0.2, 0.15], [-0.3, 0.1]]]), np.array([-0.3337, 0.0])
-    ),
-    "cantor": dl.CantorKernel(0.7),
-    # a kernel on its own m = 40 grid, read from m = 64 histories
-    "density": dl.DensityKernel(
-        np.array([[[np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3]] for s in -1.0 + np.arange(41) / 40])
-    ),
-    "empty": empty_functional(),
-}
-
-
 class TestGridPaths:
     """The grid weights of ``apply`` and ``miyadera_estimate`` and the grid
     symbol of ``resolvent_apply`` come from the delay stencil; both must
@@ -547,11 +484,11 @@ class TestGridPaths:
         offsets, reduce_fn = _delay_term(phi, f.m)
         return reduce_fn(interp_uniform(f.samples, -1.0, 1.0 / f.m, offsets))
 
-    @pytest.mark.parametrize("name", list(GRID_FUNCTIONALS))
+    @pytest.mark.parametrize("name", sorted(select("functional")))
     def test_grid_char_matrix_matches_apply(self, name):
         from delaylab.functional import _as_matrices
 
-        phi, m = GRID_FUNCTIONALS[name], 64
+        phi, m = ZOO[name].build(), 64
         x = np.array([0.8, -1.3])
         nodes = -1.0 + np.arange(m + 1) / m
         for lam in (0.3 + 1.7j, -1.2 - 0.4j, 2.0):
@@ -559,27 +496,17 @@ class TestGridPaths:
             want = self.reference(phi, HistoryGrid(np.exp(lam * nodes)[:, None] * x, 2.0))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("name", list(GRID_FUNCTIONALS))
+    @pytest.mark.parametrize("name", sorted(select("functional")))
     def test_node_matrices_match_apply(self, name):
         from delaylab.functional import _as_matrices, _grid_weights
 
-        phi, m = GRID_FUNCTIONALS[name], 64
+        phi, m = ZOO[name].build(), 64
         node_mats = _as_matrices(_grid_weights(phi, m), 2)
         rng = np.random.default_rng(8)
         for _ in range(5):
             f = HistoryGrid(rng.standard_normal((m + 1, 2)), 2.0)
             got = np.einsum("lij,lj->i", node_mats, f.samples)
             np.testing.assert_allclose(got, self.reference(phi, f), rtol=0.0, atol=1e-12)
-
-
-_ROTATION_373 = np.array([[-0.01, 3.73], [-3.73, -0.01]])
-
-
-def _double_pair_matrix():
-    """Q kron(I_2, R) Q^T with R the 3.73 rotation block and Q a random
-    orthogonal matrix: normal, with the pair -0.01 +- 3.73i twice."""
-    q = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 4)))[0]
-    return q @ np.kron(np.eye(2), _ROTATION_373) @ q.T
 
 
 class TestStabilityCriterion:
@@ -621,17 +548,10 @@ class TestStabilityCriterion:
         report = dl.find_roots(model, dl.Region(0.0, 5.0, 50.0), spacing=0.1)
         assert all(z.real < 0.0 for z in report.roots)
 
-    @pytest.mark.parametrize("name", ["rd_n15", "rotation"])
-    def test_distance_to_spectrum_matches_svd(self, name):
+    @pytest.mark.parametrize("name,alpha", [("rd15_c4.9", 0.0), ("rotation_between_samples", -0.1)])
+    def test_distance_to_spectrum_matches_svd(self, name, alpha):
         # normal A: sigma_min(lam - A) = min_k |lam - mu_k|
-        if name == "rd_n15":
-            model, alpha = dl.reaction_diffusion_scenario(15, 4.9), 0.0
-        else:
-            # rotation blocks whose eigenvalues sit between grid samples
-            a = np.zeros((4, 4))
-            a[:2, :2] = [[-0.3, 2.03], [-2.03, -0.3]]
-            a[2:, 2:] = [[-0.7, 0.93], [-0.93, -0.7]]
-            model, alpha = dl.SystemModel(dl.SpatialOperator(a), dl.CantorKernel(0.1)), -0.1
+        model = ZOO[name].build()
         grid = dl.FrequencyGrid(50.0, 1001)
         profile = dl.criterion_profile(model, alpha, grid)
         lams = alpha + 1j * grid.samples
@@ -643,17 +563,16 @@ class TestStabilityCriterion:
         at_min = np.linalg.svd((alpha + 1j * mu[k].imag) * np.eye(model.n) - model.A.matrix, compute_uv=False)[-1]
         assert profile.rhs == pytest.approx(at_min, rel=1e-12)
         assert profile.rhs <= svd.min() * (1.0 + 1e-12)
-        if name == "rotation":
+        if name == "rotation_between_samples":
             assert profile.rhs < svd.min() - 1e-3
 
-    @pytest.mark.parametrize("name", ["rotation", "double_pair"])
+    @pytest.mark.parametrize("name", ["rotation373_delay", "double_pair_delay"])
     def test_normal_operator_minimum_between_grid_samples(self, name):
         # the minimum of sigma_min(i omega - A) is 0.01 at omega = 3.73,
         # between the default grid samples 3.7 and 3.8 (which read 0.0316);
-        # "double_pair" repeats the eigenvalue pair, where the eig basis
+        # the double pair repeats the eigenvalue pair, where the eig basis
         # of the double eigenspaces is not orthonormal
-        a = dl.SpatialOperator(_double_pair_matrix() if name == "double_pair" else _ROTATION_373)
-        model = dl.SystemModel(a, dl.single_delay(-0.015 * np.eye(a.n), -1.0))
+        model = ZOO[name].build()
         report, _ = dl.stability_criterion(model, 0.0)
         assert report.a_normal
         assert report.rhs == pytest.approx(0.01, rel=1e-12)
@@ -714,45 +633,10 @@ class TestPerturbedResolventBound:
             perturbed_resolvent_bound_check(model, 0.5, 0.9)
 
 
-_NON_NORMAL_2X2 = np.array([[-0.5, 0.3], [0.2, -0.8]])
-
-# model and the basis that miyadera_estimate reads A in
-MIYADERA_MODELS = {
-    "discrete": lambda: (
-        dl.SystemModel(
-            dl.SpatialOperator(_NON_NORMAL_2X2),
-            dl.DiscreteDelays(
-                np.array([[[0.4, -0.6], [0.3, 0.2]], [[0.2, 0.15], [-0.3, 0.1]]]), np.array([-0.31, -1.0])
-            ),
-            2.0,
-        ),
-        "eigenbasis",
-    ),
-    "cantor": lambda: (dl.SystemModel(dl.SpatialOperator(_NON_NORMAL_2X2), dl.CantorKernel(0.9), 3.0), "eigenbasis"),
-    "density": lambda: (
-        dl.SystemModel(
-            dl.SpatialOperator(_NON_NORMAL_2X2),
-            dl.DensityKernel(
-                np.array([[[np.cos(3.0 * s), 0.2], [-0.4 * s, 0.3]] for s in -1.0 + np.arange(41) / 40])
-            ),
-            1.0,
-        ),
-        "eigenbasis",
-    ),
-    "laplacian_cantor": lambda: (dl.SystemModel(dl.laplacian_dirichlet_1d(7), dl.CantorKernel(0.9), 2.0), "modal"),
-    # 0.7 Id stored as a matrix: the matrix-weight path in the modes of A
-    "rotation_delay": lambda: (
-        dl.SystemModel(dl.SpatialOperator([[-0.3, 2.0], [-2.0, -0.3]]), dl.single_delay(0.7 * np.eye(2), -0.4), 2.0),
-        "modal",
-    ),
-    "scalar_n1": lambda: (dl.scalar_dde(-0.6, 0.8), "modal"),
-    "rd_n15": lambda: (dl.reaction_diffusion_scenario(15, 4.918968), "modal"),
-    # a Jordan block has no usable eigenbasis
-    "jordan_cantor": lambda: (
-        dl.SystemModel(dl.SpatialOperator([[-1.0, 1.0], [0.0, -1.0]]), dl.CantorKernel(0.5), 2.0),
-        "expm",
-    ),
-}
+#: an operator in each basis that miyadera_estimate reads A in (modes, an eigenbasis,
+#: none for a Jordan block) and a functional of each variant, at p = 1, 2 and 3
+MIYADERA = named("nn2_two_weights", "nn2_cantor_p3", "nn2_density41_p1", "rd7_c0.9", "rotation2_identity_delay", "scalar_-0.6_0.8",
+                 "reaction_diffusion_cantor", "jordan_cantor")
 
 
 class TestMiyaderaEstimate:
@@ -804,9 +688,10 @@ class TestMiyaderaEstimate:
         # the bound scales like t0^(1/p'); for p = 1 it is t0-independent
         assert bounds[0.5] / bounds[0.25] == pytest.approx(2.0 ** (1.0 - 1.0 / p), rel=1e-12)
 
-    @pytest.mark.parametrize("name", sorted(MIYADERA_MODELS))
+    @pytest.mark.parametrize("name", sorted(MIYADERA))
     def test_matches_per_state_loop(self, name, caplog):
-        model, basis = MIYADERA_MODELS[name]()
+        model, tags = ZOO[name].build(), ZOO[name].tags
+        basis = "expm" if "defective" in tags else "eigenbasis" if "non_normal" in tags else "modal"
         with caplog.at_level(logging.DEBUG, logger="delaylab.spectral"):
             got = dl.miyadera_estimate(model, 0.25, samples=20, seed=3)
         assert f"{basis} basis" in caplog.text
@@ -814,20 +699,20 @@ class TestMiyaderaEstimate:
         assert got[0] == pytest.approx(want[0], rel=1e-12)
         assert got[1] == pytest.approx(want[1], rel=1e-12)
 
-    @pytest.mark.parametrize("name", ["laplacian_cantor", "discrete"])
+    @pytest.mark.parametrize("name", ["rd7_c0.9", "nn2_two_weights"])
     def test_chunks_give_the_same_estimate(self, name, monkeypatch):
-        model = MIYADERA_MODELS[name]()[0]
+        model = ZOO[name].build()
         whole = dl.miyadera_estimate(model, 0.25, samples=20, seed=3)
         # 7 states per chunk, one state per chunk, every state in one
         for entries in (7 * 65 * model.n, 1, 10**9):
             monkeypatch.setattr(history, "_BATCH_ENTRIES", entries)
             assert dl.miyadera_estimate(model, 0.25, samples=20, seed=3) == whole
 
-    @pytest.mark.parametrize("name", ["rd_n15", "discrete", "jordan_cantor"])
+    @pytest.mark.parametrize("name", ["reaction_diffusion_cantor", "nn2_two_weights", "jordan_cantor"])
     def test_grid_equals_scalar_calls_with_one_draw(self, name, monkeypatch):
         from delaylab.spectral import _random_compatible_states
 
-        model = MIYADERA_MODELS[name]()[0]
+        model = ZOO[name].build()
         grid = [0.1, 0.25, 0.5]
         want = [dl.miyadera_estimate(model, t0, samples=30, seed=5) for t0 in grid]
         draws = []
@@ -844,7 +729,7 @@ class TestMiyaderaEstimate:
         assert q_bound.tolist() == [w[1] for w in want]
 
     def test_logs_basis_and_chunks(self, caplog):
-        model = MIYADERA_MODELS["laplacian_cantor"]()[0]
+        model = ZOO["rd7_c0.9"].build()
         with caplog.at_level(logging.DEBUG, logger="delaylab.spectral"):
             dl.miyadera_estimate(model, 0.25, samples=400, state_m=32)
         # 65_536 // (65 nodes x n = 7) = 144 states per chunk
@@ -987,18 +872,18 @@ class TestRandomCompatibleState:
 
 @functools.cache
 def batch_trajectory(name):
-    model = BATCH_MODELS[name]()
+    model = ZOO[name].build()
     return dl.solve_steps(model, dl.random_compatible_state(model.n, 64, model.p, np.random.default_rng(27)), 4.0)
 
 
 @pytest.mark.parametrize("size", [1, 10**9])
-@pytest.mark.parametrize("name", sorted(BATCH_MODELS))
+@pytest.mark.parametrize("name", sorted(BATCH))
 class TestOneBatchRule:
     """Every batched evaluator gives the same bits with one item per batch
     (``history._BATCH_ENTRIES`` = 1) and with every item in one (10**9)."""
 
     def test_find_roots_report(self, name, size, monkeypatch):
-        model = BATCH_MODELS[name]()
+        model = ZOO[name].build()
         # the wide box holds roots of every model but the two delayed diffusions,
         # whose search misses there the roots the small box finds
         searches = [(dl.Region(-3.0, 1.0, 4.0), 0.1), (dl.Region(-12.0, 1.0, 6.0), 0.2)]
@@ -1008,7 +893,7 @@ class TestOneBatchRule:
         assert repr([dl.find_roots(model, region, spacing).to_dict() for region, spacing in searches]) == repr(want)
 
     def test_singular_values(self, name, size, monkeypatch):
-        op = BATCH_MODELS[name]().A
+        op = ZOO[name].build().A
         lams = np.linspace(-3.0, 2.0, 300) + 1j * np.linspace(0.0, 9.0, 300)
         times = np.linspace(0.0, 1.0, 200)
 
@@ -1027,7 +912,7 @@ class TestOneBatchRule:
         assert repr(dl.decay_rate(traj, (2.0, 4.0))) == repr(want)
 
     def test_miyadera_estimate(self, name, size, monkeypatch):
-        model = BATCH_MODELS[name]()
+        model = ZOO[name].build()
         want = dl.miyadera_estimate(model, [0.1, 0.25], samples=20, seed=3)
         monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
         got = dl.miyadera_estimate(model, [0.1, 0.25], samples=20, seed=3)
