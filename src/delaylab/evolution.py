@@ -351,11 +351,13 @@ def _etd2_block(a_eff: np.ndarray, atoms: _Atoms, per_unit: int, dt: float, bloc
     beta g_{j+1}, x = dt a, alpha = dt (phi_1 - phi_2)(x), beta = dt phi_2(x), g_j = D(j), g_{j+1} = D(j+1) + sum_q
     edge[q] z_{j+1-q}: the frontier atoms (sigma > -dt) extrapolate from (j - 1, j) instead of reading z_{j+1}.
     """
-    lags, weights = _delay_stencil(atoms, per_unit, (0.0,))
+    lags, weights = _delay_stencil(atoms, per_unit)
     front = atoms.offsets * per_unit > -1.0
-    q, (now, then) = _delay_stencil(_Atoms(atoms.offsets[front], atoms.weights[front], False), per_unit, (0.0, 1.0))
-    edge = np.zeros((3,) + weights.shape[2:], dtype=weights.dtype)
+    front = _Atoms(atoms.offsets[front], atoms.weights[front], False)
+    edge = np.zeros((3,) + weights.shape[1:], dtype=weights.dtype)
+    q, then = _delay_stencil(front, per_unit, 1.0)
     edge[q + 1] += then
+    q, now = _delay_stencil(front, per_unit)
     edge[q] -= now
     e, phi1, phi2 = _phi(dt * a_eff)
     alpha, beta = dt * (phi1 - phi2), dt * phi2
@@ -363,7 +365,7 @@ def _etd2_block(a_eff: np.ndarray, atoms: _Atoms, per_unit: int, dt: float, bloc
     # z_{j+1} = sum_q C_q z_{j-q}: D(j) reads lag l, D(j+1) lag l - 1 (-1 cancels); lags >= block do not act
     back = np.concatenate((lags, lags - 1, [1, 0]))
     acts = (back >= 0) & (back < block)
-    coefs, back = np.concatenate((_mul(alpha, weights[0]), _mul(beta, weights[0]), near))[acts], back[acts]
+    coefs, back = np.concatenate((_mul(alpha, weights), _mul(beta, weights), near))[acts], back[acts]
     b, s = alpha.shape[:2]
     # h[:, (i, a), m] = H_{i-m}[a, :] for m <= block, zero at m = block
     h = _impulse_toeplitz(back, coefs, block + 1).reshape(b, block + 1, -1)[:, :block].reshape(b, block * s, -1, s)
@@ -371,7 +373,7 @@ def _etd2_block(a_eff: np.ndarray, atoms: _Atoms, per_unit: int, dt: float, bloc
     ends = np.stack([_mul(h[:, :, 0], near[0]), _mul(h[:, :, 0], near[1]) + _mul(h[:, :, 1], near[0])], axis=2)
     fused = np.concatenate((_mul(h.reshape(b, -1, s), alpha).reshape(h.shape), ends), axis=2)
     fused[:, :, 1 : block + 1] += _mul(h.reshape(b, -1, s), beta).reshape(h.shape)[:, :, :block]
-    weights = weights[0].transpose(1, 2, 0, 3).reshape(weights.shape[2], s, len(lags) * s)
+    weights = weights.transpose(1, 2, 0, 3).reshape(weights.shape[1], s, len(lags) * s)
     return lags, weights, fused.reshape(b, block * s, -1)
 
 
@@ -605,9 +607,9 @@ def volterra_terms(model: SystemModel, N: int, t: float, s: DelayState, dt: floa
     if N == 0:
         return terms
 
-    lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps, (0.0,))
+    lags, weights = _delay_stencil(_atoms(model.phi, m), hist_steps)
     reads = (hist_steps + np.arange(r_steps + 1))[:, None] - lags
-    stencil = _as_matrices(weights[0], n).transpose(0, 2, 1).reshape(-1, n)
+    stencil = _as_matrices(weights, n).transpose(0, 2, 1).reshape(-1, n)
     mu, v, vinv, _ = model.A._eigen
     basis, prop = ("modal", np.exp(dt * mu)[:, None, None]) if v is not None else ("matrix", model.A.expm(dt)[None])
     if v is None:

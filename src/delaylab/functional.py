@@ -450,39 +450,31 @@ def _grid_position(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return whole.astype(int), rho - whole
 
 
-def _delay_stencil(
-    atoms: _Atoms, steps_per_unit: int, stages: tuple[float, ...]
-) -> tuple[np.ndarray, np.ndarray]:
+def _delay_stencil(atoms: _Atoms, steps_per_unit: int, stage: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Lags and weights with which the atoms of the delay term read a
     uniform trajectory.
 
-    With ``steps_per_unit`` nodes per unit time, the delay term at stage
-    offset c of the step leaving node j is sum_l weights[s, l] u_{j - lags[l]}
-    for c = stages[s]: the piecewise-linear interpolant at position
-    j + c + offset * steps_per_unit.  Positions past node j - 1 read the
-    interval (j - 1, j) with a fraction above 1, which extrapolates from
-    it, so a stage never reads a node that is not yet computed.  Only lags
-    that carry a nonzero weight in some stage are kept, in ascending order.
-    Each weight has the shape and dtype of one atom weight: a scalar
-    standing for a multiple of Id, or any stack of matrices.
+    With ``steps_per_unit`` nodes per unit time, the delay term at offset
+    ``stage`` into the step leaving node j is sum_l weights[l] u_{j - lags[l]}:
+    the piecewise-linear interpolant at position j + stage + offset *
+    steps_per_unit.  Positions past node j - 1 read the interval (j - 1, j)
+    with a fraction above 1, which extrapolates from it, so a stage never
+    reads a node that is not yet computed.  Only lags that carry a nonzero
+    weight are kept, in ascending order.  Each weight has the shape and
+    dtype of one atom weight: a scalar standing for a multiple of Id, or
+    any stack of matrices.
     """
     offsets, values = atoms.offsets, atoms.weights
-    count = len(offsets)
-    lag, coef, atom, stage = [], [], [], []
-    for s, c in enumerate(stages):
-        whole, frac = _grid_position(c + offsets * steps_per_unit)
-        capped = np.minimum(whole, -1)
-        frac = frac + (whole - capped)
-        lag += [-capped, -capped - 1]
-        coef += [1.0 - frac, frac]
-        atom += [np.arange(count)] * 2
-        stage.append(np.full(2 * count, s))
-    lag, coef, atom, stage = (np.concatenate(v) for v in (lag, coef, atom, stage))
+    whole, frac = _grid_position(stage + offsets * steps_per_unit)
+    capped = np.minimum(whole, -1)
+    frac = frac + (whole - capped)
+    lag, coef = np.concatenate((-capped, -capped - 1)), np.concatenate((1.0 - frac, frac))
+    atom = np.tile(np.arange(len(offsets)), 2)
     keep = coef != 0.0
     lags, where = np.unique(lag[keep], return_inverse=True)
-    weights = np.zeros((len(stages), len(lags)) + values.shape[1:], dtype=values.dtype)
+    weights = np.zeros((len(lags),) + values.shape[1:], dtype=values.dtype)
     scale = coef[keep].reshape((-1,) + (1,) * (values.ndim - 1))
-    np.add.at(weights, (stage[keep], where), scale * values[atom[keep]])
+    np.add.at(weights, where, scale * values[atom[keep]])
     return lags, weights
 
 
@@ -491,9 +483,9 @@ def _grid_weights(phi: DelayFunctional, m: int) -> np.ndarray:
     sampled on the m + 1 nodes sigma_l = -1 + l/m, scalars or n x n
     matrices as the atom weights are: the stage-0 delay stencil with one
     step per node, whose lag l reads node m - l."""
-    lags, weights = _delay_stencil(_atoms(phi, m), m, (0.0,))
-    out = np.zeros((m + 1,) + weights.shape[2:])
-    out[m - lags] = weights[0]
+    lags, weights = _delay_stencil(_atoms(phi, m), m)
+    out = np.zeros((m + 1,) + weights.shape[1:])
+    out[m - lags] = weights
     return out
 
 

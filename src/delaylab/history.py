@@ -261,15 +261,28 @@ def history_injection(t: float, x: np.ndarray, A: "SpatialOperator", m: int = 64
     return HistoryGrid(out, p)
 
 
+def _segments(traj: "Trajectory", times) -> np.ndarray:
+    """Segments u_t on the trajectory's m + 1 history nodes, (len(times), m + 1, n): the rows of
+    ``traj.values`` when every query u(t + sigma) lands on a node (the interpolant at fraction 0 is
+    the node's value up to the sign of a zero, which no norm reads), else ``Trajectory.value_at``."""
+    queries = (np.asarray(times, dtype=float)[:, None] + (-1.0 + np.arange(traj.m + 1) / traj.m)).ravel()
+    # the node positions interp_uniform computes, (q - left) / dx with left = -1
+    pos = (queries + 1.0) / traj.dt
+    if np.array_equal(pos, np.rint(pos)) and 0 <= pos.min() and pos.max() < len(traj.values):
+        rows = traj.values[pos.astype(np.intp)]
+    else:
+        rows = traj.value_at(queries)
+    return rows.reshape(-1, traj.m + 1, traj.n)
+
+
 def segment(traj: "Trajectory", t: float) -> HistoryGrid:
     """History segment u_t(sigma) = u(t + sigma) resampled from a trajectory
     on its grid of ``traj.m`` intervals, with its exponent ``traj.p``.
 
     The trajectory must cover [t - 1, t], up to the 1e-9 slack of
     ``Trajectory.value_at``; values at off-grid times come from
-    piecewise-linear interpolation.
+    piecewise-linear interpolation (``_segments``).
     """
     if t < 0 or t > traj.t_end + 1e-9:
         raise PreconditionError(f"segment time {t} outside trajectory coverage [0, {traj.t_end}]")
-    nodes = -1.0 + np.arange(traj.m + 1) / traj.m
-    return HistoryGrid(traj.value_at(t + nodes), traj.p)
+    return HistoryGrid(_segments(traj, [t])[0], traj.p)

@@ -51,9 +51,9 @@ from .history import (
     _batches,
     _lp_integrals,
     _lp_norms,
+    _segments,
     _shifted_weights,
     _trapezoid_weights,
-    interp_uniform,
     lp_norm,
 )
 
@@ -143,12 +143,12 @@ class StabilityReport:
     ``rhs`` the reciprocal of the supremum of ||R(alpha + i omega, A)||:
     exact, min_k |alpha - Re mu_k|, when A has an orthonormal eigenbasis,
     and read on the frequency grid otherwise; the certificate holds when
-    lhs < rhs.  ``s0_estimate`` is the real part
-    of the rightmost characteristic root found near the line and
-    ``omega0_estimate`` a decay-rate fit from a trajectory; ``a_normal``
-    records whether A has an orthonormal eigenbasis, the decision that
-    makes ``rhs`` exact (for non-normal A the eigenvalue-based line check
-    is only a surrogate).
+    lhs < rhs and every eigenvalue of A lies left of the line.
+    ``s0_estimate`` is the real part of the rightmost characteristic root
+    found near the line and ``omega0_estimate`` a decay-rate fit from a
+    trajectory; ``a_normal`` records whether A has an orthonormal
+    eigenbasis, the decision that makes ``rhs`` exact (for non-normal A
+    the eigenvalue-based line check is only a surrogate).
     """
 
     alpha: float
@@ -551,11 +551,6 @@ class CriterionProfile(NamedTuple):
     holds: bool
 
 
-def _line_clearance(model: SystemModel, alpha: float) -> float:
-    eigs = model.A.spectrum()
-    return float(np.min(np.abs(eigs.real - alpha)))
-
-
 def criterion_profile(model: SystemModel, alpha: float, grid: FrequencyGrid) -> CriterionProfile:
     """Evaluate both sides of the certificate along Re = alpha.
 
@@ -565,12 +560,13 @@ def criterion_profile(model: SystemModel, alpha: float, grid: FrequencyGrid) -> 
     When A has orthonormal modes that value is the distance to the
     spectrum, min_k |alpha + i omega - mu_k|, whose infimum along the
     whole line is min_k |alpha - Re mu_k|; otherwise it is the grid
-    minimum of one SVD per frequency.  Requires alpha <= 0 and the line
-    to stay clear of the spectrum of A.
+    minimum of one SVD per frequency.  Requires alpha <= 0 and the line to stay
+    clear of the spectrum of A; holds when lhs < rhs and A's spectrum lies left of it.
     """
     if not alpha <= 0:
         raise PreconditionError("the certificate line must satisfy alpha <= 0")
-    clearance = _line_clearance(model, alpha)
+    re_mu = model.A.spectrum().real
+    clearance = float(np.min(np.abs(re_mu - alpha)))
     if clearance < 1e-9:
         raise PreconditionError(f"the line Re = {alpha} intersects the spectrum of A")
     omegas = grid.samples
@@ -580,7 +576,8 @@ def criterion_profile(model: SystemModel, alpha: float, grid: FrequencyGrid) -> 
     lhs = float(char_norms.max())
     rhs = clearance if model.A.modes() is not None else float(min_sv.min())
     bound = float(np.exp(-min(alpha, 0.0)) * total_variation(model.phi))
-    return CriterionProfile(omegas, char_norms, resolvent_norms, lhs, bound, rhs, bool(lhs < rhs))
+    holds = bool(lhs < rhs and re_mu.max() < alpha)
+    return CriterionProfile(omegas, char_norms, resolvent_norms, lhs, bound, rhs, holds)
 
 
 def random_compatible_state(n: int, m: int, p: float, rng: np.random.Generator) -> DelayState:
@@ -616,18 +613,18 @@ def stability_criterion(
 
     Besides the certificate itself the report estimates the rightmost
     characteristic root near the line (grid-seeded Newton in a rectangle
-    around alpha) and the trajectory decay rate of a random compatible
-    state fitted on [horizon/2, horizon], the window ``solve`` and
+    around alpha, widened right past every eigenvalue of A) and the
+    trajectory decay rate of a random compatible state fitted on
+    [horizon/2, horizon], the window ``solve`` and
     ``reproduce-rd`` fit on, where the transient of the roots left of the
     rightmost one has died down; on Hilbert-type models (p = 2) the two
     estimates agree up to fitting error.
     """
     grid = grid or FrequencyGrid()
     profile = criterion_profile(model, alpha, grid)
-    re_min = max(alpha - 12.0, float(model.A.spectrum().real.min()) - 1.0)
-    if re_min >= alpha + 5.0:
-        re_min = alpha - 12.0
-    report_roots = find_roots(model, Region(re_min, alpha + 5.0, min(grid.omega_max, 20.0)), spacing=0.1)
+    re_mu = model.A.spectrum().real
+    re_min, re_max = max(alpha - 12.0, float(re_mu.min()) - 1.0), max(alpha + 5.0, float(re_mu.max()) + 1.0)
+    report_roots = find_roots(model, Region(re_min, re_max, min(grid.omega_max, 20.0)), spacing=0.1)
     s0 = None if report_roots.rightmost is None else float(report_roots.rightmost.real)
 
     rng = np.random.default_rng(seed)
@@ -742,13 +739,9 @@ def decay_rate(traj: Trajectory, window: tuple[float, float]) -> float:
     """Least-squares slope of log ||(u(t), u_t)|| over the window.
 
     The product state norm is sampled at up to 201 grid times inside the
-    window; their segments are interpolated from the trajectory as ``segment``
-    would and normed by the ``lp_norm`` rule, (m + 1) n entries each to
-    ``_batches``.  When every query of a batch lands on a node, (q + 1) / dt
-    a whole number (as whenever 1 / (m dt) is an integer), its rows of
-    ``traj.values`` are read as they are: the interpolant at fraction 0 is
-    the node's value up to the sign of a zero, which no norm reads.  An
-    identically zero window is rejected.
+    window; their segments are read as ``segment`` reads them (``_segments``)
+    and normed by the ``lp_norm`` rule, (m + 1) n entries each to
+    ``_batches``.  An identically zero window is rejected.
     """
     t_lo, t_hi = window
     if t_lo < 0 or t_hi <= t_lo or t_hi > traj.t_end + 1e-9:
@@ -760,21 +753,8 @@ def decay_rate(traj: Trajectory, window: tuple[float, float]) -> float:
     idx = first + (np.linspace(0, count - 1, 201).astype(int) if count > 201 else np.arange(max(count, 0)))
     ts = -1.0 + idx * traj.dt
     norms = np.linalg.norm(traj.values[idx], axis=1)
-    offsets = -1.0 + np.arange(traj.m + 1) / traj.m
-    # no query lands on a node unless every offset is a whole number of steps
-    steps = (offsets + 1.0) / traj.dt
-    on_grid = np.array_equal(steps, np.rint(steps))
     for sl in _batches(len(idx), (traj.m + 1) * traj.n):
-        queries = (ts[sl, None] + offsets).ravel()
-        rows = None
-        if on_grid:
-            # the node positions interp_uniform computes, (q - left) / dx with left = -1
-            pos = (queries + 1.0) / traj.dt
-            if np.array_equal(pos, np.rint(pos)) and 0 <= pos.min() and pos.max() < len(traj.values):
-                rows = traj.values[pos.astype(np.intp)]
-        if rows is None:
-            rows = interp_uniform(traj.values, -1.0, traj.dt, queries)
-        norms[sl] += _lp_norms(rows.reshape(-1, traj.m + 1, traj.n), traj.p)
+        norms[sl] += _lp_norms(_segments(traj, ts[sl]), traj.p)
     if np.max(norms) == 0.0:
         raise PreconditionError("trajectory vanishes on the whole window")
     keep = norms > 0

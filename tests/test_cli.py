@@ -180,10 +180,38 @@ class TestNonFiniteScenario:
             ("spectrum", edited(scalar_scenario(-1.0, 0.5), ["run", "dt"], 0), "run.dt"),
             ("solve", edited(scalar_scenario(-1.0, 0.5), ["run", "T"], -1.0), "run.T"),
             ("spectrum", edited(scalar_scenario(-1.0, 0.5), ["run", "T"], 0.0), "run.T"),
+            # every other reader error: the whole message, which names the path
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["model"], 5), "model: expected an object"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["run"], {"m": 50}), "run: missing required field(s) ['T']"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["model", "A", "payload", "a"], True), "model.A.payload.a: expected a number"),
+            ("solve", edited(scalar_scenario(-1.0, 0.5), ["initial", "head"], ["x"]), "initial.head: not a numeric array"),
+            (
+                "solve", edited(scalar_scenario(-1.0, 0.5), ["initial", "head"], [[1.0]]),
+                "initial.head: expected a 1-dimensional array, got shape (1, 1)",
+            ),
+            (
+                "solve", edited(scalar_scenario(-1.0, 0.5), ["model", "phi", "payload", "terms"], {}),
+                "model.phi.payload.terms: expected a list",
+            ),
+            (
+                "solve", edited(scalar_scenario(-1.0, 0.5), ["model", "A"], {"kind": "matrix", "payload": {"entries": [[1.0, 2.0]]}}),
+                "model.A: spatial operator must be a square matrix",
+            ),
+            (
+                "solve", edited(scalar_scenario(-1.0, 0.5), MATRIX, [[0.5, 0.0], [0.0, 0.5]]),
+                "model: functional dimension 2 does not match operator dimension 1",
+            ),
+            (
+                "solve",
+                edited(scalar_scenario(-1.0, 0.5, m=100), ["initial", "history"], {"kind": "samples", "payload": {"values": [[1.0]] * 5}}),
+                "initial.history.payload.values: samples of shape (5, 1), expected (101, 1)",
+            ),
         ],
         ids=[
             "nan_delay_solve", "nan_delay_spectrum", "inf_matrix", "nan_cantor_c", "nan_T", "bool_n", "fractional_depth",
             "non_integer_inverse_dt", "negative_dt", "zero_dt", "negative_T", "zero_T",
+            "section_not_object", "missing_field", "bool_for_number", "non_numeric_array", "wrong_ndim", "terms_not_list",
+            "non_square_entries", "dimensions_differ", "history_shape",
         ],
     )
     def test_non_finite_value_exits_1(self, tmp_path, capsys, command, doc, field):

@@ -159,7 +159,7 @@ class TestApply:
             dl.apply(phi, HistoryGrid.constant([1.0, 2.0], 16, 2.0))
 
     @given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, deadline=None, derandomize=True)
     def test_linearity(self, a, b):
         f = smooth_history(seed=1)
         h = smooth_history(seed=2)
@@ -218,9 +218,9 @@ class TestAtoms:
     def test_rd_stencil_reads_only_weighted_lags(self):
         # 130 lags when the 29 zero-weight Cantor nodes are read too
         rd = dl.reaction_diffusion_scenario(15, 4.9)
-        lags, weights = _delay_stencil(_atoms(rd.phi, 64), 1024, (0.0, 1.0))
-        assert len(lags) == 72
-        assert np.all(np.any(weights != 0.0, axis=0))
+        stages = [_delay_stencil(_atoms(rd.phi, 64), 1024, stage) for stage in (0.0, 1.0)]
+        assert len(np.union1d(*(lags for lags, _ in stages))) == 72
+        assert all(np.all(weights != 0.0) for _, weights in stages)
 
 
 class TestCantorTransform:

@@ -588,6 +588,20 @@ class TestStabilityCriterion:
         report, _ = dl.stability_criterion(model, 0.0, seed=seed, state_m=64)
         assert abs(report.omega0_estimate - report.s0_estimate) <= 0.05
 
+    def test_eigenvalue_of_a_right_of_line_refutes_certificate(self):
+        # u' = 0.5 u + 0.1 u(t - 1): lhs = 0.1 < rhs = 0.5, yet the rightmost root is +0.557
+        report, profile = dl.stability_criterion(dl.scalar_dde(0.5, 0.1), 0.0, dl.FrequencyGrid(50.0, 1001), horizon=2.0)
+        assert profile.lhs < profile.rhs
+        assert not profile.holds and not report.criterion_holds
+        assert report.s0_estimate > 0.5
+
+    def test_root_search_reaches_past_eigenvalue_of_a(self):
+        # the root beside the eigenvalue 10 of A lies right of alpha + 5
+        model = dl.scalar_dde(10.0, 0.1)
+        report, _ = dl.stability_criterion(model, 0.0, dl.FrequencyGrid(50.0, 1001), horizon=2.0)
+        rightmost = dl.find_roots(model, dl.Region(9.0, 11.0, 5.0), spacing=0.1).rightmost
+        assert abs(report.s0_estimate - rightmost.real) <= 1e-8
+
     def test_line_on_eigenvalue_rejected(self):
         model = dl.SystemModel(dl.diagonal_operator([-1.0, -3.0]), empty_functional(), 2.0)
         with pytest.raises(dl.PreconditionError):
