@@ -30,6 +30,7 @@ computes that text in numpy a block of rows at a time.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields
@@ -44,6 +45,8 @@ from .evolution import SpatialOperator, SystemModel, Trajectory, _unit_steps, sc
 from .functional import CantorKernel, DensityKernel, DiscreteDelays
 from .history import DelayState, HistoryGrid, _batches
 from .scenarios import laplacian_dirichlet_1d
+
+logger = logging.getLogger(__name__)
 
 
 def _check_keys(obj, required: set[str], optional: set[str], path: str) -> dict:
@@ -291,17 +294,21 @@ _T_MASK = _U(2**52 - 1)
 _C_MIN = _U(2**52)
 _E_BIAS = 324  # k >= -324 for every double, so k + _E_BIAS indexes the tables
 _N_EXP = 650  # room for E + 324, E the decimal exponent of a normal double
-# A format class is (decimal exponent, sign, significant digits), numbered
-# (E + 324, sign, digits - 1) in that order, so that the classes of one
-# exponent sit together.
-_N_CLASS = _N_EXP * 2 * 17
-# Source row of a field: columns 3..19 hold its 17 digits (the last 16 as
-# four 4-byte groups, written as uint32), then the literal characters, then
-# its separator; 36 bytes keep the rows 4-byte aligned.
-_ALPHABET = "0123456789.e+-"
-_SEP = 20 + len(_ALPHABET)
-_ROW = 36
-_WIDTH = 25  # longest field, '-1.2345678901234567e-308', and its separator
+# A format class is (decimal exponent E, sign, one digit or several),
+# numbered (E + 324, sign, several) in that order.
+_N_CLASS = _N_EXP * 2 * 2
+# A field is laid out in a row of 48 bytes, six uint64 words, copied from
+# the template of its class; its digits are OR'ed in, and the row's NULs
+# dropped, leaving the field and its separator:
+#   bytes 0-5    the prefix, right-aligned: '-', and '0.' with the zeros of 0.000d
+#   bytes 6-7    the first digit and its point slot
+#   bytes 8-39   digits 1-16 at the even bytes, each followed by its point slot
+#   bytes 40-46  'e', the exponent's sign and its two or three digits
+#   byte 47      the separator
+# A trailing zero digit is NUL, but the template of a fixed-point field
+# holds '0' at digits 1 to E + 1, so that 1200.0 keeps its zeros and its
+# '.0': '0' | ('0' + d) is '0' + d.
+_ROW = 48
 
 
 class _Tables(NamedTuple):
@@ -309,26 +316,24 @@ class _Tables(NamedTuple):
     k: np.ndarray  # the decimal exponent k + 324,
     g0: np.ndarray  # and g = g1 2^63 + g0
     g1: np.ndarray
-    quads: np.ndarray  # the 4 ASCII digits of 0..9999 as one uint32
-    last: np.ndarray  # position 1..4 of the last nonzero digit of 0..9999, 0 for 0
-    layouts: np.ndarray  # per format class: its source columns,
-    masks: np.ndarray  # and the columns it writes; none until the class is seen
+    # 0..9999 as four ASCII digits at the even bytes of one word, NUL at the
+    # odd ones; entry 10^4 + q writes the trailing zeros of q as NUL
+    spread: np.ndarray
+    templates: np.ndarray  # per format class: its row; zero until the class is seen
 
 
 # Allocated at import and filled on first use: importing builds nothing, and
-# the tables sit low in the malloc heap (the two zeroed ones in pages of
-# their own, resident only where a class is written).  Allocated in the
-# middle of a run they could sit at its top and keep the memory freed below
-# them resident.
+# the tables sit low in the malloc heap.  Allocated mid-run they could sit at
+# its top and keep the memory freed below them resident.  The spread table and
+# the templates share one zeroed block, in pages resident only where written.
+_FORMAT = np.zeros(2 * 10**4 + _N_CLASS * _ROW // 8, dtype=np.uint64)
 _TABLES = _Tables(
     h=np.empty(4096, dtype=np.uint64),
     k=np.empty(4096, dtype=np.uint64),
     g0=np.empty(4096, dtype=np.uint64),
     g1=np.empty(4096, dtype=np.uint64),
-    quads=np.empty(10**4, dtype=np.uint32),
-    last=np.empty(10**4, dtype=np.uint64),
-    layouts=np.zeros((_N_CLASS, _WIDTH), dtype=np.uint8),
-    masks=np.zeros((_N_CLASS, _WIDTH), dtype=bool),
+    spread=_FORMAT[: 2 * 10**4],
+    templates=_FORMAT[2 * 10**4 :].reshape(_N_CLASS, _ROW // 8),
 )
 _FILLED = False
 
@@ -355,9 +360,9 @@ def _tables() -> _Tables:
         tables.g1[:] = np.array([x >> 63 for x in g], dtype=np.uint64)[k + _E_BIAS]
         tables.g0[:] = np.array([x & (2**63 - 1) for x in g], dtype=np.uint64)[k + _E_BIAS]
         digits = np.arange(10**4, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
-        nonzero = digits != 0
-        tables.quads[:] = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-        tables.last[:] = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+        spread = tables.spread.view(np.uint8).reshape(2, 10**4, 8)
+        spread[:, :, ::2] = digits + ord("0")
+        spread[1, :, ::2][np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]] = 0
         _FILLED = True
     return tables
 
@@ -424,23 +429,23 @@ def _shortest(bits):
     return np.where(short == _U(1), f * _U(10), f), np.take(tables.k, row) + _U(16) - short
 
 
-def _layout(cls: int) -> list[int]:
-    """Source columns of one format class (exponent, sign, digits), laid out
-    as repr lays them out; ends with the separator's column."""
-    exp, rest = divmod(cls, 2 * 17)
-    neg, n = divmod(rest, 17)
-    exp, n = exp - _E_BIAS, n + 1
-    digits = list(range(3, 3 + n))
+def _template(cls: int) -> bytes:
+    """The row of one format class (exponent, sign, one digit or several),
+    laid out as repr lays it out, with '0' in the first digit's byte."""
+    exp, neg, several = cls // 4 - _E_BIAS, cls // 2 % 2, cls % 2
+    row = bytearray(_ROW)
+    row[6], row[-1] = ord("0"), ord(",")
+    prefix = b"-" * neg
     if exp < -4 or exp >= 16:
-        mantissa = digits[:1] + (["."] + digits[1:] if n > 1 else [])
-        body = mantissa + ["e", "-" if exp < 0 else "+"] + list(f"{abs(exp):02d}")
+        row[7] = ord(".") * several
+        row[40:47] = f"e{exp:+03d}".encode().ljust(7, b"\0")
     elif exp < 0:
-        body = ["0", "."] + ["0"] * (-exp - 1) + digits
+        prefix += b"0." + b"0" * (-exp - 1)
     else:
-        # digit columns past n hold '0'
-        body = list(range(3, 4 + exp)) + ["."] + (digits[exp + 1 :] or ["0"])
-    cols = ["-"] * neg + body
-    return [c if isinstance(c, int) else 20 + _ALPHABET.index(c) for c in cols] + [_SEP]
+        row[8 : 10 + 2 * exp : 2] = b"0" * (exp + 1)
+        row[7 + 2 * exp] = ord(".")
+    row[6 - len(prefix) : 6] = prefix
+    return bytes(row)
 
 
 def _csv_bytes(table: np.ndarray) -> bytes:
@@ -456,35 +461,27 @@ def _csv_bytes(table: np.ndarray) -> bytes:
         bits = bits.copy()
         bits[special] = _U(0x3FF0000000000000)
     f, e = _shortest(bits)
-    source = np.empty((len(bits), _ROW), dtype=np.uint8)
-    high, low = f // _U(10**8), f % _U(10**8)
-    source[:, 3] = high // _U(10**8) + _U(ord("0"))
-    high %= _U(10**8)
-    quads = source.view(np.uint32)
-    last = np.zeros(len(bits), dtype=np.uint64)  # digits after the first, up to the last nonzero one
-    for col, part in enumerate((high // _U(10**4), high % _U(10**4), low // _U(10**4), low % _U(10**4))):
-        quads[:, col + 1] = np.take(tables.quads, part)
-        in_part = np.take(tables.last, part)
-        last = np.where(in_part > _U(0), in_part + _U(4 * col), last)
-    source[:, 20:_SEP] = np.frombuffer(_ALPHABET.encode(), dtype=np.uint8)
-    source[:, _SEP] = ord(",")
-    source[cols - 1 :: cols, _SEP] = ord("\n")
-    cls = (e * _U(2) + (bits >> _U(63))) * _U(17) + last
-    for c in set(cls[~np.take(tables.masks[:, 0], cls)].tolist()):
-        layout = _layout(c)
-        tables.layouts[c, : len(layout)] = layout
-        tables.masks[c, : len(layout)] = True
-    columns = np.take(tables.layouts, cls, axis=0)
-    chars = np.empty_like(columns)
-    base = np.arange(0, _ROW * len(bits), _ROW)[:, None]
-    for sl in _batches(len(bits), 32):  # the int64 index of 2048 fields at a time
-        chars[sl] = np.take(source.ravel(), columns[sl] + base[sl])
-    mask = np.take(tables.masks, cls, axis=0)
+    # digits 16 down to 1 as four quads: a quad reads the half of the spread
+    # table without trailing zeros when every later quad is zero
+    words, lead, empty = [], f, True
+    for _ in range(4):
+        part = lead // _U(10**4)
+        quad = lead - part * _U(10**4) + empty * _U(10**4)
+        words.append(np.take(tables.spread, quad))
+        empty, lead = quad == _U(10**4), part
+    cls = (e * _U(2) + (bits >> _U(63))) * _U(2) + ~empty
+    for c in set(cls[np.take(tables.templates[:, -1], cls) == _U(0)].tolist()):
+        tables.templates[c] = np.frombuffer(_template(c), dtype=np.uint64)
+    out = np.take(tables.templates, cls, axis=0)
+    for col, word in zip((4, 3, 2, 1), words):
+        out[:, col] |= word
+    chars = out.view(np.uint8)
+    chars[:, 6] |= lead.astype(np.uint8)
+    chars[cols - 1 :: cols, -1] = ord("\n")
     for i in special.tolist():
-        text = repr(float(table.flat[i])).encode() + bytes(source[i, _SEP : _SEP + 1])
-        chars[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-        mask[i] = np.arange(_WIDTH) < len(text)
-    return chars[mask].tobytes()
+        text = repr(float(table.flat[i])).encode()
+        chars[i, :-1] = np.frombuffer(text.ljust(_ROW - 1, b"\0"), dtype=np.uint8)
+    return out.tobytes().translate(None, b"\0")
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +509,15 @@ def write_csv(path, header: list[str], rows) -> None:
 
 def write_table(path, header: list[str], table) -> None:
     """CSV of a float table, every entry written as its shortest round-trip
-    repr.  Rows go out in blocks of ``_batches``, 8 entries per field (the pipeline
-    holds about 250 bytes per field), so that the text never sits in memory whole."""
+    repr.  Rows go out in blocks of ``_batches``, 8 entries per field (a field
+    is laid out in a 48-byte row), so that the text never sits in memory whole."""
     table = np.asarray(table, dtype=np.float64)
     with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
+        size = fh.write((",".join(header) + "\n").encode())
         for sl in _batches(len(table), 8 * len(header)):
-            fh.write(_csv_bytes(table[sl]))
+            size += fh.write(_csv_bytes(table[sl]))
+    logger.debug("write_table: %s, %d x %d, %d bytes, %d of %d template classes filled",
+                 path, *table.shape, size, np.count_nonzero(_TABLES.templates[:, -1]), _N_CLASS)
 
 
 def write_json(path, obj) -> None:

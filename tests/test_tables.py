@@ -1,10 +1,12 @@
 """Float tables are written as Python's shortest ``repr``, byte for byte.
 
 ``scenario_io._csv_bytes`` computes the shortest round-trip digits in
-numpy (Schubfach) and lays them out as ``repr`` does; every test compares
-its bytes with ``",".join(map(repr, row)) + "\\n"`` over the rows.
+numpy (Schubfach) and lays them out as ``repr`` does, from one template
+row per format class; every test compares its bytes with
+``",".join(map(repr, row)) + "\\n"`` over the rows.
 """
 
+import logging
 import os
 import subprocess
 import sys
@@ -58,6 +60,16 @@ class TestShortestRepr:
         table = np.resize(values, (-(-len(values) // cols), cols))
         assert _csv_bytes(table) == repr_join(table)
 
+    def test_every_format_class(self):
+        """+-10^E and +-1.5 10^E, one digit and several, at every decimal
+        exponent E of a normal double, and the edges of the layout."""
+        tens = np.array([float(f"{m}e{exp}") for exp in range(-323, 309) for m in ("1", "1.5")])
+        tens = tens[np.isfinite(tens) & (tens >= np.finfo(float).tiny)]
+        edges = [1e-05, 1.5e-05, 0.0001, 1200.0, -120.0, 1e15, 123456789012345.0, 9999999999999998.0, 1e16, -0.5, 123.456]
+        values = np.concatenate([tens, -tens, edges])
+        table = np.resize(values, (-(-len(values) // 3), 3))
+        assert _csv_bytes(table) == repr_join(table)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(st.floats(), min_size=1, max_size=24))
     def test_any_float(self, values):
@@ -75,9 +87,16 @@ class TestShortestRepr:
         write_table(tmp_path / "empty.csv", ["a", "b"], np.zeros((0, 2)))
         assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
 
+    def test_write_logs_one_line(self, tmp_path, caplog):
+        caplog.set_level(logging.DEBUG, logger="delaylab.scenario_io")
+        write_table(tmp_path / "small.csv", ["a", "b", "c"], [[1.0, -2.5, 3e20], [0.0, 1e-7, 12.0]])
+        (record,) = caplog.records
+        size = (tmp_path / "small.csv").stat().st_size
+        assert f"small.csv, 2 x 3, {size} bytes" in record.getMessage()
+
     def test_import_fills_no_table(self):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        code = "import delaylab, delaylab.cli, delaylab.scenario_io as io; print(io._FILLED, io._TABLES.masks.any())"
+        code = "import delaylab, delaylab.cli, delaylab.scenario_io as io; print(io._FILLED, io._TABLES.templates.any())"
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
         assert done.stdout.strip() == "False False", done.stderr
 
