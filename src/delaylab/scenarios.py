@@ -59,7 +59,7 @@ def scalar_dde(a: float, b: float) -> SystemModel:
 
 def _cantor_coupling(lam: float) -> tuple[float, float]:
     # g^ and g^' on the real axis; overflow far down the axis is capped, the
-    # root bracketing below only needs "very large" there
+    # walk down to the root only needs "very large" there
     with np.errstate(over="ignore", invalid="ignore"):
         value, slope = _cantor_product(lam, 0.0, derivative=True)
     return (value.real, slope.real) if np.isfinite(value.real) else (1e300, -1e300)
@@ -71,42 +71,26 @@ def _mode_rightmost_real_root(eig: float, coupling, c: float) -> float:
 
     The coupling, the transform of a positive measure on [-1, 0], is
     positive, decreasing and convex on the real axis, so q is increasing
-    (q' >= 1) and concave with q(eig) < 0.  Walking down in unit steps from
-    the positive side finds a width-1 bracket without ever evaluating the
-    coupling deep in its overflow range; Newton from its lower end climbs
-    to the root without overshoot, with bisection should it leave the bracket.
+    (q' >= 1) and concave with q(eig) < 0: Newton from any point left of the
+    root climbs to it without overshoot.  It starts at max(0, eig) + 1, or,
+    where q is positive there, at the first point of the unit steps down from
+    it where q is not, which never evaluates the coupling deep in its
+    overflow range.  The coupling is read as very large wherever the Cantor
+    product overflows, also above lam ~ 1430, so a root there (n = 15 at
+    c = 2e5) is not reached and 200 steps end in NoResultError.
     """
 
     def q(lam):
         value, slope = coupling(lam)
         return lam - eig - c * value, 1.0 - c * slope
 
-    hi = max(0.0, eig) + 1.0
+    lam = max(0.0, eig) + 1.0
+    value, slope = q(lam)
+    while value > 0:
+        lam -= 1.0
+        value, slope = q(lam)
     for _ in range(200):
-        if q(hi)[0] > 0:
-            break
-        hi += 1.0
-    else:
-        raise NoResultError("failed to bracket the per-mode real root from above")
-    lo = hi - 1.0
-    max_steps = int(hi - eig) + 10
-    for _ in range(max_steps):
-        value, slope = q(lo)
-        if value <= 0:
-            break
-        hi = lo
-        lo -= 1.0
-    else:
-        raise NoResultError("failed to bracket the per-mode real root from below")
-    lam = lo
-    for _ in range(200):
-        if value > 0.0:
-            hi = lam
-        else:
-            lo = lam
         step = -value / slope
-        if not lo <= lam + step <= hi:
-            step = 0.5 * (lo + hi) - lam
         lam += step
         if abs(step) <= 1e-13 + 1e-14 * abs(lam):
             return float(lam)

@@ -500,7 +500,7 @@ def resolvent_apply(
 def _fd4(samples: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative on a uniform grid."""
     if len(samples) < 5:
-        raise ValueError("need at least 5 nodes for the 4th-order stencil")
+        raise PreconditionError(f"the fourth-order derivative needs a history grid with m >= 4, got m = {len(samples) - 1}")
     f = samples
     d = np.empty_like(f)
     d[2:-2] = (-f[4:] + 8.0 * f[3:-1] - 8.0 * f[1:-3] + f[:-4]) / (12.0 * h)

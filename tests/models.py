@@ -181,6 +181,8 @@ _BUILDERS: dict[str, tuple[Callable, str]] = {
     "jordan_cantor": (lambda: Model(_op([[-1.0, 1.0], [0.0, -1.0]]), dl.CantorKernel(0.5), 2.0), "scalar cantor non_normal defective matrix"),
     "scalar_-2_cantor0.5": (lambda: Model(dl.scalar_operator(-2.0), dl.CantorKernel(0.5), 2.0), "scalar cantor modal"),
     "scalar_-1_cantor0.8": (lambda: Model(dl.scalar_operator(-1.0), dl.CantorKernel(0.8), 2.0), "scalar cantor modal"),
+    "scalar_-0.3_cantor0.8": (lambda: Model(_op([[-0.3]]), dl.CantorKernel(0.8)), "scalar cantor modal"),
+    "jordan_cantor0.8": (lambda: Model(_op([[-1.0, 1.0], [0.0, -1.0]]), dl.CantorKernel(0.8)), "scalar cantor non_normal defective matrix"),
     # normal: eigenvalues between the samples of the frequency grid, and the pair -0.01 +- 3.73i once and twice
     "rotation_between_samples": (lambda: Model(dl.SpatialOperator(_rotation_blocks(-0.3, 2.03, -0.7, 0.93)), dl.CantorKernel(0.1)),
                                  "scalar cantor modal"),

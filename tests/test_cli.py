@@ -491,10 +491,11 @@ class TestOutOfRangeOptions:
             ("miyadera", ["--samples", "-2"]),
             ("miyadera", ["--samples", "0"]),
             ("miyadera", ["--t0-grid", "0.1,abc"]),
+            ("miyadera", ["--t0-grid", ","]),
             ("dyson", ["--t", "inf"]),
             ("stability", ["--horizon", "inf"]),
         ],
-        ids=["negative_n_max", "negative_samples", "zero_samples", "non_numeric_t0", "infinite_t", "infinite_horizon"],
+        ids=["negative_n_max", "negative_samples", "zero_samples", "non_numeric_t0", "empty_t0", "infinite_t", "infinite_horizon"],
     )
     def test_exits_4(self, tmp_path, capsys, command, options):
         path = write_scenario(tmp_path, scalar_scenario(-2.0, 0.5, T=2.0))

@@ -188,10 +188,11 @@ class TestSegment:
         expected = np.exp(a * (2.0 + seg.nodes))[:, None]
         assert np.abs(seg.samples - expected).max() < 10.0 * dt**2
 
-    def test_rejects_uncovered_time(self):
+    @pytest.mark.parametrize("read", [dl.segment, dl.Trajectory.value_at], ids=["segment", "value_at"])
+    def test_rejects_uncovered_time(self, read):
         traj = dl.Trajectory(np.ones((101, 1)), 0.01, m=10, p=2.0)
         with pytest.raises(dl.PreconditionError):
-            dl.segment(traj, 0.5)
+            read(traj, 0.5)
 
 
 class TestTrajectory:

@@ -89,17 +89,17 @@ class TestModeDecoupling:
             full = char_det(model, lam)
             assert abs(full - factored) <= 1e-8 * max(1.0, abs(factored))
 
-    def test_per_mode_roots_reproduced_by_full_finder(self):
-        n = 5
-        c = 0.6 * abs(dl.dirichlet_lambda1(n))
+    # from c = 1e4 on the root lies far right of 0 (near 228.6 there): Newton
+    # from the left of it climbs there from max(0, lambda_1) + 1 = 1
+    @pytest.mark.parametrize("n,c", [(5, 0.6 * abs(dl.dirichlet_lambda1(5))), (15, 40.0), (15, 1e4), (15, 2e4), (15, 1e5)])
+    def test_per_mode_roots_reproduced_by_full_finder(self, n, c):
         model = dl.reaction_diffusion_scenario(n, c)
         rightmost = dl.rd_rightmost_root(n, c).real
         report = dl.find_roots(
             model, dl.Region(rightmost - 0.5, rightmost + 0.5, 1.0), spacing=0.02
         )
         assert report.rightmost is not None
-        assert abs(report.rightmost - rightmost) < 1e-6
-
+        assert abs(report.rightmost - rightmost) <= 1e-9 * abs(report.rightmost)
 
     @pytest.mark.parametrize("kernel", ["cantor", "single_delay"])
     @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.4])
@@ -177,3 +177,17 @@ class TestThresholdScan:
         assert abs(c_root / lam1 - 1.0) <= 0.02
         assert abs(c_traj / c_root - 1.0) <= 0.02
         assert abs(c_traj / lam1 - 1.0) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: dl.laplacian_dirichlet_1d(0), "at least one interior grid point"),
+        (lambda: dl.rd_rightmost_root(15, 0.0), "positive coefficients"),
+        (lambda: dl.rd_rightmost_root(15, -4.9), "positive coefficients"),
+    ],
+    ids=["laplacian_n0", "root_c0", "root_negative_c"],
+)
+def test_presets_reject_out_of_range_arguments(call, message):
+    with pytest.raises(dl.PreconditionError, match=message):
+        call()

@@ -468,9 +468,13 @@ class TestResolvent:
         got = dl.shift_resolvent_history(0.0, g)[:, 0]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
-    def test_shift_resolvent_needs_four_nodes(self):
-        with pytest.raises(dl.PreconditionError, match="m >= 3"):
-            dl.shift_resolvent_history(0.5, HistoryGrid.constant([1.0], 2, 2.0))
+    @pytest.mark.parametrize("m,bound", [(2, 3), (3, 4)])
+    def test_resolvent_needs_enough_nodes(self, m, bound):
+        # the shift resolvent's cubic stencils read four nodes, the defect's
+        # fourth-order derivative five: at m = 3 the state comes, its defect not
+        model, y, g = dl.scalar_dde(-1.0, 0.2), np.array([1.0]), HistoryGrid.constant([1.0], m, 2.0)
+        with pytest.raises(dl.PreconditionError, match=f"m >= {bound}, got m = {m}"):
+            dl.resolvent_defect(model, 0.5, y, g, dl.resolvent_apply(model, 0.5, y, g))
 
 
 class TestGridPaths:
@@ -856,10 +860,17 @@ class TestDecayRate:
                 tracemalloc.stop()
         assert peaks[1] <= peaks[0] + 16_384
 
-    def test_rejects_zero_window(self):
-        traj = dl.Trajectory(np.zeros((3001, 1)), 1e-3, m=50, p=2.0)
-        with pytest.raises(dl.PreconditionError):
-            dl.decay_rate(traj, (0.5, 1.5))
+    @pytest.mark.parametrize(
+        "spike,window,message",
+        [(0.0, (0.5, 1.5), "vanishes on the whole window"), (1.0, (0.5, 1.0), "not enough nonzero samples"), (0.0, (0.5, 2.5), "not inside")],
+        ids=["zero", "one_nonzero_sample", "past_the_end"],
+    )
+    def test_rejects_unreadable_window(self, spike, window, message):
+        # zero but for the spike at t = 1, which no segment before t = 1 reads
+        values = np.zeros((3001, 1))
+        values[2000] = spike
+        with pytest.raises(dl.PreconditionError, match=message):
+            dl.decay_rate(dl.Trajectory(values, 1e-3, m=50, p=2.0), window)
 
 
 class TestRandomCompatibleState:
