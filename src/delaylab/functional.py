@@ -559,7 +559,4 @@ def char_matrix(phi: DelayFunctional, lam: complex, dim: int | None = None) -> n
 
 def char_norm_profile(phi: DelayFunctional, alpha: float, omegas: np.ndarray) -> np.ndarray:
     """Spectral norms of char_matrix(alpha + i omega) over the samples."""
-    omegas = np.asarray(omegas, dtype=float)
-    if isinstance(phi, CantorKernel):
-        return abs(phi.c) * np.abs(_cantor_product(alpha, omegas))
     return _norms(_symbol(phi, alpha, omegas)[0])

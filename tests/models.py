@@ -251,6 +251,22 @@ _BUILDERS: dict[str, tuple[Callable, str]] = {
 #: the lam at which the Cantor transform is checked against recursive subdivision
 CANTOR_POINTS = [0.0, 1.0, -1.0, 2.0, -2.0, 3.0j, 1.0 + 5.0j]
 
+
+def cantor_accuracy_sets():
+    """Arguments of the Cantor product's accuracy checks: a sample of the seed
+    grid of ``stability`` at alpha = 0, the imaginary axis, the real axis
+    and a disk of radius 700."""
+    rng = np.random.default_rng(14)
+    seeds = np.linspace(-12.0, 5.0, 171)[:, None] + 1j * np.linspace(-20.0, 20.0, 401)[None, :]
+    radius, angle = 700.0 * np.sqrt(rng.uniform(0.0, 1.0, 200)), rng.uniform(0.0, 2.0 * np.pi, 200)
+    return {
+        "stability_seeds": rng.choice(seeds.ravel(), 200, replace=False),
+        "imaginary_axis": 1j * np.linspace(-50.0, 50.0, 201),
+        "real_axis": np.linspace(-60.0, 5.0, 131).astype(complex),
+        "disk_700": radius * np.exp(1j * angle),
+    }
+
+
 ZOO: dict[str, Entry] = {name: Entry(build, frozenset(tags.split())) for name, (build, tags) in sorted(_BUILDERS.items())}
 
 
