@@ -49,11 +49,15 @@ def trajectory(name, p=None, seed=27, horizon=4.0):
     return dl.solve_steps(dl.SystemModel(model.A, model.phi, p), dl.random_compatible_state(model.n, 64, p, np.random.default_rng(seed)), horizon)
 
 
-def log_det(name):
+def log_det(name, derivative=True):
     # the split paths (the Cantor product, a scalar symbol, per-mode weights) and the slogdet path
     model, rng = ZOO[name].build(), np.random.default_rng(24)
     lams = rng.uniform(-4.0, 2.0, 900) + 1j * rng.uniform(-30.0, 30.0, 900)
-    return _bytes(*_log_det(model, lams.real, lams.imag), _log_det(model, lams.real, lams.imag, derivative=False)[0])
+    return _bytes(*_log_det(model, lams.real, lams.imag, derivative=derivative)[: 1 + derivative])
+
+
+def log_det_without_derivative(name):
+    return log_det(name, derivative=False)
 
 
 def find_roots(name):
@@ -64,10 +68,14 @@ def find_roots(name):
     return repr(reports).encode()
 
 
-def singular_values(name):
+def resolvent_singular_values(name):
     op, lams = ZOO[name].build().A, np.linspace(-3.0, 2.0, 300) + 1j * np.linspace(0.0, 9.0, 300)
-    return _bytes(op._singular_values(lams, lambda z: z[:, None, None] * np.eye(op.n) - op.matrix, -1),
-                  op._singular_values(np.linspace(0.0, 1.0, 200), op.expm, 0))
+    return _bytes(op._singular_values(lams, lambda z: z[:, None, None] * np.eye(op.n) - op.matrix, -1))
+
+
+def expm_singular_values(name):
+    op = ZOO[name].build().A
+    return _bytes(op._singular_values(np.linspace(0.0, 1.0, 200), op.expm, 0))
 
 
 def write_table(name):
@@ -77,17 +85,17 @@ def write_table(name):
         return (Path(tmp) / "t.csv").read_bytes()
 
 
-def triangular7_norms():
+def triangular7():
     # a non-normal A: one SVD per lam and per t, 700 and 600 of them
-    op = dl.SpatialOperator(np.triu(np.random.default_rng(8).standard_normal((7, 7))))
-    return _bytes(op.min_singular(np.linspace(-3.0, 2.0, 700) + 1j * np.linspace(0.0, 9.0, 700)), op.expm_norm(np.linspace(0.0, 1.0, 600)))
+    return dl.SpatialOperator(np.triu(np.random.default_rng(8).standard_normal((7, 7))))
 
 
 #: (evaluator, input, zero-argument call that returns the evaluator's output
 #: as bytes, batch sizes beside SIZES) of the runs whose output must not
 #: depend on the batch: read at the shipped size once per row, then at each size
 BATCH_RUNS = [
-    *[(f.__name__, name, functools.partial(f, name), ()) for f in (log_det, find_roots, singular_values, write_table) for name in BATCH],
+    *[(f.__name__, name, functools.partial(f, name), ()) for f in (log_det, log_det_without_derivative, find_roots, resolvent_singular_values,
+                                                                   expm_singular_values, write_table) for name in BATCH],
     *[("decay_rate", name, lambda name=name: repr(dl.decay_rate(trajectory(name), (2.0, 4.0))).encode(), ()) for name in BATCH],
     # one sampled segment per batch, or all 201 in one
     *[("decay_rate", f"rd15_p{p:g}", lambda p=p: repr(dl.decay_rate(trajectory("reaction_diffusion_cantor", p, 23, 6.0), (3.0, 6.0))).encode(), ())
@@ -97,17 +105,25 @@ BATCH_RUNS = [
     # and 7 states per chunk
     *[("miyadera_estimate", f"{name}_t0.25", lambda name=name: repr(dl.miyadera_estimate(ZOO[name].build(), 0.25, samples=20, seed=3)).encode(),
        (7 * 65 * ZOO[name].build().n,)) for name in ("rd7_c0.9", "nn2_two_weights")],
-    ("min_singular_expm_norm", "triangular7", triangular7_norms, ()),
+    ("min_singular", "triangular7", lambda: _bytes(triangular7().min_singular(np.linspace(-3.0, 2.0, 700) + 1j * np.linspace(0.0, 9.0, 700))), ()),
+    ("expm_norm", "triangular7", lambda: _bytes(triangular7().expm_norm(np.linspace(0.0, 1.0, 600))), ()),
     ("_cantor_product", "600_lams", lambda: _bytes(*cantor("600_lams", "list")), ()),
 ]
 
 
-@pytest.mark.parametrize("evaluator,input,run,extra", BATCH_RUNS, ids=[f"{r[0]}-{r[1]}" for r in BATCH_RUNS])
-def test_no_value_depends_on_its_batch(evaluator, input, run, extra, monkeypatch):
-    want = run()
-    for size in SIZES + extra:
-        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
-        assert run() == want, f"batch size {size}"
+@functools.cache
+def shipped_output(row):
+    """The output of ``BATCH_RUNS[row]`` at the shipped batch size, read once per row."""
+    assert history._BATCH_ENTRIES == SHIPPED[0]
+    return BATCH_RUNS[row][2]()
+
+
+@pytest.mark.parametrize("row,size", [(i, size) for i, r in enumerate(BATCH_RUNS) for size in SIZES + r[3]],
+                         ids=[f"{r[0]}-{r[1]}-{size}" for r in BATCH_RUNS for size in SIZES + r[3]])
+def test_no_value_depends_on_its_batch(row, size, monkeypatch):
+    want = shipped_output(row)
+    monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+    assert BATCH_RUNS[row][2]() == want
 
 
 def each(f, points):
@@ -115,22 +131,28 @@ def each(f, points):
     return [np.concatenate([np.ravel(x) for x in parts]) for parts in zip(*map(f, points))]
 
 
-def log_det_and_symbol(name, arrangement):
-    """log det with and without D, and T and T' of ``_symbol`` off the grid and
-    on the 64-node one, over a grid of real and imaginary parts or the same lam
-    as a list; the grid's T read without T' stands against the list's T.  2501
-    lam: the per-mode arrays of the n = 15 models pass 256 KiB, from which numpy
+def grid_or_list(arrangement):
+    """A grid of real and imaginary parts, or the same lam as a list.  2501 lam:
+    the per-mode arrays of the n = 15 models pass 256 KiB, from which numpy
     computes a product with a temporary factor in place."""
-    model = ZOO[name].build()
     re, im = np.linspace(-4.0, 2.0, 41)[:, None], np.linspace(0.0, 30.0, 61)[None, :]
-    if arrangement == "list":
-        re, im = (part.ravel() for part in np.broadcast_arrays(re, im))
+    return (re, im) if arrangement == "grid" else tuple(part.ravel() for part in np.broadcast_arrays(re, im))
+
+
+def log_det_grid(name, arrangement):
+    """log det with and without D over ``grid_or_list``."""
+    model, (re, im) = ZOO[name].build(), grid_or_list(arrangement)
     values = [*_log_det(model, re, im), _log_det(model, re, im, derivative=False)[0]]
     assert all(v.shape == np.broadcast(re, im).shape for v in values)
-    for m in (None, 64):
-        t, tp = _symbol(model.phi, re, im, m, True)
-        values += [t, tp, t if arrangement == "list" else _symbol(model.phi, re, im, m)[0]]
     return [np.ravel(v) for v in values]
+
+
+def symbol_grid(name, arrangement, m=None):
+    """T and T' of ``_symbol`` on m nodes (off the grid by default) over
+    ``grid_or_list``; the grid's T read without T' stands against the list's T."""
+    phi, (re, im) = ZOO[name].build().phi, grid_or_list(arrangement)
+    t, tp = _symbol(phi, re, im, m, True)
+    return [np.ravel(v) for v in (t, tp, t if arrangement == "list" else _symbol(phi, re, im, m)[0])]
 
 
 def newton_polish(name, arrangement):
@@ -182,26 +204,36 @@ def cantor_in_units(name, arrangement):
     return [v / np.abs(f(re)) for v, f in zip(cantor(name, arrangement), (reference_cantor_transform, reference_cantor_derivative), strict=True)]
 
 
-#: (call of an input and an arrangement that returns a list of arrays, input,
-#: batch sizes, bound, arrangements) of the runs whose value of a lam must not
-#: depend on whether it came in a grid or a list, alone or among others: at
-#: each batch size, every arrangement gives the first one's values within the bound
+#: (label, call of an input and an arrangement that returns a list of arrays,
+#: input, batch sizes, bound, arrangements) of the runs whose value of a lam
+#: must not depend on whether it came in a grid or a list, alone or among
+#: others: at each batch size, every arrangement gives the first one's values
+#: within the bound
 GRID_RUNS = [
-    *[(log_det_and_symbol, name, SIZES, 0.0, ("grid", "list")) for name in BATCH],
-    *[(newton_polish, name, SHIPPED, 0.0, ("among others", "alone")) for name in BATCH],
-    *[(miyadera_windows, name, SHIPPED, 0.0, ("grid", "scalars")) for name in ("reaction_diffusion_cantor", "nn2_two_weights", "jordan_cantor")],
-    (cantor, "600_lams", SIZES, 0.0, ("list", "alone", "scalar", "grid diagonal")),
-    (cantor, "600_real_parts", SIZES, 0.0, ("list", "scalar")),
-    (cantor, "disk_700", SHIPPED, 0.0, ("list", "scalar")),
-    (cantor_in_units, "stability_seeds", SHIPPED, 1e-14, ("scalar", "before 700i")),
+    *[("log_det", log_det_grid, name, SIZES, 0.0, ("grid", "list")) for name in BATCH],
+    *[(f"_symbol_m{m}", functools.partial(symbol_grid, m=m), name, SIZES, 0.0, ("grid", "list")) for m in (None, 64) for name in BATCH],
+    *[("newton_polish", newton_polish, name, SHIPPED, 0.0, ("among others", "alone")) for name in BATCH],
+    *[("miyadera_windows", miyadera_windows, name, SHIPPED, 0.0, ("grid", "scalars"))
+      for name in ("reaction_diffusion_cantor", "nn2_two_weights", "jordan_cantor")],
+    ("cantor", cantor, "600_lams", SIZES, 0.0, ("list", "alone", "scalar", "grid diagonal")),
+    ("cantor", cantor, "600_real_parts", SIZES, 0.0, ("list", "scalar")),
+    ("cantor", cantor, "disk_700", SHIPPED, 0.0, ("list", "scalar")),
+    ("cantor_in_units", cantor_in_units, "stability_seeds", SHIPPED, 1e-14, ("scalar", "before 700i")),
 ]
+GRID_IDS = [(i, size, arrangement) for i, r in enumerate(GRID_RUNS) for size in r[3] for arrangement in r[5][1:]]
 
 
-@pytest.mark.parametrize("f,input,sizes,bound,arrangements", GRID_RUNS, ids=[f"{r[0].__name__}-{r[1]}" for r in GRID_RUNS])
-def test_a_value_is_the_same_in_every_arrangement(f, input, sizes, bound, arrangements, monkeypatch):
-    for size in sizes:
-        monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
-        want, *others = (f(input, a) for a in arrangements)
-        for got in others:
-            for g, w in zip(got, want, strict=True):
-                assert np.array_equal(g, w, equal_nan=True) or np.abs(g - w).max() <= bound, f"batch size {size}"
+@functools.cache
+def first_arrangement(row, size):
+    """The values of ``GRID_RUNS[row]`` in its first arrangement at the batch size, read once per size."""
+    assert history._BATCH_ENTRIES == size
+    _, f, input, _, _, arrangements = GRID_RUNS[row]
+    return f(input, arrangements[0])
+
+
+@pytest.mark.parametrize("row,size,arrangement", GRID_IDS, ids=[f"{GRID_RUNS[i][0]}-{GRID_RUNS[i][2]}-{size}-{a}" for i, size, a in GRID_IDS])
+def test_a_value_is_the_same_in_every_arrangement(row, size, arrangement, monkeypatch):
+    _, f, input, _, bound, _ = GRID_RUNS[row]
+    monkeypatch.setattr(history, "_BATCH_ENTRIES", size)
+    for g, w in zip(f(input, arrangement), first_arrangement(row, size), strict=True):
+        assert np.array_equal(g, w, equal_nan=True) or np.abs(g - w).max() <= bound

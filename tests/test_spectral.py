@@ -120,11 +120,13 @@ D_ORACLES = {
     "det": lambda model, z: fd4(functools.partial(char_det, model), z, 2e-3) / char_det(model, z),
     "matrix": lambda model, z: np.trace(np.linalg.solve(char(model, z), fd4(functools.partial(char, model), z, 1e-3))),
 }
-#: (zoo name, the oracles of D that hold at rtol 1e-10) of the models whose log
-#: det is checked: L against slogdet of M and against the LU determinant, D
-#: against its oracles, slogdet taken if and only if the model is coupled,
-#: conjugate symmetry, and D read without L
-LOG_DET_RUNS = [
+#: (zoo name, the oracles of D that hold at rtol 1e-10, path) of the models whose
+#: log det is checked: L against slogdet of M and against the LU determinant, D
+#: against its oracles, slogdet taken if and only if the model is coupled or
+#: the path forces it, conjugate symmetry, and D read without L.  A model that
+#: splits is read as built and by slogdet, with ``decoupled`` forced to None; a
+#: coupled one takes slogdet as built
+LOG_DET_RUNS = [(name, oracles, path) for name, oracles in [
     # scalar symbols (Cantor kernel at n = 15, a non-normal triangular A), a matrix
     # symbol (non-commuting 2 x 2 delays), a scalar symbol stored as a matrix,
     # and the shipped scalar model and a coupled density of the upper-half search
@@ -134,16 +136,18 @@ LOG_DET_RUNS = [
     *[(name, "det matrix" if name in ("commuting_density", "commuting_atom_at_zero", "swap_on_identity") else "matrix") for name in COMMUTING],
     # the Cantor kernel at n = 64, where both differences miss D by 1e-10 to 1e-9
     ("rd64_c0.5lam1", ""),
-]
+] for path in ("as built",) + ("slogdet",) * ("coupled" not in ZOO[name].tags)]
 
 
 class TestLogDet:
-    @pytest.mark.parametrize("name,oracles", LOG_DET_RUNS, ids=[r[0] for r in LOG_DET_RUNS])
-    def test_matches_its_oracles(self, name, oracles, monkeypatch):
+    @pytest.mark.parametrize("name,oracles,path", LOG_DET_RUNS, ids=[f"{r[0]}-{r[2]}" for r in LOG_DET_RUNS])
+    def test_matches_its_oracles(self, name, oracles, path, monkeypatch):
         model = ZOO[name].build()
+        if path == "slogdet":
+            monkeypatch.setattr(dl.SystemModel, "decoupled", property(lambda self: None))
         with mock.patch.object(np.linalg, "slogdet", wraps=np.linalg.slogdet) as slogdet:
             L, D = _log_det(model, LU_LAMS.real, LU_LAMS.imag)
-        assert slogdet.called == ("coupled" in ZOO[name].tags)
+        assert slogdet.called == ("coupled" in ZOO[name].tags or path == "slogdet")
         np.testing.assert_allclose(L, np.linalg.slogdet(char_stack(model, LU_LAMS))[1], rtol=1e-10)
         np.testing.assert_allclose(L, np.log(np.abs([char_det(model, z) for z in LU_LAMS])), rtol=1e-10)
         for oracle in oracles.split():
@@ -156,17 +160,13 @@ class TestLogDet:
         np.testing.assert_allclose(conj_L, L, rtol=1e-12)
         np.testing.assert_allclose(conj_D, np.conj(D), rtol=1e-12)
         # without L, D is the same on the count's three legs on (-3, 1, 8): up the
-        # right edge, along the top, down the left edge; as built, and by slogdet
-        # if the model splits
+        # right edge, along the top, down the left edge
         t, u = np.linspace(0.0, 1.0, 1001), np.linspace(0.0, 1.0, 2001)
-        for path in ("as built", "slogdet")[: 1 + (model.decoupled is not None)]:
-            if path == "slogdet":
-                monkeypatch.setattr(dl.SystemModel, "decoupled", property(lambda self: None))
-            for re, im in ((1.0, 8.0 * t), (1.0 - 4.0 * u, 8.0), (-3.0, 8.0 - 8.0 * t)):
-                L, D = _log_det(model, re, im)
-                no_L, same_D = _log_det(model, re, im, level=False)
-                assert L is not None and no_L is None
-                assert np.array_equal(same_D.view(np.int64), D.view(np.int64))  # bit for bit, NaNs included
+        for re, im in ((1.0, 8.0 * t), (1.0 - 4.0 * u, 8.0), (-3.0, 8.0 - 8.0 * t)):
+            L, D = _log_det(model, re, im)
+            no_L, same_D = _log_det(model, re, im, level=False)
+            assert L is not None and no_L is None
+            assert np.array_equal(same_D.view(np.int64), D.view(np.int64))  # bit for bit, NaNs included
 
 
 class TestFindRoots:
